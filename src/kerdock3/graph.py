@@ -16,7 +16,7 @@ type-1 edges; the orbit census is closed-form:
 
     N/2        non-edge orbits, size (N^2-1)N   (trace-1 determinants)
     (N-2)/2    type-2 orbits,   size (N^2-1)N   (nonzero trace-0 dets)
-    N-2        type-1 orbits,   size  N^2-1     (ratios in F \ {0,1})
+    N-2        type-1 orbits,   size  N^2-1     (ratios in F minus {0,1})
 
 ``census`` verifies all of this by exhaustive enumeration for m <= 6
 and reports the closed forms alone beyond that.

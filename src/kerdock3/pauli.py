@@ -289,8 +289,17 @@ def sample_transvection(
 
 
 def transvection_apply_vec(ctx, h1, h2, a, b):
-    """Vectorized Z_h action on arrays of field pairs (a, b)."""
-    mul = ctx.np_table("mul")
-    tr = ctx.np_table("trace")
-    t = tr[mul[a, h2] ^ mul[b, h1]]
+    """Vectorized Z_h action on arrays of field pairs (a, b).
+
+    The arrays broadcast against each other.  The inner product uses the
+    dual-coordinate identity Tr(xy) = parity([x] & |y|):
+
+        Tr(a h2 + b h1) = parity((a & |h2|) ^ (b & |h1|)),
+
+    so the only table read is the O(N) ``dual`` table, gathered at the
+    transvection alone; a shared transvection costs one gather however
+    many vertices it acts on.
+    """
+    dual = ctx.np_table("dual")
+    t = np.bitwise_count((a & dual[h2]) ^ (b & dual[h1])) & 1
     return a ^ (h1 * t), b ^ (h2 * t)

@@ -56,6 +56,9 @@ __all__ = [
 
 Probe = Union[PauliIndex, PauliPair]
 
+# a pair probe histograms N^4 image codes: 2^24 bins (128 MiB of int64) at m = 6
+MAX_PAIR_BINS = 1 << 24
+
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -279,13 +282,20 @@ def _probe_name(probe: Probe) -> str:
     return f"pair:{a:#x},{b:#x};{c:#x},{d:#x}"
 
 
-def _normalize_probes(probes: Sequence[Probe]) -> List[Probe]:
+def _normalize_probes(m: int, probes: Sequence[Probe]) -> List[Probe]:
+    """Probes as PauliIndex / PauliPair; at least one pair, and every
+    pair histogram (N^4 bins) within MAX_PAIR_BINS."""
     out: List[Probe] = []
     for probe in probes:
         if isinstance(probe[0], int):
             out.append(PauliIndex(*probe))
         else:
             out.append(PauliPair(PauliIndex(*probe[0]), PauliIndex(*probe[1])))
+    if not any(isinstance(p, PauliPair) for p in out):
+        raise ValueError("probes must include at least one pair")
+    if 1 << (4 * m) > MAX_PAIR_BINS:
+        raise ValueError(f"a pair probe at m={m} needs 2^{4 * m} histogram bins; "
+                         f"the cap is {MAX_PAIR_BINS} (m <= 6)")
     return out
 
 
@@ -307,9 +317,7 @@ def _class_mask(ctx: FieldContext, name: str) -> np.ndarray:
 def pair_statistics(ctx: FieldContext, samples: Sequence[DesignSample],
                     probes: Sequence[Probe]) -> PairStatistics:
     """Exact (per-sample) statistics for explicit sample lists."""
-    probes = _normalize_probes(probes)
-    if not any(isinstance(p, PauliPair) for p in probes):
-        raise ValueError("probes must include at least one pair")
+    probes = _normalize_probes(ctx.m, probes)
     n = ctx.order
     counts = [np.zeros((n * n - 1) if isinstance(p, PauliIndex) else n ** 4,
                        dtype=np.int64) for p in probes]
@@ -364,30 +372,35 @@ def _statistics_from_counts(ctx: FieldContext, probes: List[Probe],
 
 def _stats_batch(ctx: FieldContext, config: SamplerConfig, probes: List[Probe],
                  batch_index: int, batch_size: int, steps: int) -> List[np.ndarray]:
-    """Histogram contribution of one statistics batch (own substream)."""
+    """Histogram contribution of one statistics batch (own substream).
+
+    The distinct probe vertices walk together as rows of one (V, batch)
+    array, so each step is a single kernel call with that step's
+    transvections broadcast across the rows.
+    """
     n = ctx.order
     rng = _substream(config.seed, 2 ** 64 - 1 - batch_index)
     ks = rng.integers(1, n * n, size=(steps, batch_size), dtype=np.uint32)
-    h1 = (ks & (n - 1)).astype(np.uint16)
-    h2 = (ks >> ctx.m).astype(np.uint16)
     alpha, beta, gamma, delta = sample_psl_vec(ctx, rng, batch_size)
+    verts = list(dict.fromkeys(
+        v for p in probes for v in ([p] if isinstance(p, PauliIndex) else p)))
+    row = {v: i for i, v in enumerate(verts)}
+    a = np.array([[v.a] for v in verts], dtype=np.uint16)
+    b = np.array([[v.b] for v in verts], dtype=np.uint16)
+    for k in ks:
+        a, b = transvection_apply_vec(ctx, (k & (n - 1)).astype(np.uint16),
+                                      (k >> ctx.m).astype(np.uint16), a, b)
     mul = ctx.np_table("mul")
+    ia = mul[a, alpha] ^ mul[b, gamma]
+    ib = mul[a, beta] ^ mul[b, delta]
+    images = ia.astype(np.int64) | (ib.astype(np.int64) << ctx.m)
     out = []
     for probe in probes:
-        verts = [probe] if isinstance(probe, PauliIndex) else list(probe)
-        images = []
-        for vert in verts:
-            a = np.full(batch_size, vert.a, dtype=np.uint16)
-            b = np.full(batch_size, vert.b, dtype=np.uint16)
-            for t in range(steps):
-                a, b = transvection_apply_vec(ctx, h1[t], h2[t], a, b)
-            ia = mul[a, alpha] ^ mul[b, gamma]
-            ib = mul[a, beta] ^ mul[b, delta]
-            images.append(ia.astype(np.int64) | (ib.astype(np.int64) << ctx.m))
-        if len(images) == 1:
-            out.append(np.bincount(images[0] - 1, minlength=n * n - 1))
+        if isinstance(probe, PauliIndex):
+            out.append(np.bincount(images[row[probe]] - 1, minlength=n * n - 1))
         else:
-            out.append(np.bincount(images[0] * n * n + images[1], minlength=n ** 4))
+            v, w = (images[row[x]] for x in probe)
+            out.append(np.bincount(v * n * n + w, minlength=n ** 4))
     return out
 
 
@@ -402,10 +415,8 @@ def pair_statistics_stream(config: SamplerConfig, probes: Sequence[Probe],
     byte-identical for any ``threads`` value, because batch j always
     consumes the substream (seed, 2^64-1-j) and the merge is a sum.
     """
+    probes = _normalize_probes(config.m, probes)
     ctx = FieldContext(config.m)
-    probes = _normalize_probes(probes)
-    if not any(isinstance(p, PauliPair) for p in probes):
-        raise ValueError("probes must include at least one pair")
     steps = config.resolved_steps()
     n_batches = (config.count + batch_size - 1) // batch_size
     sizes = [min(batch_size, config.count - j * batch_size) for j in range(n_batches)]

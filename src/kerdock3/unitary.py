@@ -63,19 +63,10 @@ def pauli_unitary(ctx: FieldContext, p: Tuple[int, int]) -> np.ndarray:
     n = ctx.order
     db = ctx.dual_coords(b)
     v = np.arange(n)
-    signs = 1.0 - 2.0 * (_popcount(v & db) & 1)
+    signs = 1.0 - 2.0 * (np.bitwise_count(v & db) & 1)
     mat = np.zeros((n, n), dtype=np.complex128)
     mat[v ^ a, v] = signs
     return mat
-
-
-def _popcount(v: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(v)
-    w = v.copy()
-    while w.any():
-        out += w & 1
-        w >>= 1
-    return out
 
 
 def hermitian_pauli(ctx: FieldContext, p: Tuple[int, int]) -> np.ndarray:

@@ -1,7 +1,11 @@
 """Pauli index pairs, symplectic matrices, generators, transvections."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kerdock3.gf2m import FieldContext
 from kerdock3.pauli import (PauliIndex, SymplecticMatrix, Transvection,
@@ -146,6 +150,61 @@ def test_transvection_apply_vec_matches_scalar():
         want = apply_transvection(ctx, (int(h1[i]), int(h2[i])),
                                   (int(a[i]), int(b[i])))
         assert (int(va[i]), int(vb[i])) == tuple(want)
+
+
+@lru_cache(maxsize=None)
+def _field(m):
+    return FieldContext(m)
+
+
+@st.composite
+def _walk_case(draw):
+    """(ctx, V x B vertex fields a, b, and B transvection fields h1, h2)."""
+    m = draw(st.integers(2, 16))
+    verts, batch = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    fields = st.integers(0, (1 << m) - 1)
+
+    def array(*shape):
+        flat = draw(st.lists(fields, min_size=int(np.prod(shape)),
+                             max_size=int(np.prod(shape))))
+        return np.array(flat, dtype=np.uint16).reshape(shape)
+
+    return _field(m), array(verts, batch), array(verts, batch), array(batch), array(batch)
+
+
+def _assert_scalar_equal(ctx, h1, h2, a, b, va, vb):
+    for (i, j), x in np.ndenumerate(va):
+        want = apply_transvection(ctx, (int(h1[i, j]), int(h2[i, j])),
+                                  (int(a[i, j]), int(b[i, j])))
+        assert (int(x), int(vb[i, j])) == tuple(want)
+    # the kernel reads only the O(N) dual table, never an N x N one
+    assert "mul" not in ctx._np_cache and "trace" not in ctx._np_cache
+
+
+@settings(max_examples=60, deadline=None)
+@given(_walk_case())
+def test_transvection_apply_vec_stacked_vertices(case):
+    """(V, B) vertices against (B,) transvections, as in the statistics walk."""
+    ctx, a, b, h1, h2 = case
+    va, vb = transvection_apply_vec(ctx, h1, h2, a, b)
+    assert va.shape == vb.shape == a.shape and va.dtype == vb.dtype == np.uint16
+    hh1, hh2 = np.broadcast_to(h1, a.shape), np.broadcast_to(h2, a.shape)
+    _assert_scalar_equal(ctx, hh1, hh2, a, b, va, vb)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_walk_case())
+def test_transvection_apply_vec_outer_broadcast(case):
+    """h[None, :] against a[:, None]: every vertex under every transvection,
+    as in the full chain."""
+    ctx, a, b, h1, h2 = case
+    a, b = a[:, 0], b[:, 0]
+    va, vb = transvection_apply_vec(ctx, h1[None, :], h2[None, :], a[:, None], b[:, None])
+    shape = (len(a), len(h1))
+    assert va.shape == vb.shape == shape
+    _assert_scalar_equal(ctx, np.broadcast_to(h1, shape), np.broadcast_to(h2, shape),
+                         np.broadcast_to(a[:, None], shape),
+                         np.broadcast_to(b[:, None], shape), va, vb)
 
 
 def test_conjugate_transvection():

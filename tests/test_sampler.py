@@ -1,7 +1,9 @@
 """Design sampler: deterministic streams, JSONL, Monte-Carlo statistics."""
 
+import hashlib
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +15,8 @@ from kerdock3.markov import q_empirical
 from kerdock3.pauli import (PauliIndex, SymplecticMatrix, apply_symplectic,
                             transvection_matrix)
 from kerdock3.sampler import (DesignSample, PairStatistics, SamplerConfig,
-                              _stats_batch, _substream, class_size, compose,
-                              mc_sigma, pair_statistics,
+                              _normalize_probes, _stats_batch, _substream,
+                              class_size, compose, mc_sigma, pair_statistics,
                               pair_statistics_stream, read_jsonl, sample,
                               sample_at, sample_stream, steps_for_epsilon,
                               write_jsonl)
@@ -199,6 +201,46 @@ def test_stream_statistics_thread_and_run_invariance():
     c = pair_statistics_stream(config, probes, threads=1, batch_size=4096)
     assert a.to_json() == b.to_json() == c.to_json()
     assert a.to_csv() == b.to_csv()
+
+
+# sha256 of the report, pinned from the table-lookup walk kernel: any
+# refactor of the walk must reproduce these reports byte for byte.
+# Each run has a vertex probe and both pair kinds, and an uneven last batch.
+GOLDEN_REPORTS = [
+    (2, 7, 1000, 384, ANTI_PROBE_M2,
+     "19f4dc00b3e9f92dfb1533a272ae18e1c9517e3ec2b72c93400c9e8ff00a4a91"),
+    (3, 5, 700, 256, ANTI_PROBE_M3,
+     "0d6eb883cf0b090ad99eb18b6ef9803fd65c171ad348f4e69d59f61e874ae012"),
+    (5, 4, 500, 192, ANTI_PROBE_M3,  # Tr(1) = 1 for odd m
+     "aa52389338b2879e9c264e3f7b0f08c5e92da0efedccfd271ae85f40c6e89ccb"),
+]
+
+
+@pytest.mark.parametrize("m,steps,count,batch,anti,digest", GOLDEN_REPORTS)
+def test_stream_statistics_golden_report(m, steps, count, batch, anti, digest):
+    config = SamplerConfig(m=m, seed=20201031, count=count, steps=steps)
+    stats = pair_statistics_stream(config, [(0x3, 0x1), COMMUTING_PROBE, anti],
+                                   batch_size=batch)
+    assert [p.class_name for p in stats.probes] == \
+        ["vertices", "commuting_pairs", "anticommuting_pairs"]
+    assert hashlib.sha256(stats.to_json().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("m", [7, 8])
+def test_pair_statistics_refuse_oversized_histograms(m):
+    """m >= 7 pair probes need over 2^24 bins: refused before any allocation."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="histogram bins"):
+            pair_statistics_stream(SamplerConfig(m=m, seed=0, count=2, steps=1),
+                                   [COMMUTING_PROBE])
+        with pytest.raises(ValueError, match="histogram bins"):
+            pair_statistics(FieldContext(m), [], [(1, 0), COMMUTING_PROBE])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 22
+    assert len(_normalize_probes(6, [COMMUTING_PROBE])) == 1  # m = 6 is at the cap
 
 
 def test_stream_statistics_requires_a_pair_probe():
