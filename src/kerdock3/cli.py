@@ -31,7 +31,7 @@ from typing import List, Optional
 import numpy as np
 
 from .gf2m import FieldContext
-from .graph import census
+from .graph import census, state_name
 from .kerdock import psl_elements, psl_to_symplectic
 from .markov import (extract_r, full_chain, lump_chain, mixing_time_report,
                      q0_structure_check, q1_closed_form, q_empirical,
@@ -239,7 +239,7 @@ def _cmd_convergence(args) -> int:
             start = np.zeros(len(tm.states))
             start[i] = 1.0
             curve = tv_curve(tm, start, t_max)
-            name = f"{state.kind.name}:{state.value:#x}"
+            name = state_name(state)
             for t, v in enumerate(curve):
                 lines.append(f"{chain},{name},{t},{float(v)!r}")
     _emit(args, "\n".join(lines) + "\n")

@@ -40,6 +40,7 @@ __all__ = [
     "PRIMITIVE_POLYS",
     "MIN_M",
     "MAX_M",
+    "DENSE_TABLE_MAX_M",
     "FieldContext",
     "parity",
     "clmul",
@@ -73,6 +74,8 @@ PRIMITIVE_POLYS: Dict[int, int] = {
 
 MIN_M = 2
 MAX_M = 16
+# the N x N 'mul' / 'div' numpy tables: 64 MiB each at m = 12
+DENSE_TABLE_MAX_M = 12
 
 
 # --- polynomial helpers on bit-vector ints ---
@@ -138,6 +141,7 @@ def f2_mat_mul(rows_a: Tuple[int, ...], rows_b: Tuple[int, ...]) -> Tuple[int, .
 
 
 def f2_mat_transpose(rows: Tuple[int, ...], width: int) -> Tuple[int, ...]:
+    """Transpose of a packed GF(2) matrix whose rows are ``width`` bits wide."""
     out = []
     for j in range(width):
         w = 0
@@ -375,33 +379,44 @@ class FieldContext:
     def np_table(self, name: str) -> np.ndarray:
         """Cached numpy lookup tables for the vectorized kernels.
 
-        names: 'mul' (N x N), 'div' (N x N, column 0 is junk-guarded),
-        'trace' (N,), 'dual' (N,), 'dual_inv' (N,), 'inv' (N,).
+        Kernels multiply through 'log' (N,) int32, with the sentinel
+        log[0] = 2(N-1)+1, and 'exp' (4N,), alpha^i up to i = 2(N-1) and
+        zero past it: exp[log[x] + log[y]] == x*y, and for y != 0
+        exp[log[x] - log[y] + N-1] == x/y.  A zero operand's sentinel puts
+        the index in the zero tail, so it needs no branch.  Also: 'trace',
+        'dual', 'dual_inv', 'inv' (inv[0] = 0), all (N,), and the N x N
+        'mul' and 'div' (div[:, 0] = 0), refused above DENSE_TABLE_MAX_M.
         """
         if name in self._np_cache:
             return self._np_cache[name]
         n = self.order
+        n1 = n - 1
         dtype = np.uint32 if self.m > 8 else np.uint16
-        if name == "mul":
-            t = np.zeros((n, n), dtype=dtype)
-            for a in range(1, n):
-                for b in range(1, n):
-                    t[a, b] = self.mul(a, b)
+        if name in ("mul", "div") and self.m > DENSE_TABLE_MAX_M:
+            raise ValueError(f"the N x N {name!r} table is capped at m = "
+                             f"{DENSE_TABLE_MAX_M}; use the 'log'/'exp' tables")
+        if name == "log":
+            t = np.array(self._log, dtype=np.int32)
+            t[0] = 2 * n1 + 1
+        elif name == "exp":
+            t = np.zeros(4 * n, dtype=dtype)
+            t[:2 * n1 + 1] = self._exp + self._exp[:1]
+        elif name == "mul":
+            log = self.np_table("log")
+            t = self.np_table("exp")[log[:, None] + log[None, :]]
         elif name == "div":
+            log = self.np_table("log")
             t = np.zeros((n, n), dtype=dtype)
-            for a in range(1, n):
-                for b in range(1, n):
-                    t[a, b] = self.div(a, b)
+            t[:, 1:] = self.np_table("exp")[log[:, None] - log[None, 1:] + n1]
+        elif name == "inv":
+            t = np.zeros(n, dtype=dtype)
+            t[1:] = self.np_table("exp")[n1 - self.np_table("log")[1:]]
         elif name == "trace":
             t = np.array([self.trace(a) for a in range(n)], dtype=np.uint8)
         elif name == "dual":
             t = np.array(self._dual, dtype=dtype)
         elif name == "dual_inv":
             t = np.array(self._dual_inv, dtype=dtype)
-        elif name == "inv":
-            t = np.zeros(n, dtype=dtype)
-            for a in range(1, n):
-                t[a] = self.inv(a)
         else:
             raise ValueError(f"unknown table {name!r}")
         self._np_cache[name] = t

@@ -44,11 +44,14 @@ __all__ = [
     "orbit_invariant",
     "classify_vec",
     "orbit_invariant_vec",
+    "anticommutation_matrix",
     "srg_parameters",
     "srg_check",
     "orbit_states",
     "edge_states",
     "orbit_representative",
+    "state_name",
+    "state_obj",
     "closed_form_counts",
     "CensusReport",
     "census",
@@ -114,19 +117,19 @@ def orbit_invariant(ctx: FieldContext, pair: PauliPair) -> OrbitInvariant:
 
 
 def classify_vec(ctx: FieldContext, a, b, c, d):
-    """Vectorized (kind, value) arrays for pair components a, b, c, d."""
-    mul = ctx.np_table("mul")
-    tr = ctx.np_table("trace")
-    div = ctx.np_table("div")
-    det = mul[a, d] ^ mul[b, c]
+    """Vectorized (kind, value) arrays for pair components a, b, c, d,
+    through the O(N) log/exp tables; a zero second vertex gives (TYPE1, 0)."""
+    log, exp, tr = ctx.np_table("log"), ctx.np_table("exp"), ctx.np_table("trace")
+    la, lb, lc, ld = log[a], log[b], log[c], log[d]
+    det = exp[la + ld] ^ exp[lb + lc]
     anti = tr[det] == 1
     type1 = (det == 0) & ~anti
     kind = np.where(anti, int(EdgeKind.NON_EDGE),
                     np.where(type1, int(EdgeKind.TYPE1), int(EdgeKind.TYPE2)))
     c_nz = c != 0
-    ratio = np.where(c_nz, div[a, np.where(c_nz, c, 1)],
-                     div[b, np.where(c_nz, 1, d)])
-    value = np.where(type1, ratio, det)
+    ratio = exp[np.where(c_nz, la - lc, lb - ld) + (ctx.order - 1)]
+    # with c = d = 0 the ratio would be b/0; det is the 0 wanted there
+    value = np.where(type1 & (c_nz | (d != 0)), ratio, det)
     return kind.astype(np.uint8), value.astype(np.uint16)
 
 
@@ -144,21 +147,27 @@ def srg_parameters(m: int) -> Tuple[int, int, int, int]:
     return (nsq - 1, nsq // 2 - 2, nsq // 4 - 3, nsq // 4 - 1)
 
 
+def anticommutation_matrix(ctx: FieldContext) -> np.ndarray:
+    """Boolean (N^2, N^2): [v, w] is Tr(ad + bc) = 1 for the codes
+    v = a | b << m, w = c | d << m, zero included (m <= CENSUS_MAX_M).
+    With Tr(ad) = parity(a & |d|) and x[v, w] = a_v & |b_w|, it is
+    parity(x ^ x^T)."""
+    if ctx.m > CENSUS_MAX_M:
+        raise ValueError(f"the anticommutation matrix is capped at m = {CENSUS_MAX_M}")
+    n = ctx.order
+    v = np.arange(n * n, dtype=np.uint32)
+    a = (v & (n - 1)).astype(np.uint16)
+    x = a[:, None] & ctx.np_table("dual")[v >> ctx.m][None, :]
+    return (np.bitwise_count(x ^ x.T) & 1).astype(bool)
+
+
 def srg_check(ctx: FieldContext) -> Tuple[int, int, int, int]:
     """Strong-regularity parameters measured on the explicit adjacency matrix.
 
     Raises if the graph is not strongly regular (non-constant degree or
     common-neighbour counts).
     """
-    if ctx.m > CENSUS_MAX_M:
-        raise ValueError(f"exhaustive graph construction capped at m = {CENSUS_MAX_M}")
-    n = ctx.order
-    v = np.arange(1, n * n, dtype=np.uint32)
-    a, b = (v & (n - 1)).astype(np.uint16), (v >> ctx.m).astype(np.uint16)
-    mul = ctx.np_table("mul")
-    tr = ctx.np_table("trace")
-    det = mul[a[:, None], b[None, :]] ^ mul[b[:, None], a[None, :]]
-    adj = tr[det] == 0
+    adj = ~anticommutation_matrix(ctx)[1:, 1:]
     np.fill_diagonal(adj, False)
     degrees = adj.sum(axis=1)
     if degrees.min() != degrees.max():
@@ -169,7 +178,7 @@ def srg_check(ctx: FieldContext) -> Tuple[int, int, int, int]:
     mu_set = np.unique(common[~adj & (common >= 0)])
     if len(lam_set) != 1 or len(mu_set) != 1:
         raise ValueError("graph is not strongly regular")
-    return (len(v), int(degrees[0]), int(lam_set[0]), int(mu_set[0]))
+    return (len(adj), int(degrees[0]), int(lam_set[0]), int(mu_set[0]))
 
 
 # --- canonical orbit state orderings ---
@@ -204,6 +213,27 @@ def orbit_representative(ctx: FieldContext, inv: OrbitInvariant) -> PauliPair:
     if kind == EdgeKind.TYPE2 and (v == 0 or ctx.trace(v) != 0):
         raise ValueError("type-2 determinant must be nonzero with trace 0")
     return PauliPair(PauliIndex(1, 0), PauliIndex(0, v))
+
+
+def state_name(state) -> str:
+    """Label of a vertex, pair or orbit invariant: ``vertex:a,b``,
+    ``pair:a,b;c,d`` or ``KIND:value``, numbers in hex."""
+    if isinstance(state, OrbitInvariant):
+        return f"{state.kind.name}:{state.value:#x}"
+    if isinstance(state[0], int):
+        return f"vertex:{state[0]:#x},{state[1]:#x}"
+    (a, b), (c, d) = state
+    return f"pair:{a:#x},{b:#x};{c:#x},{d:#x}"
+
+
+def state_obj(state):
+    """JSON form of the same: ``[a, b]``, ``[[a, b], [c, d]]`` or
+    ``{"kind": KIND, "value": value}``, numbers as hex strings."""
+    if isinstance(state, OrbitInvariant):
+        return {"kind": state.kind.name, "value": format(state.value, "#x")}
+    if isinstance(state[0], int):
+        return [format(x, "#x") for x in state]
+    return [state_obj(v) for v in state]
 
 
 # --- census ---

@@ -230,19 +230,21 @@ def psl_order(ctx: FieldContext) -> int:
     return (n + 1) * n * (n - 1)
 
 
+def _psl_fill(ctx: FieldContext, k: int, j: int) -> PslElement:
+    """The j-th of the N elements with first column k = alpha | gamma << m:
+    beta = j if alpha != 0, else delta = j; det = 1 fixes the other."""
+    alpha, gamma = k & (ctx.order - 1), k >> ctx.m
+    if alpha != 0:
+        return PslElement(alpha, j, gamma, ctx.div(1 ^ ctx.mul(j, gamma), alpha))
+    return PslElement(alpha, ctx.inv(gamma), gamma, j)
+
+
 def psl_elements(ctx: FieldContext) -> Iterator[PslElement]:
     """All (N+1)N(N-1) elements: (alpha, gamma) != 0, then the N unit-det fills."""
     n = ctx.order
     for k in range(1, n * n):
-        alpha, gamma = k & (n - 1), k >> ctx.m
-        if alpha != 0:
-            for beta in range(n):
-                delta = ctx.div(1 ^ ctx.mul(beta, gamma), alpha)
-                yield PslElement(alpha, beta, gamma, delta)
-        else:
-            beta = ctx.inv(gamma)
-            for delta in range(n):
-                yield PslElement(alpha, beta, gamma, delta)
+        for j in range(n):
+            yield _psl_fill(ctx, k, j)
 
 
 def sample_psl(ctx: FieldContext, rng: np.random.Generator) -> PslElement:
@@ -253,28 +255,22 @@ def sample_psl(ctx: FieldContext, rng: np.random.Generator) -> PslElement:
     """
     n = ctx.order
     k = int(rng.integers(1, n * n))
-    alpha, gamma = k & (n - 1), k >> ctx.m
-    j = int(rng.integers(0, n))
-    if alpha != 0:
-        beta = j
-        delta = ctx.div(1 ^ ctx.mul(beta, gamma), alpha)
-    else:
-        beta = ctx.inv(gamma)
-        delta = j
-    return PslElement(alpha, beta, gamma, delta)
+    return _psl_fill(ctx, k, int(rng.integers(0, n)))
 
 
 def sample_psl_vec(ctx: FieldContext, rng: np.random.Generator, size: int):
-    """Vectorized uniform SL(2) draw; returns arrays (alpha, beta, gamma, delta)."""
+    """Vectorized uniform SL(2) draw; returns arrays (alpha, beta, gamma, delta).
+
+    ``_psl_fill`` lane by lane, through the O(N) log/exp tables; each
+    ``where`` discards the junk its other branch reads."""
     n = ctx.order
-    mul = ctx.np_table("mul")
-    div = ctx.np_table("div")
-    invt = ctx.np_table("inv")
+    log, exp = ctx.np_table("log"), ctx.np_table("exp")
     k = rng.integers(1, n * n, size=size, dtype=np.uint32)
     alpha = (k & (n - 1)).astype(np.uint16)
     gamma = (k >> ctx.m).astype(np.uint16)
     j = rng.integers(0, n, size=size, dtype=np.uint16)
     fin = alpha != 0
-    beta = np.where(fin, j, invt[gamma])
-    delta = np.where(fin, div[1 ^ mul[beta, gamma], np.where(fin, alpha, 1)], j)
+    lg = log[gamma]
+    beta = np.where(fin, j, exp[(n - 1) - lg])
+    delta = np.where(fin, exp[log[1 ^ exp[log[beta] + lg]] - log[alpha] + (n - 1)], j)
     return alpha, beta.astype(np.uint16), gamma, delta.astype(np.uint16)

@@ -32,8 +32,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .gf2m import FieldContext
-from .graph import (EdgeKind, OrbitInvariant, PauliPair, edge_states,
-                    orbit_invariant_vec, orbit_representative, orbit_states)
+from .graph import (EdgeKind, OrbitInvariant, PauliPair, anticommutation_matrix,
+                    edge_states, orbit_invariant_vec, orbit_representative,
+                    orbit_states, state_name, state_obj)
 from .pauli import PauliIndex, transvection_apply_vec
 
 __all__ = [
@@ -100,14 +101,8 @@ class TransitionMatrix:
     # -- serialization --
 
     @staticmethod
-    def _state_obj(state: State):
-        if isinstance(state, OrbitInvariant):
-            return {"kind": state.kind.name, "value": format(state.value, "#x")}
-        (a, b), (c, d) = state
-        return [[format(a, "#x"), format(b, "#x")], [format(c, "#x"), format(d, "#x")]]
-
-    @staticmethod
     def _state_from_obj(obj) -> State:
+        """Inverse of ``graph.state_obj`` on chain states."""
         if isinstance(obj, dict):
             return OrbitInvariant(EdgeKind[obj["kind"]], int(obj["value"], 16))
         (a, b), (c, d) = obj
@@ -117,7 +112,7 @@ class TransitionMatrix:
     def to_json(self) -> str:
         return json.dumps({
             "denominator": self.denominator,
-            "states": [self._state_obj(s) for s in self.states],
+            "states": [state_obj(s) for s in self.states],
             "numerators": self.numerators.tolist(),
         }, sort_keys=True) + "\n"
 
@@ -132,17 +127,10 @@ class TransitionMatrix:
         """Floating view with one header row of state names."""
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow([_state_name(s) for s in self.states])
+        writer.writerow([state_name(s) for s in self.states])
         for row in self.probs:
             writer.writerow([repr(float(x)) for x in row])
         return out.getvalue()
-
-
-def _state_name(state: State) -> str:
-    if isinstance(state, OrbitInvariant):
-        return f"{state.kind.name}:{state.value:#x}"
-    (a, b), (c, d) = state
-    return f"pair:{a:#x},{b:#x};{c:#x},{d:#x}"
 
 
 def parse_csv_probs(text: str) -> Tuple[List[str], np.ndarray]:
@@ -482,29 +470,16 @@ def tv_curve_exact(tm: TransitionMatrix, start_index: int, t_max: int) -> List[F
 # --- full pair-level chains and exact lumping ---
 
 
-def _class_pairs(ctx: FieldContext, chain: str) -> Tuple[np.ndarray, np.ndarray]:
-    """All ordered pairs (as packed uint32 v, w) of the requested class."""
-    n = ctx.order
-    v = np.arange(1, n * n, dtype=np.uint32)
-    a, b = (v & (n - 1)).astype(np.uint16), (v >> ctx.m).astype(np.uint16)
-    mul, tr = ctx.np_table("mul"), ctx.np_table("trace")
-    det = mul[a[:, None], b[None, :]] ^ mul[b[:, None], a[None, :]]
-    commuting = tr[det] == 0
-    np.fill_diagonal(commuting, False)
-    if chain == "edges":
-        mask = commuting
-    else:
-        mask = tr[det] == 1
-    vv, ww = np.nonzero(mask)
-    return v[vv], v[ww]
-
-
 def full_chain(ctx: FieldContext, chain: str) -> TransitionMatrix:
     """The transvection walk on all ordered pairs of one class (m <= 3)."""
     if ctx.m > FULL_CHAIN_MAX_M:
         raise ValueError(f"full chain capped at m = {FULL_CHAIN_MAX_M}")
     n = ctx.order
-    vs, ws = _class_pairs(ctx, chain)
+    # all ordered pairs (v, w) of distinct nonzero codes in the class
+    anti = anticommutation_matrix(ctx)[1:, 1:]
+    mask = ~anti if chain == "edges" else anti
+    np.fill_diagonal(mask, False)
+    vs, ws = (x.astype(np.uint32) + 1 for x in np.nonzero(mask))
     k = len(vs)
     pair_code = vs.astype(np.int64) * (n * n) + ws
     code_to_idx = np.full(n ** 4, -1, dtype=np.int64)

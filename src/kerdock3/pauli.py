@@ -31,6 +31,7 @@ from .gf2m import (
     FieldContext,
     f2_mat_inv,
     f2_mat_mul,
+    f2_mat_transpose,
     f2_numpy_to_rows,
     f2_rows_to_numpy,
     parity,
@@ -120,14 +121,7 @@ class SymplecticMatrix:
         return acc
 
     def transpose(self) -> "SymplecticMatrix":
-        n = 2 * self.m
-        return SymplecticMatrix(
-            self.m,
-            tuple(
-                sum(((self.rows[i] >> j) & 1) << i for i in range(n))
-                for j in range(n)
-            ),
-        )
+        return SymplecticMatrix(self.m, f2_mat_transpose(self.rows, 2 * self.m))
 
     def inverse(self) -> "SymplecticMatrix":
         """Inverse via the symplectic block identity F^-1 = [[D^T,B^T],[C^T,A^T]]."""
@@ -137,11 +131,7 @@ class SymplecticMatrix:
         b = [r >> m for r in self.rows[:m]]
         c = [r & mask for r in self.rows[m:]]
         d = [r >> m for r in self.rows[m:]]
-
-        def tr(rows):
-            return [sum(((rows[i] >> j) & 1) << i for i in range(m)) for j in range(m)]
-
-        at, bt, ct, dt = tr(a), tr(b), tr(c), tr(d)
+        at, bt, ct, dt = (f2_mat_transpose(x, m) for x in (a, b, c, d))
         rows = [dt[i] | (bt[i] << m) for i in range(m)]
         rows += [ct[i] | (at[i] << m) for i in range(m)]
         return SymplecticMatrix(m, rows)
@@ -217,8 +207,7 @@ def basis_change_matrix(m: int, q: np.ndarray) -> SymplecticMatrix:
     if len(q_rows) != m:
         raise ValueError("Q must be m x m")
     qinv = f2_mat_inv(q_rows, m)
-    qinv_t = [sum(((qinv[i] >> j) & 1) << i for i in range(m)) for j in range(m)]
-    rows = list(q_rows) + [r << m for r in qinv_t]
+    rows = list(q_rows) + [r << m for r in f2_mat_transpose(qinv, m)]
     return SymplecticMatrix(m, rows)
 
 

@@ -28,9 +28,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .gf2m import FieldContext
-from .graph import (EdgeKind, OrbitInvariant, PauliPair, classify_pair,
-                    orbit_invariant_vec)
-from .kerdock import PslElement, psl_to_symplectic, sample_psl_vec
+from .graph import (EdgeKind, OrbitInvariant, PauliPair, anticommutation_matrix,
+                    classify_pair, orbit_invariant_vec, state_name, state_obj)
+from .kerdock import PslElement, psl_to_symplectic, sample_psl, sample_psl_vec
 from .markov import mixing_time_bound
 from .pauli import (PauliIndex, SymplecticMatrix, Transvection,
                     apply_symplectic, transvection_apply_vec,
@@ -140,16 +140,9 @@ def _draw(ctx: FieldContext, steps: int, rng: np.random.Generator
     n = ctx.order
     ks = rng.integers(1, n * n, size=steps)
     transvections = tuple(Transvection(int(k) & (n - 1), int(k) >> ctx.m) for k in ks)
-    k = int(rng.integers(1, n * n))
-    alpha, gamma = k & (n - 1), k >> ctx.m
-    j = int(rng.integers(0, n))
-    if alpha != 0:
-        beta, delta = j, ctx.div(1 ^ ctx.mul(j, gamma), alpha)
-    else:
-        beta, delta = ctx.inv(gamma), j
+    psl = sample_psl(ctx, rng)
     p = int(rng.integers(0, n * n))
-    return transvections, PslElement(alpha, beta, gamma, delta), \
-        PauliIndex(p & (n - 1), p >> ctx.m)
+    return transvections, psl, PauliIndex(p & (n - 1), p >> ctx.m)
 
 
 def sample(config: SamplerConfig, rng: np.random.Generator,
@@ -249,37 +242,22 @@ class PairStatistics:
             "steps": self.steps,
             "samples": self.samples,
             "probes": [{
-                "probe": _probe_obj(p.probe),
+                "probe": state_obj(p.probe),
                 "class": p.class_name,
                 "class_size": p.class_size,
                 "tv_to_uniform": p.tv_to_uniform,
                 "four_sigma": p.four_sigma(),
                 "orbit_histogram": None if p.orbit_histogram is None else {
-                    f"{inv.kind.name}:{inv.value:#x}": c
-                    for inv, c in sorted(p.orbit_histogram.items())},
+                    state_name(inv): c for inv, c in sorted(p.orbit_histogram.items())},
             } for p in self.probes],
         }, sort_keys=True, indent=2) + "\n"
 
     def to_csv(self) -> str:
         lines = ["probe,class,class_size,samples,tv_to_uniform,four_sigma"]
         for p in self.probes:
-            lines.append(f"{_probe_name(p.probe)},{p.class_name},{p.class_size},"
+            lines.append(f"{state_name(p.probe)},{p.class_name},{p.class_size},"
                          f"{p.samples},{p.tv_to_uniform!r},{p.four_sigma()!r}")
         return "\n".join(lines) + "\n"
-
-
-def _probe_obj(probe: Probe):
-    if isinstance(probe[0], int):
-        return [format(probe[0], "#x"), format(probe[1], "#x")]
-    (a, b), (c, d) = probe
-    return [[format(a, "#x"), format(b, "#x")], [format(c, "#x"), format(d, "#x")]]
-
-
-def _probe_name(probe: Probe) -> str:
-    if isinstance(probe[0], int):
-        return f"vertex:{probe[0]:#x},{probe[1]:#x}"
-    (a, b), (c, d) = probe
-    return f"pair:{a:#x},{b:#x};{c:#x},{d:#x}"
 
 
 def _normalize_probes(m: int, probes: Sequence[Probe]) -> List[Probe]:
@@ -299,28 +277,12 @@ def _normalize_probes(m: int, probes: Sequence[Probe]) -> List[Probe]:
     return out
 
 
-def _class_mask(ctx: FieldContext, name: str) -> np.ndarray:
-    """Boolean membership over packed pair codes v * N^2 + w."""
-    n = ctx.order
-    v = np.arange(n * n, dtype=np.uint32)
-    a, b = (v & (n - 1)).astype(np.uint16), (v >> ctx.m).astype(np.uint16)
-    mul, tr = ctx.np_table("mul"), ctx.np_table("trace")
-    det = mul[a[:, None], b[None, :]] ^ mul[b[:, None], a[None, :]]
-    anti = tr[det] == 1
-    commuting = ~anti
-    nonzero = (v != 0)
-    valid = nonzero[:, None] & nonzero[None, :] & (v[:, None] != v[None, :])
-    mask = (anti if name == "anticommuting_pairs" else commuting) & valid
-    return mask.ravel()
-
-
 def pair_statistics(ctx: FieldContext, samples: Sequence[DesignSample],
                     probes: Sequence[Probe]) -> PairStatistics:
     """Exact (per-sample) statistics for explicit sample lists."""
     probes = _normalize_probes(ctx.m, probes)
     n = ctx.order
-    counts = [np.zeros((n * n - 1) if isinstance(p, PauliIndex) else n ** 4,
-                       dtype=np.int64) for p in probes]
+    counts = _zero_counts(ctx, probes)
     for s in samples:
         f = s.composed
         for i, probe in enumerate(probes):
@@ -338,6 +300,14 @@ def pair_statistics(ctx: FieldContext, samples: Sequence[DesignSample],
     return _statistics_from_counts(ctx, probes, counts, len(samples), steps=steps)
 
 
+def _zero_counts(ctx: FieldContext, probes: List[Probe]) -> List[np.ndarray]:
+    """Empty histograms: N^2 - 1 vertex codes per vertex probe, N^4 pair
+    codes v * N^2 + w per pair probe."""
+    n = ctx.order
+    return [np.zeros((n * n - 1) if isinstance(p, PauliIndex) else n ** 4, dtype=np.int64)
+            for p in probes]
+
+
 def _statistics_from_counts(ctx: FieldContext, probes: List[Probe],
                             counts: List[np.ndarray], total: int,
                             steps: Optional[int]) -> PairStatistics:
@@ -348,7 +318,11 @@ def _statistics_from_counts(ctx: FieldContext, probes: List[Probe],
         if isinstance(probe, PauliIndex):
             member = hist
         else:
-            member = hist[_class_mask(ctx, name)]
+            anti = anticommutation_matrix(ctx)
+            mask = anti if name == "anticommuting_pairs" else ~anti
+            mask[0, :] = mask[:, 0] = False
+            np.fill_diagonal(mask, False)
+            member = hist[mask.ravel()]
             if int(member.sum()) != total:
                 raise AssertionError("probe images escaped their pair class")
         tv = 0.5 * float(np.abs(member / total - 1.0 / k).sum())
@@ -390,10 +364,11 @@ def _stats_batch(ctx: FieldContext, config: SamplerConfig, probes: List[Probe],
     for k in ks:
         a, b = transvection_apply_vec(ctx, (k & (n - 1)).astype(np.uint16),
                                       (k >> ctx.m).astype(np.uint16), a, b)
-    mul = ctx.np_table("mul")
-    ia = mul[a, alpha] ^ mul[b, gamma]
-    ib = mul[a, beta] ^ mul[b, delta]
-    images = ia.astype(np.int64) | (ib.astype(np.int64) << ctx.m)
+    # the PSL image (a, b) g; a, b become logs, freeing the fields early
+    log, exp = ctx.np_table("log"), ctx.np_table("exp")
+    a, b = log[a], log[b]
+    images = (exp[a + log[alpha]] ^ exp[b + log[gamma]]).astype(np.int64)
+    images |= (exp[a + log[beta]] ^ exp[b + log[delta]]).astype(np.int64) << ctx.m
     out = []
     for probe in probes:
         if isinstance(probe, PauliIndex):
@@ -424,10 +399,19 @@ def pair_statistics_stream(config: SamplerConfig, probes: Sequence[Probe],
     def run(j: int) -> List[np.ndarray]:
         return _stats_batch(ctx, config, probes, j, sizes[j], steps)
 
+    counts = _zero_counts(ctx, probes)
+
+    def accumulate(parts: Iterator[List[np.ndarray]]) -> None:
+        # a running sum: memory does not grow with the number of batches
+        for part in parts:
+            for total, hist in zip(counts, part):
+                total += hist
+
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, range(n_batches)))
+            # one batch per thread in flight, so finished ones cannot pile up
+            for lo in range(0, n_batches, threads):
+                accumulate(pool.map(run, range(lo, min(lo + threads, n_batches))))
     else:
-        parts = [run(j) for j in range(n_batches)]
-    counts = [sum(p[i] for p in parts) for i in range(len(probes))]
+        accumulate(map(run, range(n_batches)))
     return _statistics_from_counts(ctx, probes, counts, config.count, steps)

@@ -1,10 +1,16 @@
 """Field layer: arithmetic, trace/dual machinery, multiplication matrices."""
 
+import tracemalloc
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kerdock3.gf2m import (FieldContext, PRIMITIVE_POLYS, clmul, f2_mat_inv,
-                           f2_mat_mul, f2_rows_to_numpy, parity, polymod)
+from kerdock3.gf2m import (DENSE_TABLE_MAX_M, FieldContext, PRIMITIVE_POLYS,
+                           clmul, f2_mat_inv, f2_mat_mul, f2_rows_to_numpy,
+                           parity, polymod)
 
 # m=3, p(x) = x^3 + x + 1: frozen reference matrices for the degree-3 field
 A_ALPHA_M3 = [[0, 1, 0], [0, 0, 1], [1, 1, 0]]
@@ -166,3 +172,55 @@ def test_primitive_poly_table_all_valid():
     for m, poly in PRIMITIVE_POLYS.items():
         ctx = FieldContext(m, poly=poly)
         assert ctx.alpha_power(ctx.order - 1) == 1
+
+
+@lru_cache(maxsize=None)
+def _field(m):
+    return FieldContext(m)
+
+
+@st.composite
+def _operands(draw):
+    """(ctx, x, y): equal-length arrays of field elements, zeros allowed."""
+    m = draw(st.integers(2, 16))
+    elems = st.lists(st.integers(0, (1 << m) - 1), min_size=8, max_size=8)
+    return _field(m), np.array(draw(elems)), np.array(draw(elems))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_operands())
+def test_log_exp_contract(case):
+    """exp[log x + log y] = xy, exp[log x - log y + N-1] = x/y for y != 0,
+    zero operands without a branch, for random m in 2..16."""
+    ctx, x, y = case
+    n = ctx.order
+    log, exp, inv = ctx.np_table("log"), ctx.np_table("exp"), ctx.np_table("inv")
+    assert log.dtype == np.int32 and log[0] == 2 * (n - 1) + 1
+    assert len(exp) == 4 * n and not exp[2 * (n - 1) + 1:].any()
+    prod, quot = exp[log[x] + log[y]], exp[log[x] - log[y] + n - 1]
+    for i, (xi, yi) in enumerate(zip(x.tolist(), y.tolist())):
+        assert prod[i] == ctx.mul(xi, yi)
+        if yi:
+            assert quot[i] == ctx.div(xi, yi)
+            assert inv[yi] == ctx.inv(yi)
+    # a zero operand lands in the zero tail
+    nz = np.arange(1, n)
+    assert not exp[log[0] + log].any() and not exp[log[0] - log[nz] + n - 1].any()
+    assert inv[0] == 0
+    assert "mul" not in ctx._np_cache and "div" not in ctx._np_cache
+
+
+@pytest.mark.parametrize("m", [13, 16])
+def test_dense_tables_refused_above_cap(m):
+    """N x N 'mul'/'div' above m = 12 raise before allocating anything."""
+    ctx = _field(m)
+    tracemalloc.start()
+    try:
+        for name in ("mul", "div"):
+            with pytest.raises(ValueError, match=f"capped at m = {DENSE_TABLE_MAX_M}"):
+                ctx.np_table(name)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert "mul" not in ctx._np_cache and "div" not in ctx._np_cache

@@ -1,17 +1,21 @@
 """Commutation graph: pair classes, censuses, orbits, strong regularity."""
 
 import json
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kerdock3.gf2m import FieldContext
 from kerdock3.graph import (CENSUS_MAX_M, CensusReport, EdgeKind,
-                            OrbitInvariant, PauliPair, census, classify_pair,
-                            classify_vec, closed_form_counts,
-                            orbit_invariant, orbit_invariant_vec,
-                            orbit_representative, orbit_states, parse_census,
-                            srg_check, srg_parameters)
+                            OrbitInvariant, PauliPair, anticommutation_matrix,
+                            census, classify_pair, classify_vec,
+                            closed_form_counts, orbit_invariant,
+                            orbit_invariant_vec, orbit_representative,
+                            orbit_states, parse_census, srg_check,
+                            srg_parameters, state_name, state_obj)
 from kerdock3.kerdock import pair_action, sample_psl_vec
 from kerdock3.pauli import PauliIndex, symplectic_inner
 
@@ -211,3 +215,70 @@ def test_classify_vec_matches_scalar():
         q = PauliIndex(int(vb[i]) & 3, int(vb[i]) >> 2)
         assert int(kinds[i]) == int(classify_pair(ctx, (p, q)))
         assert int(values[i]) == orbit_invariant(ctx, (p, q)).value
+
+
+@lru_cache(maxsize=None)
+def _field(m):
+    return FieldContext(m)
+
+
+@st.composite
+def _pairs(draw):
+    """(ctx, pairs): distinct nonzero vertex pairs at a random m in 2..16;
+    about half the second vertices are a scalar multiple of the first,
+    so type-1 lanes (det = 0) appear at every m."""
+    m = draw(st.integers(2, 16))
+    ctx, elem = _field(m), st.integers(0, (1 << m) - 1)
+    vertex = st.tuples(elem, elem).filter(lambda v: v != (0, 0))
+    pairs = []
+    for _ in range(draw(st.integers(1, 6))):
+        a, b = draw(vertex)
+        if draw(st.booleans()):
+            lam = draw(st.integers(2, ctx.order - 1))
+            second = (ctx.mul(a, lam), ctx.mul(b, lam))
+        else:
+            second = draw(vertex.filter(lambda v: v != (a, b)))
+        pairs.append(PauliPair(PauliIndex(a, b), PauliIndex(*second)))
+    return ctx, pairs
+
+
+@settings(max_examples=80, deadline=None)
+@given(_pairs())
+def test_orbit_invariant_vec_matches_scalar_any_m(case):
+    """The log/exp kernel equals the scalar route for m in 2..16, builds no
+    N x N table, and gives (TYPE1, 0) for a zero second vertex."""
+    ctx, pairs = case
+    a, b, c, d = (np.array(x, dtype=np.uint16)
+                  for x in zip(*[(p[0].a, p[0].b, p[1].a, p[1].b) for p in pairs]))
+    keys = orbit_invariant_vec(ctx, a, b, c, d)
+    for key, pair in zip(keys.tolist(), pairs):
+        inv = orbit_invariant(ctx, pair)
+        assert key == int(inv.kind) * 65536 + inv.value
+    zero = np.zeros_like(c)
+    kind, value = classify_vec(ctx, a, b, zero, zero)
+    assert (kind == EdgeKind.TYPE1).all() and (value == 0).all()
+    assert "mul" not in ctx._np_cache and "div" not in ctx._np_cache
+
+
+def test_anticommutation_matrix_matches_symplectic_inner():
+    ctx = FieldContext(3)
+    anti = anticommutation_matrix(ctx)
+    assert anti.shape == (64, 64) and anti.dtype == bool
+    for v in range(64):
+        for w in range(64):
+            assert anti[v, w] == symplectic_inner(ctx, (v & 7, v >> 3), (w & 7, w >> 3))
+    assert (anti == anti.T).all() and not anti[0].any() and not anti.diagonal().any()
+    assert "mul" not in ctx._np_cache
+    with pytest.raises(ValueError, match="capped"):
+        anticommutation_matrix(FieldContext(CENSUS_MAX_M + 1))
+
+
+def test_state_name_and_obj():
+    vertex = PauliIndex(0x3, 0x1)
+    pair = PauliPair(PauliIndex(0x1, 0x0), PauliIndex(0x0, 0x2))
+    inv = OrbitInvariant(EdgeKind.TYPE2, 0x6)
+    assert [state_name(s) for s in (vertex, pair, inv)] == \
+        ["vertex:0x3,0x1", "pair:0x1,0x0;0x0,0x2", "TYPE2:0x6"]
+    assert state_obj(vertex) == ["0x3", "0x1"]
+    assert state_obj(pair) == [["0x1", "0x0"], ["0x0", "0x2"]]
+    assert state_obj(inv) == {"kind": "TYPE2", "value": "0x6"}

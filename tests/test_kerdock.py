@@ -1,10 +1,14 @@
 """Kerdock matrix set, subgroup labels, PSL(2, 2^m) symplectic embedding."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kerdock3.gf2m import FieldContext, f2_mat_mul
-from kerdock3.kerdock import (INFINITY, PslElement, classify_subgroup,
+from kerdock3.kerdock import (INFINITY, PslElement, _psl_fill, classify_subgroup,
                               kerdock_matrix, label_from_text, label_to_text,
                               mobius_action, pair_action, psl_elements,
                               psl_factors, psl_identity, psl_inverse,
@@ -210,6 +214,28 @@ def test_sample_psl_vec_valid_group_elements():
     assert (det == 1).all()
     # both branches appear
     assert (alpha == 0).any() and (alpha != 0).any()
+
+
+@lru_cache(maxsize=None)
+def _field(m):
+    return FieldContext(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 16), st.integers(0, 2 ** 32 - 1))
+def test_sample_psl_vec_matches_scalar_fill_any_m(m, seed):
+    """Lane by lane the log/exp draw is the scalar fill of the same (k, j)
+    draws, with determinant 1, and no N x N table is built."""
+    ctx = _field(m)
+    n = ctx.order
+    got = sample_psl_vec(ctx, np.random.default_rng(seed), 64)
+    rng = np.random.default_rng(seed)
+    k = rng.integers(1, n * n, size=64, dtype=np.uint32)
+    j = rng.integers(0, n, size=64, dtype=np.uint16)
+    for lane, g in enumerate(zip(*(x.tolist() for x in got))):
+        assert g == _psl_fill(ctx, int(k[lane]), int(j[lane]))
+        assert ctx.mul(g[0], g[3]) ^ ctx.mul(g[1], g[2]) == 1
+    assert "mul" not in ctx._np_cache and "div" not in ctx._np_cache
 
 
 def test_invalid_psl_rejected():

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from kerdock3.gf2m import FieldContext
-from kerdock3.graph import EdgeKind, PauliPair, orbit_invariant
+from kerdock3.graph import EdgeKind, PauliPair, census, orbit_invariant, srg_check
 from kerdock3.kerdock import PslElement, psl_identity, sample_psl_vec
-from kerdock3.markov import q_empirical
+from kerdock3.markov import full_chain, q_empirical
 from kerdock3.pauli import (PauliIndex, SymplecticMatrix, apply_symplectic,
                             transvection_matrix)
 from kerdock3.sampler import (DesignSample, PairStatistics, SamplerConfig,
@@ -241,6 +241,45 @@ def test_pair_statistics_refuse_oversized_histograms(m):
         tracemalloc.stop()
     assert peak < 1 << 22
     assert len(_normalize_probes(6, [COMMUTING_PROBE])) == 1  # m = 6 is at the cap
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_stream_statistics_memory_does_not_grow_with_batches(threads):
+    """128 batches of 2 at m = 4 are summed as they arrive; holding every
+    batch's histograms peaked at about 65 MiB."""
+    config = SamplerConfig(m=4, seed=3, count=256, steps=2)
+    tracemalloc.start()
+    try:
+        stats = pair_statistics_stream(config, [(0x3, 0x1), COMMUTING_PROBE],
+                                       threads=threads, batch_size=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [p.samples for p in stats.probes] == [256, 256]
+    assert peak < 8 << 20
+
+
+def test_kernels_build_no_dense_field_tables(monkeypatch):
+    """Census, grid, chains and stream statistics read only O(N) tables."""
+    requested = set()
+    original = FieldContext.np_table
+
+    def recording(self, name):
+        requested.add(name)
+        return original(self, name)
+
+    monkeypatch.setattr(FieldContext, "np_table", recording)
+    ctx = FieldContext(3)
+    census(ctx)
+    srg_check(ctx)
+    for chain in ("edges", "nonedges"):
+        q_empirical(ctx, chain)
+        full_chain(ctx, chain)
+    pair_statistics_stream(SamplerConfig(m=3, seed=1, count=300, steps=3),
+                           [(0x3, 0x1), COMMUTING_PROBE, ANTI_PROBE_M3], batch_size=128)
+    assert "mul" not in ctx._np_cache and "div" not in ctx._np_cache
+    assert not requested & {"mul", "div"}
+    assert {"log", "exp", "dual"} <= requested
 
 
 def test_stream_statistics_requires_a_pair_probe():
