@@ -6,7 +6,7 @@ permute Pauli indices exactly as the packed binary matrix says, up to a
 fourth root of unity.  Frame potentials then measure how close sampled
 ensembles are to moment-matching the Haar measure.
 
-Run:  python demos/05_unitary_checks.py       (about half a minute)
+Run:  python demos/05_unitary_checks.py       (a few seconds)
 """
 
 import numpy as np

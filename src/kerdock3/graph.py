@@ -172,7 +172,9 @@ def srg_check(ctx: FieldContext) -> Tuple[int, int, int, int]:
     degrees = adj.sum(axis=1)
     if degrees.min() != degrees.max():
         raise ValueError("graph is not regular")
-    common = (adj.astype(np.int32) @ adj.astype(np.int32))
+    # BLAS float32 product; exact, since every count and partial sum is below 2^24
+    adjf = adj.astype(np.float32)
+    common = (adjf @ adjf).astype(np.int32)
     np.fill_diagonal(common, -1)
     lam_set = np.unique(common[adj])
     mu_set = np.unique(common[~adj & (common >= 0)])

@@ -14,6 +14,15 @@ Conjugation by the generator unitaries moves index pairs by exactly the
 corresponding binary-symplectic generator matrices; ``conjugation_check``
 verifies that relation entrywise, tracking the +-1, +-i phase freedom.
 
+Generator unitaries are cached per field, keyed by (m, poly): the N^2
+Pauli monomials D(a, b), the N^2 - 1 transvection unitaries and the
+Hadamard H^(x m) are each built the first time they are asked for and
+kept as read-only arrays, so ``sample_unitary`` and ``psl_unitary``
+multiply stored factors instead of rebuilding them at every step.  The
+caches hold up to about 2 N^4 complex entries per field, 33 MB at m = 5
+and 0.5 GB at m = 6, so every dense constructor refuses m > DENSE_MAX_M
+with a ValueError before it allocates anything.
+
 Frame potentials are computed by chunked Gram products on flattened
 unitaries; the Haar baseline is the number of standard Young tableaux
 pairs with at most ``dim`` rows.
@@ -22,7 +31,7 @@ pairs with at most ``dim`` rows.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,6 +43,7 @@ from .pauli import PauliIndex, SymplecticMatrix, apply_symplectic
 from .sampler import DesignSample
 
 __all__ = [
+    "DENSE_MAX_M",
     "pauli_unitary",
     "hermitian_pauli",
     "transvection_unitary",
@@ -57,9 +67,33 @@ __all__ = [
 ]
 
 
-def pauli_unitary(ctx: FieldContext, p: Tuple[int, int]) -> np.ndarray:
-    """The real monomial D(a, b); a permutation with +-1 signs."""
-    a, b = p
+# dense synthesis is refused above this m (see the module docstring)
+DENSE_MAX_M = 5
+
+# read-only generator unitaries: ("pauli" | "transvection", m, poly, x, y)
+# and ("hadamard", m) -> array.  Shared by the whole process, which is safe
+# because each entry is a pure function of its key and cannot be written.
+_UNITARY_CACHE: Dict[tuple, np.ndarray] = {}
+
+
+def _check_dense(m: int) -> None:
+    if m > DENSE_MAX_M:
+        raise ValueError(f"dense synthesis is capped at DENSE_MAX_M = "
+                         f"{DENSE_MAX_M}; got m = {m}")
+
+
+def _cached(key: tuple, build: Callable[..., np.ndarray], *args) -> np.ndarray:
+    """The generator stored under ``key``, built as ``build(*args)`` on first use."""
+    u = _UNITARY_CACHE.get(key)
+    if u is None:
+        _check_dense(key[1])
+        u = build(*args)
+        u.flags.writeable = False
+        _UNITARY_CACHE[key] = u
+    return u
+
+
+def _build_pauli(ctx: FieldContext, a: int, b: int) -> np.ndarray:
     n = ctx.order
     db = ctx.dual_coords(b)
     v = np.arange(n)
@@ -69,37 +103,56 @@ def pauli_unitary(ctx: FieldContext, p: Tuple[int, int]) -> np.ndarray:
     return mat
 
 
+def pauli_unitary(ctx: FieldContext, p: Tuple[int, int]) -> np.ndarray:
+    """The real monomial D(a, b); a permutation with +-1 signs (read-only)."""
+    a, b = p
+    return _cached(("pauli", ctx.m, ctx.poly, a, b), _build_pauli, ctx, a, b)
+
+
 def hermitian_pauli(ctx: FieldContext, p: Tuple[int, int]) -> np.ndarray:
     """E(a, b) = i^Tr(ab) D(a, b); Hermitian with E^2 = I."""
     a, b = p
     return (1j ** ctx.trace(ctx.mul(a, b))) * pauli_unitary(ctx, p)
 
 
-def transvection_unitary(ctx: FieldContext, h: Tuple[int, int]) -> np.ndarray:
-    """(I + i E(h)) / sqrt(2); realizes the transvection Z_h."""
+def _build_transvection(ctx: FieldContext, h: Tuple[int, int]) -> np.ndarray:
     e = hermitian_pauli(ctx, h)
     return (np.eye(e.shape[0]) + 1j * e) / math.sqrt(2.0)
+
+
+def transvection_unitary(ctx: FieldContext, h: Tuple[int, int]) -> np.ndarray:
+    """(I + i E(h)) / sqrt(2); realizes the transvection Z_h (read-only)."""
+    h1, h2 = h
+    return _cached(("transvection", ctx.m, ctx.poly, h1, h2),
+                   _build_transvection, ctx, h)
 
 
 _H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
 
-def hadamard_unitary(m: int) -> np.ndarray:
+def _build_hadamard(m: int) -> np.ndarray:
     out = np.array([[1.0]])
     for _ in range(m):
         out = np.kron(out, _H2)
     return out.astype(np.complex128)
 
 
+def hadamard_unitary(m: int) -> np.ndarray:
+    """H tensored m times (read-only)."""
+    return _cached(("hadamard", m), _build_hadamard, m)
+
+
 def partial_hadamard_unitary(m: int, t: int) -> np.ndarray:
     """Hadamard on coordinates 0..t-1 (the low label bits)."""
     if not 0 <= t <= m:
         raise ValueError(f"t={t} out of range [0, {m}]")
+    _check_dense(m)
     return np.kron(np.eye(1 << (m - t)), hadamard_unitary(t)).astype(np.complex128)
 
 
 def basis_unitary(m: int, q: np.ndarray) -> np.ndarray:
     """Permutation e_v -> e_{vQ} for invertible binary Q."""
+    _check_dense(m)
     q = np.asarray(q) % 2
     n = 1 << m
     v = np.arange(n)
@@ -115,6 +168,7 @@ def basis_unitary(m: int, q: np.ndarray) -> np.ndarray:
 
 def phase_unitary(m: int, p: np.ndarray) -> np.ndarray:
     """diag(i^(v P v^T mod 4)) for symmetric binary P."""
+    _check_dense(m)
     p = np.asarray(p) % 2
     if not np.array_equal(p, p.T):
         raise ValueError("P must be symmetric over GF(2)")
@@ -138,6 +192,7 @@ def psl_unitary(ctx: FieldContext, g: PslElement) -> np.ndarray:
     product runs over the factors reversed (the first factor acts first
     under conjugation, hence sits innermost).
     """
+    _check_dense(ctx.m)
     out = np.eye(ctx.order, dtype=np.complex128)
     for factor in reversed(psl_factors(ctx, g)):
         out = out @ _GENERATORS[factor[0]](ctx.m, *factor[1:])

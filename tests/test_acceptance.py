@@ -129,7 +129,7 @@ def test_criterion_04_orbit_statistics_and_invariance():
         rng = np.random.default_rng(404 + m)
         va = rng.integers(1, n * n, size=count)
         vb = rng.integers(1, n * n, size=count)
-        vb = np.where(vb == va, vb ^ 1, vb)
+        vb = np.where(vb == va, vb % (n * n - 1) + 1, vb)  # distinct, nonzero
         a, b = (va & (n - 1)).astype(np.uint16), (va >> m).astype(np.uint16)
         c, d = (vb & (n - 1)).astype(np.uint16), (vb >> m).astype(np.uint16)
         before = orbit_invariant_vec(ctx, a, b, c, d)

@@ -77,7 +77,7 @@ def test_m3_invariant_value_sets():
 def test_srg_parameters_and_check():
     assert srg_parameters(2) == (15, 6, 1, 3)
     assert srg_parameters(3) == (63, 30, 13, 15)
-    for m in (2, 3):
+    for m in (2, 3, 5):
         assert srg_check(FieldContext(m)) == srg_parameters(m)
 
 
@@ -124,7 +124,7 @@ def test_orbit_invariant_preserved_under_psl(m):
     rng = np.random.default_rng(2024 + m)
     va = rng.integers(1, n * n, size=count)
     vb = rng.integers(1, n * n, size=count)
-    vb = np.where(vb == va, vb ^ 1, vb)  # distinct
+    vb = np.where(vb == va, vb % (n * n - 1) + 1, vb)  # distinct, nonzero
     a = (va & (n - 1)).astype(np.uint16)
     b = (va >> m).astype(np.uint16)
     c = (vb & (n - 1)).astype(np.uint16)
@@ -138,6 +138,19 @@ def test_orbit_invariant_preserved_under_psl(m):
     d2 = mul[c, beta] ^ mul[d, delta]
     after = orbit_invariant_vec(ctx, a2, b2, c2, d2)
     assert (before == after).all()
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_orbit_invariant_vec_zero_second_vertex(m):
+    """Lanes outside distinct nonzero pairs: a zero second vertex keys as
+    (TYPE1, 0) for every first vertex, zero included."""
+    ctx = FieldContext(m)
+    n = ctx.order
+    v = np.arange(n * n)
+    a, b = (v & (n - 1)).astype(np.uint16), (v >> m).astype(np.uint16)
+    zero = np.zeros_like(a)
+    keys = orbit_invariant_vec(ctx, a, b, zero, zero)
+    assert (keys == int(EdgeKind.TYPE1) * 65536).all()
 
 
 def test_orbit_invariant_scalar_vs_vector():

@@ -238,6 +238,17 @@ def test_sample_psl_vec_matches_scalar_fill_any_m(m, seed):
     assert "mul" not in ctx._np_cache and "div" not in ctx._np_cache
 
 
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 16), st.integers(0, 2 ** 32 - 1))
+def test_theta_is_homomorphism_any_m(m, seed):
+    """theta(g1 g2) = theta(g1) theta(g2) for seeded uniform draws."""
+    ctx = _field(m)
+    rng = np.random.default_rng(seed)
+    g1, g2 = sample_psl(ctx, rng), sample_psl(ctx, rng)
+    assert psl_to_symplectic(ctx, psl_product(ctx, g1, g2)) == \
+        psl_to_symplectic(ctx, g1) @ psl_to_symplectic(ctx, g2)
+
 def test_invalid_psl_rejected():
     ctx = FieldContext(2)
     with pytest.raises(ValueError):

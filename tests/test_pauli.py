@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kerdock3.gf2m import FieldContext
+from kerdock3.kerdock import psl_to_symplectic, sample_psl
 from kerdock3.pauli import (PauliIndex, SymplecticMatrix, Transvection,
                             apply_symplectic, apply_transvection,
                             basis_change_matrix, commutes,
@@ -221,6 +222,22 @@ def test_conjugate_transvection():
         lhs = f.inverse() @ transvection_matrix(ctx, h) @ f
         assert lhs == transvection_matrix(ctx, moved)
 
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 16), st.integers(0, 2 ** 32 - 1))
+def test_conjugate_transvection_any_m(m, seed):
+    """F^-1 Z_h F = Z_{hF}, checked as Z_h F = F Z_{hF}, with F a random
+    product of PSL images theta(g) and transvection matrices."""
+    ctx = _field(m)
+    rng = np.random.default_rng(seed)
+    f = SymplecticMatrix.identity(m)
+    for use_psl in rng.integers(0, 2, size=5):
+        f = f @ (psl_to_symplectic(ctx, sample_psl(ctx, rng)) if use_psl
+                 else transvection_matrix(ctx, sample_transvection(ctx, rng)))
+    h = sample_transvection(ctx, rng)
+    moved = conjugate_transvection(ctx, f, h)
+    assert transvection_matrix(ctx, h) @ f == f @ transvection_matrix(ctx, moved)
 
 def test_sample_transvection_deterministic_and_nonzero():
     ctx = FieldContext(3)

@@ -1,6 +1,8 @@
 """Dense-unitary oracle: explicit matrices tied back to the binary level."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +14,9 @@ from kerdock3.pauli import (PauliIndex, SymplecticMatrix, apply_symplectic,
                             basis_change_matrix, partial_hadamard_matrix,
                             phase_matrix, symplectic_inner,
                             transvection_matrix)
+from kerdock3 import unitary
 from kerdock3.sampler import SamplerConfig, sample_at
-from kerdock3.unitary import (ConjugationFailure, basis_unitary,
+from kerdock3.unitary import (DENSE_MAX_M, ConjugationFailure, basis_unitary,
                               collision_frame_potential_3, conjugation_check,
                               delta_frame_potential_3, ensemble_from_samples,
                               estimator_margin, frame_potential,
@@ -190,6 +193,87 @@ def test_sample_unitary_realizes_composed_matrix(m):
         assert_unitary(u)
         conjugation_check(ctx, u, s.composed)
 
+
+
+# sha256 over the bytes of consecutive sample_unitary outputs, pinned from
+# the synthesis that rebuilt every generator at every step: the cached
+# generators must reproduce each unitary byte for byte.
+GOLDEN_SAMPLE_UNITARIES = [
+    (2, 20201031, 40, 7,
+     "c31e3853621de507fcc83bd3e186d49781523b728f0760a3f98455007f22a7ad"),
+    (2, 11, 25, 0,
+     "920c5b5aeba6d95c2ab30188d5f3d9a597ff56e36f02c0f62868d492da5aa508"),
+    (3, 20201031, 20, 13,
+     "84337066a84c66d29e58f7e33e969082b7070f5853b7eef9f725a6f45488692a"),
+    (3, 5, 15, 1,
+     "7228db7225f4cc94c5da9ef3deb539e9e4ef9a290b24467705d4bfe1d99919d4"),
+]
+
+
+@pytest.mark.parametrize("m,seed,count,steps,digest", GOLDEN_SAMPLE_UNITARIES)
+def test_sample_unitary_golden_bytes(m, seed, count, steps, digest):
+    ctx = FieldContext(m)
+    config = SamplerConfig(m=m, seed=seed, count=count, steps=steps)
+    h = hashlib.sha256()
+    for i in range(count):
+        h.update(sample_unitary(ctx, sample_at(config, i, ctx)).tobytes())
+    assert h.hexdigest() == digest
+
+
+def test_cached_generators_are_read_only():
+    ctx = FieldContext(3)
+    for u in (pauli_unitary(ctx, (1, 2)), transvection_unitary(ctx, (3, 1)),
+              hadamard_unitary(3)):
+        assert not u.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            u[0, 0] = 0.0
+    # products handed to callers are fresh, writable arrays
+    s = sample_at(SamplerConfig(m=3, seed=1, count=1, steps=2), 0, ctx)
+    for u in (hermitian_pauli(ctx, (1, 2)), psl_unitary(ctx, s.psl),
+              sample_unitary(ctx, s)):
+        assert u.flags.writeable
+
+
+def test_equal_field_contexts_share_one_cache_entry():
+    cache = unitary._UNITARY_CACHE
+    before = len(cache)
+    u = pauli_unitary(FieldContext(3), (5, 6))
+    built = len(cache)
+    assert built - before <= 1
+    assert pauli_unitary(FieldContext(3), (5, 6)) is u
+    t = transvection_unitary(FieldContext(3), (2, 7))
+    assert transvection_unitary(FieldContext(3, poly=0xB), (2, 7)) is t
+    assert len(cache) - built <= 2  # the transvection and its Pauli monomial
+    # another polynomial is another field, with its own entries
+    other = pauli_unitary(FieldContext(3, poly=0xD), (5, 6))
+    assert other is not u
+
+
+@pytest.mark.parametrize("m", [DENSE_MAX_M + 1, 16])
+def test_dense_synthesis_refused_above_cap(m):
+    """m > DENSE_MAX_M is refused before anything is allocated."""
+    ctx = FieldContext(m)
+    s = sample_at(SamplerConfig(m=m, seed=0, count=1, steps=2), 0, ctx)
+    calls = [lambda: sample_unitary(ctx, s),
+             lambda: pauli_unitary(ctx, (1, 2)),
+             lambda: hermitian_pauli(ctx, (1, 2)),
+             lambda: transvection_unitary(ctx, (1, 2)),
+             lambda: psl_unitary(ctx, s.psl),
+             lambda: hadamard_unitary(m),
+             lambda: partial_hadamard_unitary(m, 1),
+             lambda: basis_unitary(m, np.eye(m, dtype=int)),
+             lambda: phase_unitary(m, np.zeros((m, m), dtype=int)),
+             lambda: kerdock_unitaries(ctx)]
+    tracemalloc.start()
+    try:
+        for call in calls:
+            with pytest.raises(ValueError, match="DENSE_MAX_M"):
+                call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert not any(key[1] == m for key in unitary._UNITARY_CACHE)
 
 def test_ensemble_from_samples():
     ctx = FieldContext(2)
