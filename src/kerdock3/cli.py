@@ -33,11 +33,13 @@ import numpy as np
 from .gf2m import FieldContext
 from .graph import census, state_name
 from .kerdock import psl_elements, psl_to_symplectic
-from .markov import (extract_r, full_chain, lump_chain, mixing_time_report,
-                     q0_structure_check, q1_closed_form, q_empirical,
-                     singular_check_R, spectral_report, stationary_check,
-                     tv_curve, w2_eigenvector_check)
-from .pauli import (omega_matrix, partial_hadamard_matrix, transvection_matrix)
+from .markov import (FULL_CHAIN_MAX_M, extract_r, full_chain, lump_chain,
+                     mixing_time_bound, mixing_time_report, q0_structure_check,
+                     q1_closed_form, q_empirical, singular_check_R,
+                     spectral_report, stationary_check, tv_curve,
+                     w2_eigenvector_check)
+from .pauli import (omega_matrix, partial_hadamard_matrix, transvection_matrix,
+                    vertex_split)
 from .sampler import (SamplerConfig, pair_statistics_stream, sample_at,
                       sample_stream, steps_for_epsilon, write_jsonl)
 
@@ -55,48 +57,50 @@ def build_parser() -> argparse.ArgumentParser:
                     "3-designs at the binary-symplectic level.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, *, eps_steps=False, seed=False, count=False):
+    def command(name, help, *, formats=("json", "text"), poly=True,
+                threads=False, walk=False):
+        """A subcommand with only the flags it reads; ``walk`` adds
+        --epsilon | --steps, --seed and --count."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("--m", type=int, default=DEFAULT_M,
                        help=f"field degree (default {DEFAULT_M})")
-        p.add_argument("--poly", type=lambda s: int(s, 16), default=None,
-                       metavar="HEX", help="primitive polynomial override, hex")
-        p.add_argument("--out", type=str, default=None,
-                       help="output path (default stdout)")
-        p.add_argument("--format", choices=("json", "csv", "text"),
-                       default="text", help="output format where applicable")
-        p.add_argument("--threads", type=int, default=1)
-        if eps_steps:
+        if poly:
+            p.add_argument("--poly", type=lambda s: int(s, 16), default=None,
+                           metavar="HEX", help="primitive polynomial override, hex")
+        p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
+        if formats:
+            p.add_argument("--format", choices=formats, default="text")
+        if threads:
+            p.add_argument("--threads", type=int, default=1)
+        if walk:
             g = p.add_mutually_exclusive_group()
             g.add_argument("--epsilon", type=float, default=None)
             g.add_argument("--steps", type=int, default=None)
-        if seed:
             p.add_argument("--seed", type=int, default=None,
                            help=f"default 0, or ${SEED_ENV}; flag wins")
-        if count:
             p.add_argument("--count", type=int, default=1)
+        return p
 
-    common(sub.add_parser("field-info", help="field context tables"))
-    common(sub.add_parser("graph-census", help="pair-class census"))
-    p = sub.add_parser("chain", help="transition matrices and checks")
-    common(p)
-    p.add_argument("--chain", choices=("edges", "nonedges", "both"),
-                   default="both")
-    p = sub.add_parser("spectra", help="eigenvalues and mixing bounds")
-    common(p, eps_steps=True)
-    p.add_argument("--chain", choices=("edges", "nonedges", "both"),
-                   default="both")
-    p = sub.add_parser("convergence", help="TV decay curves (CSV)")
-    common(p, eps_steps=True)
+    chains = dict(choices=("edges", "nonedges", "both"), default="both")
+    command("field-info", "field context tables")
+    command("graph-census", "pair-class census", threads=True)
+    command("chain", "transition matrices and checks",
+            formats=("json", "csv", "text")).add_argument("--chain", **chains)
+    p = command("spectra", "eigenvalues and mixing bounds")
+    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
+    p.add_argument("--chain", **chains)
+    p = command("convergence", "TV decay curves (CSV)", formats=())
+    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p.add_argument("--t-max", type=int, default=None)
-    common(sub.add_parser("sample", help="stream design samples (JSONL)"),
-           eps_steps=True, seed=True, count=True)
-    common(sub.add_parser("verify", help="oracle suite, pass/fail per check"),
-           eps_steps=True, seed=True, count=True)
+    command("sample", "stream design samples (JSONL)", formats=(), poly=False,
+            threads=True, walk=True)
+    command("verify", "oracle suite, pass/fail per check", formats=(),
+            threads=True, walk=True)
     return parser
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     return int(os.environ.get(SEED_ENV, "0"))
 
@@ -206,7 +210,6 @@ def _cmd_chain(args) -> int:
 
 def _cmd_spectra(args) -> int:
     ctx = _ctx(args)
-    eps = args.epsilon if args.epsilon is not None else DEFAULT_EPSILON
     chains = ("edges", "nonedges") if args.chain == "both" else (args.chain,)
     out = []
     for chain in chains:
@@ -218,7 +221,7 @@ def _cmd_spectra(args) -> int:
                        f"eigenvalues = "
                        f"{','.join(repr(float(v.real)) for v in rep.eigenvalues)}\n"
                        f"gap = {rep.gap!r}\n")
-    mix = mixing_time_report(ctx.m, eps)
+    mix = mixing_time_report(ctx.m, args.epsilon)
     if args.format == "json":
         out.append(json.dumps(mix, sort_keys=True) + "\n")
     else:
@@ -229,9 +232,7 @@ def _cmd_spectra(args) -> int:
 
 def _cmd_convergence(args) -> int:
     ctx = _ctx(args)
-    eps = args.epsilon if args.epsilon is not None else DEFAULT_EPSILON
-    from .markov import mixing_time_bound
-    t_max = args.t_max if args.t_max is not None else mixing_time_bound(ctx.m, eps)
+    t_max = args.t_max if args.t_max is not None else mixing_time_bound(ctx.m, args.epsilon)
     lines = ["chain,start,t,tv"]
     for chain in ("edges", "nonedges"):
         tm = q_empirical(ctx, chain)
@@ -323,7 +324,7 @@ def _verify_checks(args):
                                      partial_hadamard_matrix(m, t))
             n = ctx.order
             for k in range(1, n * n):
-                h = (k & (n - 1), k >> m)
+                h = vertex_split(m, k)
                 un.conjugation_check(ctx, un.transvection_unitary(ctx, h),
                                      transvection_matrix(ctx, h))
         except un.ConjugationFailure as exc:
@@ -351,7 +352,7 @@ def _verify_checks(args):
         config = SamplerConfig(m=m, seed=seed, count=5, steps=8)
         try:
             for i in range(config.count):
-                s = sample_at(config, i)
+                s = sample_at(config, i, ctx)
                 un.conjugation_check(ctx, un.sample_unitary(ctx, s), s.composed)
         except un.ConjugationFailure as exc:
             return str(exc)
@@ -359,9 +360,10 @@ def _verify_checks(args):
 
     @check("pair-statistics")
     def _():
-        n = ctx.order
-        d_anti = next(d for d in range(1, n) if ctx.trace(d) == 1)
-        probes = [((ctx.alpha_power(1), 0), (1, 0)), ((1, 0), (0, d_anti))]
+        # pair_statistics_stream walks in the default field, so probe there
+        walk_ctx = FieldContext(m)
+        d_anti = next(d for d in walk_ctx.nonzero() if walk_ctx.trace(d) == 1)
+        probes = [((walk_ctx.alpha_power(1), 0), (1, 0)), ((1, 0), (0, d_anti))]
         eps = args.epsilon if args.epsilon is not None else DEFAULT_EPSILON
         steps = args.steps if args.steps is not None \
             else steps_for_epsilon(m, eps)
@@ -390,8 +392,9 @@ def _verify_checks(args):
 
 
 def _cmd_verify(args) -> int:
-    if args.m > 3:
-        sys.stderr.write("verify requires m <= 3 (dense oracle cap)\n")
+    if args.m > FULL_CHAIN_MAX_M:
+        sys.stderr.write(f"verify requires m <= {FULL_CHAIN_MAX_M} "
+                         f"(markov.FULL_CHAIN_MAX_M, the full-chain-lumping cap)\n")
         return 2
     failures = []
     lines = []

@@ -362,10 +362,6 @@ class FieldContext:
     def mul_matrix(self, z: int) -> np.ndarray:
         return f2_rows_to_numpy(self.mul_matrix_rows(z), self.m)
 
-    def companion_matrix(self) -> np.ndarray:
-        """A = A_alpha; last row holds the low coefficients of the polynomial."""
-        return self.mul_matrix(2)
-
     # -- element iteration --
 
     def elements(self) -> range:
@@ -384,8 +380,8 @@ class FieldContext:
         zero past it: exp[log[x] + log[y]] == x*y, and for y != 0
         exp[log[x] - log[y] + N-1] == x/y.  A zero operand's sentinel puts
         the index in the zero tail, so it needs no branch.  Also: 'trace',
-        'dual', 'dual_inv', 'inv' (inv[0] = 0), all (N,), and the N x N
-        'mul' and 'div' (div[:, 0] = 0), refused above DENSE_TABLE_MAX_M.
+        'dual' and 'inv' (inv[0] = 0), all (N,), and the N x N 'mul' and
+        'div' (div[:, 0] = 0), refused above DENSE_TABLE_MAX_M.
         """
         if name in self._np_cache:
             return self._np_cache[name]
@@ -415,8 +411,6 @@ class FieldContext:
             t = np.array([self.trace(a) for a in range(n)], dtype=np.uint8)
         elif name == "dual":
             t = np.array(self._dual, dtype=dtype)
-        elif name == "dual_inv":
-            t = np.array(self._dual_inv, dtype=dtype)
         else:
             raise ValueError(f"unknown table {name!r}")
         self._np_cache[name] = t

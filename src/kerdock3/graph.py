@@ -20,20 +20,25 @@ type-1 edges; the orbit census is closed-form:
 
 ``census`` verifies all of this by exhaustive enumeration for m <= 6
 and reports the closed forms alone beyond that.
+
+This module owns the pair code ``v * N^2 + w`` of two vertex codes and
+the orbit key ``kind * 2^16 + value`` made by ``orbit_invariant_vec``,
+which ``orbit_counts`` turns back into per-orbit counts.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .gf2m import FieldContext
-from .pauli import PairLike, PauliIndex
+from .pauli import PauliIndex, vertex_split
 
 __all__ = [
     "EdgeKind",
@@ -44,6 +49,10 @@ __all__ = [
     "orbit_invariant",
     "classify_vec",
     "orbit_invariant_vec",
+    "pair_code",
+    "pair_split",
+    "orbit_counts",
+    "ORBIT_KEY_SPACE",
     "anticommutation_matrix",
     "srg_parameters",
     "srg_check",
@@ -80,6 +89,37 @@ class OrbitInvariant(NamedTuple):
 
     kind: EdgeKind
     value: int
+
+
+# --- pair codes and orbit keys ---
+
+# an orbit key holds the value (a field element, m <= 16) in its low 16 bits
+ORBIT_KEY_SPACE = len(EdgeKind) << 16
+_KINDS = tuple(EdgeKind)
+
+
+def pair_code(m: int, v, w):
+    """The pair code v * N^2 + w of the ordered pair of vertex codes
+    (v, w): an int for ints; for arrays an int64 array, uint64 at m = 16,
+    where N^4 exceeds int64."""
+    nsq = 1 << (2 * m)
+    if isinstance(v, np.ndarray) or isinstance(w, np.ndarray):
+        return np.multiply(v, nsq, dtype=np.int64 if m < 16 else np.uint64) + w
+    return v * nsq + w
+
+
+def pair_split(m: int, code):
+    """The vertex codes (v, w) of the pair code v * N^2 + w."""
+    return divmod(code, 1 << (2 * m))
+
+
+def orbit_counts(keys, weights=None) -> Dict[OrbitInvariant, int]:
+    """Count per orbit of an array of orbit keys, in key order; with
+    ``weights`` (integers, exact below 2^53) each key counts its weight."""
+    hist = np.bincount(np.ravel(keys), weights)
+    nz = np.flatnonzero(hist)
+    return {OrbitInvariant(_KINDS[k >> 16], k & 0xFFFF): c
+            for k, c in zip(nz.tolist(), hist[nz].astype(np.int64).tolist())}
 
 
 def _validate(pair: PauliPair) -> Tuple[int, int, int, int]:
@@ -134,9 +174,10 @@ def classify_vec(ctx: FieldContext, a, b, c, d):
 
 
 def orbit_invariant_vec(ctx: FieldContext, a, b, c, d):
-    """Single packed uint32 key kind * 2^16 + value per pair component set."""
+    """The uint32 orbit key kind * 2^16 + value of each pair, from its
+    components a, b, c, d; ``orbit_counts`` counts keys per orbit."""
     kind, value = classify_vec(ctx, a, b, c, d)
-    return kind.astype(np.uint32) * 65536 + value
+    return (kind.astype(np.uint32) << 16) | value
 
 
 def srg_parameters(m: int) -> Tuple[int, int, int, int]:
@@ -155,9 +196,8 @@ def anticommutation_matrix(ctx: FieldContext) -> np.ndarray:
     if ctx.m > CENSUS_MAX_M:
         raise ValueError(f"the anticommutation matrix is capped at m = {CENSUS_MAX_M}")
     n = ctx.order
-    v = np.arange(n * n, dtype=np.uint32)
-    a = (v & (n - 1)).astype(np.uint16)
-    x = a[:, None] & ctx.np_table("dual")[v >> ctx.m][None, :]
+    a, b = vertex_split(ctx.m, np.arange(n * n, dtype=np.uint32))
+    x = a[:, None] & ctx.np_table("dual")[b][None, :]
     return (np.bitwise_count(x ^ x.T) & 1).astype(bool)
 
 
@@ -326,8 +366,7 @@ class CensusReport:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-_NAME_KINDS = {"non_edge": EdgeKind.NON_EDGE, "type1": EdgeKind.TYPE1,
-               "type2": EdgeKind.TYPE2}
+_NAME_KINDS = {name: kind for kind, name in CensusReport._KIND_NAMES.items()}
 
 
 def parse_census(text: str) -> CensusReport:
@@ -360,18 +399,13 @@ def parse_census(text: str) -> CensusReport:
                         orbit_sizes=orbit_sizes or None)
 
 
-def _census_chunk(ctx: FieldContext, lo: int, hi: int) -> np.ndarray:
-    """Histogram of packed orbit keys over first vertices in [lo, hi)."""
-    n = ctx.order
-    first = np.arange(lo, hi, dtype=np.uint32)
-    second = np.arange(1, n * n, dtype=np.uint32)
-    a = (first & (n - 1)).astype(np.uint16)[:, None]
-    b = (first >> ctx.m).astype(np.uint16)[:, None]
-    c = (second & (n - 1)).astype(np.uint16)[None, :]
-    d = (second >> ctx.m).astype(np.uint16)[None, :]
-    keys = orbit_invariant_vec(ctx, a, b, c, d)
-    keys[first[:, None] == second[None, :]] = 3 * 65536  # drop diagonal
-    return np.bincount(keys.ravel(), minlength=3 * 65536 + 1)
+def _census_chunk(ctx: FieldContext, lo: int, hi: int) -> Dict[OrbitInvariant, int]:
+    """Orbit sizes over the distinct pairs with first vertex in [lo, hi)."""
+    first = np.arange(lo, hi, dtype=np.uint32)[:, None]
+    second = np.arange(1, ctx.order ** 2, dtype=np.uint32)[None, :]
+    keys = orbit_invariant_vec(ctx, *vertex_split(ctx.m, first),
+                               *vertex_split(ctx.m, second))
+    return orbit_counts(keys[first != second])
 
 
 def census(ctx: FieldContext, exhaustive: Optional[bool] = None,
@@ -399,20 +433,13 @@ def census(ctx: FieldContext, exhaustive: Optional[bool] = None,
     ranges = [(lo, min(lo + chunk, n * n)) for lo in range(1, n * n, chunk)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            hists = list(pool.map(lambda r: _census_chunk(ctx, *r), ranges))
-        hist = np.sum(hists, axis=0)
+            parts = list(pool.map(lambda r: _census_chunk(ctx, *r), ranges))
     else:
-        hist = np.zeros(3 * 65536 + 1, dtype=np.int64)
-        for lo, hi in ranges:
-            hist += _census_chunk(ctx, lo, hi)
-
-    orbit_sizes: Dict[OrbitInvariant, int] = {}
+        parts = [_census_chunk(ctx, lo, hi) for lo, hi in ranges]
+    orbit_sizes = dict(sorted(sum(map(Counter, parts), Counter()).items()))
     per_kind = {k: 0 for k in EdgeKind}
-    for kind in EdgeKind:
-        block = hist[int(kind) * 65536:(int(kind) + 1) * 65536]
-        for value in np.nonzero(block)[0]:
-            orbit_sizes[OrbitInvariant(kind, int(value))] = int(block[value])
-            per_kind[kind] += int(block[value])
+    for inv, size in orbit_sizes.items():
+        per_kind[inv.kind] += size
     report.enumerated = {
         "vertices": n * n - 1,
         "directed_edges": per_kind[EdgeKind.TYPE1] + per_kind[EdgeKind.TYPE2],

@@ -29,8 +29,8 @@ from typing import Iterator, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from .gf2m import FieldContext, f2_mat_mul, f2_rows_to_numpy
-from .pauli import PairLike, PauliIndex, SymplecticMatrix, omega_matrix
+from .gf2m import FieldContext, f2_rows_to_numpy
+from .pauli import PairLike, PauliIndex, SymplecticMatrix, vertex_split
 
 __all__ = [
     "INFINITY",
@@ -231,9 +231,9 @@ def psl_order(ctx: FieldContext) -> int:
 
 
 def _psl_fill(ctx: FieldContext, k: int, j: int) -> PslElement:
-    """The j-th of the N elements with first column k = alpha | gamma << m:
-    beta = j if alpha != 0, else delta = j; det = 1 fixes the other."""
-    alpha, gamma = k & (ctx.order - 1), k >> ctx.m
+    """The j-th of the N elements with first column vertex code k = alpha |
+    gamma << m: beta = j if alpha != 0, else delta = j; det = 1 fixes the other."""
+    alpha, gamma = vertex_split(ctx.m, k)
     if alpha != 0:
         return PslElement(alpha, j, gamma, ctx.div(1 ^ ctx.mul(j, gamma), alpha))
     return PslElement(alpha, ctx.inv(gamma), gamma, j)
@@ -265,9 +265,7 @@ def sample_psl_vec(ctx: FieldContext, rng: np.random.Generator, size: int):
     ``where`` discards the junk its other branch reads."""
     n = ctx.order
     log, exp = ctx.np_table("log"), ctx.np_table("exp")
-    k = rng.integers(1, n * n, size=size, dtype=np.uint32)
-    alpha = (k & (n - 1)).astype(np.uint16)
-    gamma = (k >> ctx.m).astype(np.uint16)
+    alpha, gamma = vertex_split(ctx.m, rng.integers(1, n * n, size=size, dtype=np.uint32))
     j = rng.integers(0, n, size=size, dtype=np.uint16)
     fin = alpha != 0
     lg = log[gamma]

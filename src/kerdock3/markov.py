@@ -33,9 +33,10 @@ import numpy as np
 
 from .gf2m import FieldContext
 from .graph import (EdgeKind, OrbitInvariant, PauliPair, anticommutation_matrix,
-                    edge_states, orbit_invariant_vec, orbit_representative,
-                    orbit_states, state_name, state_obj)
-from .pauli import PauliIndex, transvection_apply_vec
+                    edge_states, orbit_counts, orbit_invariant_vec,
+                    orbit_representative, orbit_states, pair_code, state_name,
+                    state_obj)
+from .pauli import PauliIndex, transvection_apply_vec, vertex_code, vertex_split
 
 __all__ = [
     "TransitionMatrix",
@@ -94,9 +95,6 @@ class TransitionMatrix:
     def probs(self) -> np.ndarray:
         """Floating-point view."""
         return self.numerators / float(self.denominator)
-
-    def state_index(self) -> Dict[State, int]:
-        return {s: i for i, s in enumerate(self.states)}
 
     # -- serialization --
 
@@ -177,24 +175,16 @@ def _chain_states(ctx: FieldContext, chain: str) -> List[OrbitInvariant]:
 
 
 def _row_counts(ctx: FieldContext, pair: PauliPair,
-                key_to_col: Dict[int, int]) -> np.ndarray:
+                col_of: Dict[OrbitInvariant, int]) -> np.ndarray:
     """Counts of the N^2-1 transvection images of one pair, by orbit column."""
-    n = ctx.order
-    h = np.arange(1, n * n, dtype=np.uint32)
-    h1, h2 = (h & (n - 1)).astype(np.uint16), (h >> ctx.m).astype(np.uint16)
+    h1, h2 = vertex_split(ctx.m, np.arange(1, ctx.order ** 2, dtype=np.uint32))
     (a, b), (c, d) = pair
     ia, ib = transvection_apply_vec(ctx, h1, h2, np.uint16(a), np.uint16(b))
     ic, id_ = transvection_apply_vec(ctx, h1, h2, np.uint16(c), np.uint16(d))
-    keys = orbit_invariant_vec(ctx, ia, ib, ic, id_)
-    counts = np.bincount(keys, minlength=3 * 65536)
-    row = np.zeros(len(key_to_col), dtype=np.int64)
-    for key in np.nonzero(counts)[0]:
-        row[key_to_col[int(key)]] = counts[key]
+    row = np.zeros(len(col_of), dtype=np.int64)
+    for inv, count in orbit_counts(orbit_invariant_vec(ctx, ia, ib, ic, id_)).items():
+        row[col_of[inv]] = count
     return row
-
-
-def _state_key(inv: OrbitInvariant) -> int:
-    return int(inv.kind) * 65536 + inv.value
 
 
 def transvection_counts(ctx: FieldContext, chain: str,
@@ -208,10 +198,10 @@ def transvection_counts(ctx: FieldContext, chain: str,
     if ctx.m > EMPIRICAL_MAX_M:
         raise ValueError(f"orbit chain enumeration capped at m = {EMPIRICAL_MAX_M}")
     states = _chain_states(ctx, chain)
-    key_to_col = {_state_key(s): i for i, s in enumerate(states)}
+    col_of = {s: i for i, s in enumerate(states)}
     if representatives is None:
         representatives = [orbit_representative(ctx, s) for s in states]
-    counts = np.stack([_row_counts(ctx, rep, key_to_col) for rep in representatives])
+    counts = np.stack([_row_counts(ctx, rep, col_of) for rep in representatives])
     return states, counts
 
 
@@ -481,28 +471,25 @@ def full_chain(ctx: FieldContext, chain: str) -> TransitionMatrix:
     np.fill_diagonal(mask, False)
     vs, ws = (x.astype(np.uint32) + 1 for x in np.nonzero(mask))
     k = len(vs)
-    pair_code = vs.astype(np.int64) * (n * n) + ws
     code_to_idx = np.full(n ** 4, -1, dtype=np.int64)
-    code_to_idx[pair_code] = np.arange(k)
+    code_to_idx[pair_code(ctx.m, vs, ws)] = np.arange(k)
 
-    h = np.arange(1, n * n, dtype=np.uint32)
-    h1, h2 = (h & (n - 1)).astype(np.uint16), (h >> ctx.m).astype(np.uint16)
-    a, b = (vs & (n - 1)).astype(np.uint16), (vs >> ctx.m).astype(np.uint16)
-    c, d = (ws & (n - 1)).astype(np.uint16), (ws >> ctx.m).astype(np.uint16)
+    h1, h2 = vertex_split(ctx.m, np.arange(1, n * n, dtype=np.uint32)[None, :])
+    a, b = vertex_split(ctx.m, vs[:, None])
+    c, d = vertex_split(ctx.m, ws[:, None])
 
     counts = np.zeros((k, k), dtype=np.int64)
-    rows = np.repeat(np.arange(k), len(h))
-    ia, ib = transvection_apply_vec(ctx, h1[None, :], h2[None, :], a[:, None], b[:, None])
-    ic, id_ = transvection_apply_vec(ctx, h1[None, :], h2[None, :], c[:, None], d[:, None])
-    img_code = ((ia.astype(np.int64) | (ib.astype(np.int64) << ctx.m)) * (n * n)
-                + (ic.astype(np.int64) | (id_.astype(np.int64) << ctx.m)))
+    rows = np.repeat(np.arange(k), n * n - 1)
+    ia, ib = transvection_apply_vec(ctx, h1, h2, a, b)
+    ic, id_ = transvection_apply_vec(ctx, h1, h2, c, d)
+    img_code = pair_code(ctx.m, vertex_code(ctx.m, ia, ib), vertex_code(ctx.m, ic, id_))
     cols = code_to_idx[img_code.ravel()]
     if (cols < 0).any():
         raise AssertionError("transvection image left the pair class")
     np.add.at(counts, (rows, cols), 1)
 
-    states = [PauliPair(PauliIndex(int(v) & (n - 1), int(v) >> ctx.m),
-                        PauliIndex(int(w) & (n - 1), int(w) >> ctx.m))
+    states = [PauliPair(PauliIndex(*vertex_split(ctx.m, v)),
+                        PauliIndex(*vertex_split(ctx.m, w)))
               for v, w in zip(vs, ws)]
     return TransitionMatrix(states=states, numerators=4 * counts,
                             denominator=4 * (n * n - 1))

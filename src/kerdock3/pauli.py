@@ -4,7 +4,9 @@ A Hermitian Pauli on N = 2^m qubits-worth of space is indexed (up to
 sign) by a pair of field elements ``(a, b)``; its binary row vector is
 ``[ [a] | |b| ]`` - primal coordinates of ``a`` in the low m bits, dual
 coordinates of ``b`` in the high m bits.  Two Paulis commute iff the
-symplectic inner product ``Tr(ad + bc)`` vanishes.
+symplectic inner product ``Tr(ad + bc)`` vanishes.  As one integer, the
+pair is the vertex code ``v = a | b << m`` (``vertex_code`` and
+``vertex_split``); every module that numbers vertices uses that code.
 
 Symplectic matrices act on the right of packed row vectors; a matrix is
 stored as 2m row words, so applying it is a bit-select XOR of rows and
@@ -41,6 +43,8 @@ __all__ = [
     "PauliIndex",
     "Transvection",
     "SymplecticMatrix",
+    "vertex_code",
+    "vertex_split",
     "pack_index",
     "unpack_index",
     "symplectic_inner",
@@ -162,7 +166,24 @@ class SymplecticMatrix:
         return f"SymplecticMatrix(m={self.m}, rows={[f'{r:#x}' for r in self.rows]})"
 
 
-# --- packing and the symplectic form ---
+# --- vertex codes, packing and the symplectic form ---
+
+
+def vertex_code(m: int, a, b):
+    """The vertex code a | b << m of the field pair (a, b): an int for
+    ints; for arrays, dtype result_type(a, b, uint32), so uint32 for
+    uint16 fields (every m <= 16) and int64 when an operand is int64."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.left_shift(b, m, dtype=np.result_type(a, b, np.uint32)) | a
+    return a | (b << m)
+
+
+def vertex_split(m: int, v):
+    """The field pair (a, b) of the vertex code v = a | b << m: Python
+    ints for an integer, uint16 arrays for an array."""
+    if isinstance(v, np.ndarray):
+        return (v & ((1 << m) - 1)).astype(np.uint16), (v >> m).astype(np.uint16)
+    return int(v) & ((1 << m) - 1), int(v) >> m
 
 
 def pack_index(ctx: FieldContext, p: PairLike) -> int:
@@ -271,10 +292,9 @@ def sample_transvection(
     numpy arrays (h1, h2) of that length.
     """
     if size is None:
-        k = int(rng.integers(1, ctx.order * ctx.order))
-        return Transvection(k & (ctx.order - 1), k >> ctx.m)
-    k = rng.integers(1, ctx.order * ctx.order, size=size, dtype=np.uint32)
-    return (k & (ctx.order - 1)).astype(np.uint16), (k >> ctx.m).astype(np.uint16)
+        return Transvection(*vertex_split(ctx.m, rng.integers(1, ctx.order * ctx.order)))
+    return vertex_split(ctx.m, rng.integers(1, ctx.order * ctx.order, size=size,
+                                            dtype=np.uint32))
 
 
 def transvection_apply_vec(ctx, h1, h2, a, b):

@@ -29,12 +29,13 @@ import numpy as np
 
 from .gf2m import FieldContext
 from .graph import (EdgeKind, OrbitInvariant, PauliPair, anticommutation_matrix,
-                    classify_pair, orbit_invariant_vec, state_name, state_obj)
+                    classify_pair, orbit_counts, orbit_invariant_vec, pair_code,
+                    pair_split, state_name, state_obj)
 from .kerdock import PslElement, psl_to_symplectic, sample_psl, sample_psl_vec
 from .markov import mixing_time_bound
 from .pauli import (PauliIndex, SymplecticMatrix, Transvection,
                     apply_symplectic, transvection_apply_vec,
-                    transvection_matrix)
+                    transvection_matrix, vertex_code, vertex_split)
 
 __all__ = [
     "SamplerConfig",
@@ -138,11 +139,10 @@ def _draw(ctx: FieldContext, steps: int, rng: np.random.Generator
           ) -> Tuple[Tuple[Transvection, ...], PslElement, PauliIndex]:
     """The frozen draw order: transvections, then PSL (two draws), then Pauli."""
     n = ctx.order
-    ks = rng.integers(1, n * n, size=steps)
-    transvections = tuple(Transvection(int(k) & (n - 1), int(k) >> ctx.m) for k in ks)
+    h1, h2 = vertex_split(ctx.m, rng.integers(1, n * n, size=steps))
+    transvections = tuple(map(Transvection, h1.tolist(), h2.tolist()))
     psl = sample_psl(ctx, rng)
-    p = int(rng.integers(0, n * n))
-    return transvections, psl, PauliIndex(p & (n - 1), p >> ctx.m)
+    return transvections, psl, PauliIndex(*vertex_split(ctx.m, rng.integers(0, n * n)))
 
 
 def sample(config: SamplerConfig, rng: np.random.Generator,
@@ -281,20 +281,16 @@ def pair_statistics(ctx: FieldContext, samples: Sequence[DesignSample],
                     probes: Sequence[Probe]) -> PairStatistics:
     """Exact (per-sample) statistics for explicit sample lists."""
     probes = _normalize_probes(ctx.m, probes)
-    n = ctx.order
+    m = ctx.m
     counts = _zero_counts(ctx, probes)
     for s in samples:
         f = s.composed
         for i, probe in enumerate(probes):
             if isinstance(probe, PauliIndex):
-                a, b = apply_symplectic(ctx, f, probe)
-                counts[i][(a | (b << ctx.m)) - 1] += 1
+                counts[i][vertex_code(m, *apply_symplectic(ctx, f, probe)) - 1] += 1
             else:
-                img = []
-                for vert in probe:
-                    a, b = apply_symplectic(ctx, f, vert)
-                    img.append(a | (b << ctx.m))
-                counts[i][img[0] * n * n + img[1]] += 1
+                v, w = (vertex_code(m, *apply_symplectic(ctx, f, x)) for x in probe)
+                counts[i][pair_code(m, v, w)] += 1
     lengths = {len(s.transvections) for s in samples}
     steps = lengths.pop() if len(lengths) == 1 else None
     return _statistics_from_counts(ctx, probes, counts, len(samples), steps=steps)
@@ -311,7 +307,6 @@ def _zero_counts(ctx: FieldContext, probes: List[Probe]) -> List[np.ndarray]:
 def _statistics_from_counts(ctx: FieldContext, probes: List[Probe],
                             counts: List[np.ndarray], total: int,
                             steps: Optional[int]) -> PairStatistics:
-    n = ctx.order
     stats = []
     for probe, hist in zip(probes, counts):
         name, k = class_size(ctx, probe)
@@ -328,15 +323,11 @@ def _statistics_from_counts(ctx: FieldContext, probes: List[Probe],
         tv = 0.5 * float(np.abs(member / total - 1.0 / k).sum())
         orbit_hist = None
         if isinstance(probe, PauliPair):
-            codes = np.nonzero(hist)[0]
-            va, wa = codes // (n * n), codes % (n * n)
-            keys = orbit_invariant_vec(
-                ctx, (va & (n - 1)).astype(np.uint16), (va >> ctx.m).astype(np.uint16),
-                (wa & (n - 1)).astype(np.uint16), (wa >> ctx.m).astype(np.uint16))
-            orbit_hist = {}
-            for key in np.unique(keys):
-                inv = OrbitInvariant(EdgeKind(int(key) >> 16), int(key) & 0xFFFF)
-                orbit_hist[inv] = int(hist[codes[keys == key]].sum())
+            codes = np.flatnonzero(hist)
+            v, w = pair_split(ctx.m, codes)
+            keys = orbit_invariant_vec(ctx, *vertex_split(ctx.m, v),
+                                       *vertex_split(ctx.m, w))
+            orbit_hist = orbit_counts(keys, hist[codes])
         stats.append(ProbeStatistics(probe=probe, class_name=name, class_size=k,
                                      samples=total, tv_to_uniform=tv,
                                      orbit_histogram=orbit_hist))
@@ -352,7 +343,7 @@ def _stats_batch(ctx: FieldContext, config: SamplerConfig, probes: List[Probe],
     array, so each step is a single kernel call with that step's
     transvections broadcast across the rows.
     """
-    n = ctx.order
+    n, m = ctx.order, ctx.m
     rng = _substream(config.seed, 2 ** 64 - 1 - batch_index)
     ks = rng.integers(1, n * n, size=(steps, batch_size), dtype=np.uint32)
     alpha, beta, gamma, delta = sample_psl_vec(ctx, rng, batch_size)
@@ -362,20 +353,19 @@ def _stats_batch(ctx: FieldContext, config: SamplerConfig, probes: List[Probe],
     a = np.array([[v.a] for v in verts], dtype=np.uint16)
     b = np.array([[v.b] for v in verts], dtype=np.uint16)
     for k in ks:
-        a, b = transvection_apply_vec(ctx, (k & (n - 1)).astype(np.uint16),
-                                      (k >> ctx.m).astype(np.uint16), a, b)
+        a, b = transvection_apply_vec(ctx, *vertex_split(m, k), a, b)
     # the PSL image (a, b) g; a, b become logs, freeing the fields early
     log, exp = ctx.np_table("log"), ctx.np_table("exp")
     a, b = log[a], log[b]
-    images = (exp[a + log[alpha]] ^ exp[b + log[gamma]]).astype(np.int64)
-    images |= (exp[a + log[beta]] ^ exp[b + log[delta]]).astype(np.int64) << ctx.m
+    images = vertex_code(m, (exp[a + log[alpha]] ^ exp[b + log[gamma]]).astype(np.int64),
+                         exp[a + log[beta]] ^ exp[b + log[delta]])
     out = []
     for probe in probes:
         if isinstance(probe, PauliIndex):
             out.append(np.bincount(images[row[probe]] - 1, minlength=n * n - 1))
         else:
             v, w = (images[row[x]] for x in probe)
-            out.append(np.bincount(v * n * n + w, minlength=n ** 4))
+            out.append(np.bincount(pair_code(m, v, w), minlength=n ** 4))
     return out
 
 

@@ -37,9 +37,9 @@ import numpy as np
 
 from .gf2m import FieldContext
 from .graph import EdgeKind
-from .kerdock import PslElement, psl_elements, psl_factors, psl_to_symplectic
+from .kerdock import PslElement, psl_elements, psl_factors
 from .markov import q_empirical
-from .pauli import PauliIndex, SymplecticMatrix, apply_symplectic
+from .pauli import PauliIndex, SymplecticMatrix, apply_symplectic, vertex_split
 from .sampler import DesignSample
 
 __all__ = [
@@ -228,47 +228,27 @@ def conjugation_check(ctx: FieldContext, u: np.ndarray, f: SymplecticMatrix,
     """Assert U D(x) U+ = phase * D(x . F) for every nonzero index x.
 
     The phase must be a fourth root of unity within ``tol``; raises
-    ConjugationFailure at the first offending index.
+    ConjugationFailure at the first offending index, in vertex-code order.
     """
-    n = ctx.order
     uh = u.conj().T
-    for a in range(n):
-        for b in range(n):
-            if a == 0 and b == 0:
-                continue
-            x = PauliIndex(a, b)
-            got = u @ pauli_unitary(ctx, x) @ uh
-            want = pauli_unitary(ctx, apply_symplectic(ctx, f, x))
-            k = np.argmax(np.abs(want))
-            phase = got.flat[k] / want.flat[k]
-            err = float(np.abs(got - phase * want).max())
-            if err > tol or abs(abs(phase) - 1.0) > tol or \
-                    abs(phase ** 4 - 1.0) > 8 * tol:
-                raise ConjugationFailure(x, max(err, abs(phase ** 4 - 1.0)))
+    for v in range(1, ctx.order ** 2):
+        x = PauliIndex(*vertex_split(ctx.m, v))
+        got = u @ pauli_unitary(ctx, x) @ uh
+        want = pauli_unitary(ctx, apply_symplectic(ctx, f, x))
+        k = np.argmax(np.abs(want))
+        phase = got.flat[k] / want.flat[k]
+        err = float(np.abs(got - phase * want).max())
+        if err > tol or abs(abs(phase) - 1.0) > tol or \
+                abs(phase ** 4 - 1.0) > 8 * tol:
+            raise ConjugationFailure(x, max(err, abs(phase ** 4 - 1.0)))
 
 
 # --- frame potentials ---
 
 
-def _gram_rows(unitaries: Sequence[np.ndarray]) -> np.ndarray:
-    mats = np.stack([np.asarray(u, dtype=np.complex128) for u in unitaries])
-    s, n, _ = mats.shape
-    return mats.reshape(s, n * n)
-
-
-def frame_potential(unitaries: Sequence[np.ndarray], k: int,
-                    weights: Optional[np.ndarray] = None,
-                    chunk: int = 1024) -> float:
-    """Sum_ij w_i w_j |tr(U_i+ U_j)|^(2k), uniform weights by default."""
-    vecs = _gram_rows(unitaries)
-    s = vecs.shape[0]
-    w = np.full(s, 1.0 / s) if weights is None else np.asarray(weights, float)
-    total = 0.0
-    for lo in range(0, s, chunk):
-        hi = min(lo + chunk, s)
-        g = vecs[lo:hi] @ vecs.conj().T
-        total += float((np.abs(g) ** (2 * k) @ w) @ w[lo:hi])
-    return total
+def frame_potential(unitaries: Sequence[np.ndarray], k: int) -> float:
+    """The mean of |tr(U_i+ U_j)|^(2k) over all ordered pairs (i, j)."""
+    return frame_potential_estimate(unitaries, k)[0]
 
 
 def frame_potential_estimate(unitaries: Sequence[np.ndarray], k: int,
@@ -279,7 +259,7 @@ def frame_potential_estimate(unitaries: Sequence[np.ndarray], k: int,
     pair average: with h_i the mean of |tr(U_i+ U_j)|^(2k) over j,
     sigma^2 = 4 Var(h) / S.
     """
-    vecs = _gram_rows(unitaries)
+    vecs = np.stack([np.asarray(u, dtype=np.complex128).ravel() for u in unitaries])
     s = vecs.shape[0]
     row_means = np.empty(s)
     total = 0.0

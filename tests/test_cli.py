@@ -7,7 +7,7 @@ import pytest
 
 from kerdock3.cli import DEFAULT_EPSILON, DEFAULT_M, build_parser, main
 from kerdock3.graph import parse_census
-from kerdock3.markov import TransitionMatrix, parse_csv_probs
+from kerdock3.markov import FULL_CHAIN_MAX_M, TransitionMatrix, parse_csv_probs
 
 
 def run(tmp_path, *argv):
@@ -154,6 +154,28 @@ def test_epsilon_steps_mutually_exclusive():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample", "--poly", "D"],
+    ["field-info", "--threads", "2"],
+    ["chain", "--threads", "2"],
+    ["spectra", "--threads", "2"],
+    ["convergence", "--threads", "2"],
+    ["spectra", "--steps", "5"],
+    ["convergence", "--steps", "3"],
+    ["convergence", "--format", "json"],
+    ["sample", "--format", "json"],
+    ["verify", "--format", "text"],
+    ["field-info", "--format", "csv"],
+    ["graph-census", "--format", "csv"],
+    ["spectra", "--format", "csv"],
+])
+def test_flags_a_subcommand_does_not_read_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_invalid_arguments_exit_2(capsys):
     assert main(["field-info", "--m", "1"]) == 2
     assert main(["field-info", "--m", "17"]) == 2
@@ -184,9 +206,18 @@ def test_verify_m3_skips_m2_only_checks(tmp_path):
     assert all(line.startswith("PASS ") for line in text.strip().split("\n"))
 
 
+def test_verify_poly_override_passes(tmp_path):
+    rc, text = run(tmp_path, "verify", "--m", "3", "--poly", "0xD",
+                   "--count", "20000", "--steps", "6", "--seed", "1")
+    assert rc == 0, text
+    lines = text.strip().split("\n")
+    assert len(lines) == 9
+    assert all(line.startswith("PASS ") for line in lines)
+
+
 def test_verify_caps_m(capsys):
-    assert main(["verify", "--m", "4"]) == 2
-    capsys.readouterr()
+    assert main(["verify", "--m", str(FULL_CHAIN_MAX_M + 1)]) == 2
+    assert "FULL_CHAIN_MAX_M" in capsys.readouterr().err
 
 
 def test_census_mismatch_would_fail_rc(tmp_path):

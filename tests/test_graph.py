@@ -5,19 +5,21 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kerdock3.gf2m import FieldContext
-from kerdock3.graph import (CENSUS_MAX_M, CensusReport, EdgeKind,
-                            OrbitInvariant, PauliPair, anticommutation_matrix,
-                            census, classify_pair, classify_vec,
-                            closed_form_counts, orbit_invariant,
-                            orbit_invariant_vec, orbit_representative,
-                            orbit_states, parse_census, srg_check,
+from kerdock3.graph import (CENSUS_MAX_M, ORBIT_KEY_SPACE, CensusReport,
+                            EdgeKind, OrbitInvariant, PauliPair,
+                            anticommutation_matrix, census, classify_pair,
+                            classify_vec, closed_form_counts, orbit_counts,
+                            orbit_invariant, orbit_invariant_vec,
+                            orbit_representative, orbit_states, pair_code,
+                            pair_split, parse_census, srg_check,
                             srg_parameters, state_name, state_obj)
 from kerdock3.kerdock import pair_action, sample_psl_vec
-from kerdock3.pauli import PauliIndex, symplectic_inner
+from kerdock3.pauli import (PauliIndex, symplectic_inner, vertex_code,
+                            vertex_split)
 
 
 def test_classification_matches_definitions():
@@ -295,3 +297,55 @@ def test_state_name_and_obj():
     assert state_obj(vertex) == ["0x3", "0x1"]
     assert state_obj(pair) == [["0x1", "0x0"], ["0x0", "0x2"]]
     assert state_obj(inv) == {"kind": "TYPE2", "value": "0x6"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 16).flatmap(lambda m: st.tuples(
+    st.just(m), st.lists(st.tuples(*[st.integers(0, (1 << m) - 1)] * 4),
+                         min_size=1, max_size=8))))
+@example((16, [(0xFFFF,) * 4]))
+def test_vertex_and_pair_codes_round_trip(case):
+    """Ints stay Python ints, arrays decode to uint16, for m in 2..16."""
+    m, quads = case
+    for a, b, c, d in quads:
+        v, w = vertex_code(m, a, b), vertex_code(m, c, d)
+        assert type(v) is int and v == a + (b << m) < 1 << (2 * m)
+        assert vertex_split(m, v) == (a, b)
+        assert all(type(x) is int for x in vertex_split(m, v))
+        code = pair_code(m, v, w)
+        assert type(code) is int and code == v * 4 ** m + w
+        assert pair_split(m, code) == (v, w)
+    a, b, c, d = (np.array(x, dtype=np.uint16) for x in zip(*quads))
+    v, w = vertex_code(m, a, b), vertex_code(m, c, d)
+    assert v.dtype == np.uint32
+    assert v.tolist() == [vertex_code(m, *q[:2]) for q in quads]
+    for x, want in zip(vertex_split(m, v), (a, b)):
+        assert x.dtype == np.uint16 and np.array_equal(x, want)
+    code = pair_code(m, v, w)
+    assert code.tolist() == [pair_code(m, x, y) for x, y in zip(v.tolist(), w.tolist())]
+    assert [x.tolist() for x in pair_split(m, code)] == [v.tolist(), w.tolist()]
+    assert vertex_code(m, a, b.astype(np.int64)).dtype == np.int64
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_orbit_counts_matches_scalar_invariants(m):
+    """Unweighted and weighted per-orbit counts over all ordered distinct
+    nonzero pairs equal a brute-force count of the scalar invariants."""
+    ctx = FieldContext(m)
+    codes = range(1, ctx.order ** 2)
+    pairs = [(v, w) for v in codes for w in codes if v != w]
+    weights = np.random.default_rng(m).integers(0, 1000, size=len(pairs))
+    want, want_weighted = {}, {}
+    for (v, w), weight in zip(pairs, weights.tolist()):
+        inv = orbit_invariant(ctx, PauliPair(PauliIndex(*vertex_split(m, v)),
+                                             PauliIndex(*vertex_split(m, w))))
+        want[inv] = want.get(inv, 0) + 1
+        if weight:
+            want_weighted[inv] = want_weighted.get(inv, 0) + weight
+    v, w = (np.array(x, dtype=np.uint32) for x in zip(*pairs))
+    keys = orbit_invariant_vec(ctx, *vertex_split(m, v), *vertex_split(m, w))
+    assert keys.dtype == np.uint32 and int(keys.max()) < ORBIT_KEY_SPACE
+    got = orbit_counts(keys)
+    assert got == want and list(got) == sorted(want)
+    assert all(type(c) is int for c in got.values())
+    assert orbit_counts(keys, weights) == want_weighted

@@ -362,7 +362,7 @@ def test_one_step_ensemble_matches_collision_formula():
     layers = [transvection_unitary(ctx, (h & 3, h >> 2)) for h in range(1, 16)]
     ens = [k @ t for k in base for t in layers]
     assert len(ens) == 14400
-    f3 = frame_potential(ens, 3, chunk=2048)
+    f3 = frame_potential(ens, 3)
     assert abs(f3 - collision_frame_potential_3(ctx, 1)) < 1e-8
 
 
