@@ -236,10 +236,8 @@ def _cmd_convergence(args) -> int:
     lines = ["chain,start,t,tv"]
     for chain in ("edges", "nonedges"):
         tm = q_empirical(ctx, chain)
-        for i, state in enumerate(tm.states):
-            start = np.zeros(len(tm.states))
-            start[i] = 1.0
-            curve = tv_curve(tm, start, t_max)
+        curves = tv_curve(tm, np.eye(len(tm.states)), t_max)
+        for state, curve in zip(tm.states, curves):
             name = state_name(state)
             for t, v in enumerate(curve):
                 lines.append(f"{chain},{name},{t},{float(v)!r}")
@@ -360,16 +358,14 @@ def _verify_checks(args):
 
     @check("pair-statistics")
     def _():
-        # pair_statistics_stream walks in the default field, so probe there
-        walk_ctx = FieldContext(m)
-        d_anti = next(d for d in walk_ctx.nonzero() if walk_ctx.trace(d) == 1)
-        probes = [((walk_ctx.alpha_power(1), 0), (1, 0)), ((1, 0), (0, d_anti))]
+        d_anti = next(d for d in ctx.nonzero() if ctx.trace(d) == 1)
+        probes = [((ctx.alpha_power(1), 0), (1, 0)), ((1, 0), (0, d_anti))]
         eps = args.epsilon if args.epsilon is not None else DEFAULT_EPSILON
         steps = args.steps if args.steps is not None \
             else steps_for_epsilon(m, eps)
         config = SamplerConfig(m=m, seed=seed, count=max(args.count, 200_000),
                                steps=steps)
-        rep = pair_statistics_stream(config, probes, threads=args.threads)
+        rep = pair_statistics_stream(config, probes, threads=args.threads, ctx=ctx)
         for p in rep.probes:
             if p.tv_to_uniform > 0.05 + p.four_sigma():
                 return (f"tv {p.tv_to_uniform:.4f} exceeds margin for "

@@ -254,20 +254,9 @@ class FieldContext:
         self._w_inv_rows = f2_mat_inv(self._w_rows, m)
 
         # dual coordinate tables: dual[a] = [a] W, packed
-        dual = [0] * self.order
-        for x in range(self.order):
-            acc = 0
-            xx = x
-            k = 0
-            while xx:
-                if xx & 1:
-                    acc ^= self._w_rows[k]
-                xx >>= 1
-                k += 1
-            dual[x] = acc
-        self._dual = dual
+        self._dual = f2_mat_mul(range(self.order), self._w_rows)
         dual_inv = [0] * self.order
-        for x, d in enumerate(dual):
+        for x, d in enumerate(self._dual):
             dual_inv[d] = x
         self._dual_inv = dual_inv
 

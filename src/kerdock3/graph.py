@@ -31,12 +31,12 @@ from __future__ import annotations
 import enum
 import json
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from ._workers import ordered_map
 from .gf2m import FieldContext
 from .pauli import PauliIndex, vertex_split
 
@@ -430,12 +430,8 @@ def census(ctx: FieldContext, exhaustive: Optional[bool] = None,
 
     n = ctx.order
     chunk = max(1, (1 << 21) // (n * n))
-    ranges = [(lo, min(lo + chunk, n * n)) for lo in range(1, n * n, chunk)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda r: _census_chunk(ctx, *r), ranges))
-    else:
-        parts = [_census_chunk(ctx, lo, hi) for lo, hi in ranges]
+    parts = ordered_map(lambda lo: _census_chunk(ctx, lo, min(lo + chunk, n * n)),
+                        range(1, n * n, chunk), threads)
     orbit_sizes = dict(sorted(sum(map(Counter, parts), Counter()).items()))
     per_kind = {k: 0 for k in EdgeKind}
     for inv, size in orbit_sizes.items():

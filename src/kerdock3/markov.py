@@ -33,7 +33,7 @@ import numpy as np
 
 from .gf2m import FieldContext
 from .graph import (EdgeKind, OrbitInvariant, PauliPair, anticommutation_matrix,
-                    edge_states, orbit_counts, orbit_invariant_vec,
+                    edge_states, orbit_counts, orbit_invariant, orbit_invariant_vec,
                     orbit_representative, orbit_states, pair_code, state_name,
                     state_obj)
 from .pauli import PauliIndex, transvection_apply_vec, vertex_code, vertex_split
@@ -129,6 +129,11 @@ class TransitionMatrix:
         for row in self.probs:
             writer.writerow([repr(float(x)) for x in row])
         return out.getvalue()
+
+
+def _field_order(tm: TransitionMatrix) -> int:
+    """N, read off the denominator 4(N^2-1)."""
+    return math.isqrt(tm.denominator // 4 + 1)
 
 
 def parse_csv_probs(text: str) -> Tuple[List[str], np.ndarray]:
@@ -249,11 +254,11 @@ def q0_structure_check(tm: TransitionMatrix) -> Q0StructureReport:
     kinds = [s.kind for s in tm.states]
     m1 = kinds.count(EdgeKind.TYPE1)
     m2 = kinds.count(EdgeKind.TYPE2)
-    n = 2 * m2 + 2
+    n = _field_order(tm)
     failures: List[str] = []
     if kinds != [EdgeKind.TYPE1] * m1 + [EdgeKind.TYPE2] * m2:
         failures.append("states are not ordered type-1 block then type-2 block")
-    if m1 != n - 2 or tm.denominator != 4 * (n * n - 1):
+    if (m1, 2 * m2) != (n - 2, n - 2) or tm.denominator != 4 * (n * n - 1):
         failures.append(f"state counts ({m1}, {m2}) do not fit any field size")
     q = tm.numerators
     r = q[m1:, :m1]
@@ -271,15 +276,9 @@ def q0_structure_check(tm: TransitionMatrix) -> Q0StructureReport:
         failures.append(f"R row sums are not 6N: {row_sums.tolist()}")
     if not (col_sums == 3 * n).all():
         failures.append(f"R column sums are not 3N: {col_sums.tolist()}")
-    return Q0StructureReport(m=tm_field_degree(tm), r_matrix=r,
+    return Q0StructureReport(m=n.bit_length() - 1, r_matrix=r,
                              row_sums=row_sums, col_sums=col_sums,
                              failures=failures)
-
-
-def tm_field_degree(tm: TransitionMatrix) -> int:
-    """Recover m from the denominator 4(N^2-1)."""
-    nsq = tm.denominator // 4 + 1
-    return nsq.bit_length() // 2
 
 
 # --- exact stationary / eigenvector identities ---
@@ -291,10 +290,9 @@ def stationary_weights(tm: TransitionMatrix) -> np.ndarray:
     Non-edge chain: all ones.  Edge chain: 1 per type-1 state, N per
     type-2 state (type-2 orbits are N times larger).
     """
-    n = int(math.isqrt(tm.denominator // 4 + 1))
-    w = np.array([1 if getattr(s, "kind", None) != EdgeKind.TYPE2 else n
-                  for s in tm.states], dtype=np.int64)
-    return w
+    n = _field_order(tm)
+    return np.array([1 if getattr(s, "kind", None) != EdgeKind.TYPE2 else n
+                     for s in tm.states], dtype=np.int64)
 
 
 def stationary_check(tm: TransitionMatrix) -> bool:
@@ -306,10 +304,9 @@ def stationary_check(tm: TransitionMatrix) -> bool:
 def w2_eigenvector_check(tm: TransitionMatrix) -> bool:
     """[1,..,1,-2,..,-2] Q0 = ((N^2-6N-4)/(4(N^2-1))) [1,..,1,-2,..,-2] exactly."""
     kinds = [s.kind for s in tm.states]
-    m1 = kinds.count(EdgeKind.TYPE1)
-    m2 = kinds.count(EdgeKind.TYPE2)
-    n = 2 * m2 + 2
-    w2 = np.array([1] * m1 + [-2] * m2, dtype=np.int64)
+    n = _field_order(tm)
+    w2 = np.array([1] * kinds.count(EdgeKind.TYPE1) + [-2] * kinds.count(EdgeKind.TYPE2),
+                  dtype=np.int64)
     return bool(np.array_equal(w2 @ tm.numerators, (n * n - 6 * n - 4) * w2))
 
 
@@ -422,18 +419,26 @@ def mixing_time_report(m: int, eps: float) -> Dict[str, float]:
     }
 
 
-def tv_curve(tm: TransitionMatrix, start: Sequence[float], t_max: int) -> np.ndarray:
-    """Total-variation distances 0.5 |s Q^t - pi|_1 for t = 0..t_max."""
+def tv_curve(tm: TransitionMatrix, start, t_max: int) -> np.ndarray:
+    """Total-variation distances 0.5 |s Q^t - pi|_1 for t = 0..t_max.
+
+    ``start`` is a probability vector or an (S, k) stack of them (one
+    curve per row, pi from one eigensolve); rows propagate one by one,
+    so a stacked curve is bit-identical to its row's curve alone.
+    """
     q = tm.probs
-    s = np.asarray(start, dtype=float)
-    if s.shape != (len(tm.states),) or abs(s.sum() - 1.0) > 1e-12 or s.min() < 0:
-        raise ValueError("start must be a probability vector over the states")
+    starts = np.ascontiguousarray(start, dtype=float)
+    rows = np.atleast_2d(starts)
+    if starts.ndim > 2 or rows.shape[1] != len(tm.states) or rows.min() < 0 or \
+            (np.abs(rows.sum(axis=1) - 1.0) > 1e-12).any():
+        raise ValueError("start must be probability vectors over the states")
     pi = spectral_report(tm).stationary
-    out = np.empty(t_max + 1)
-    for t in range(t_max + 1):
-        out[t] = 0.5 * np.abs(s - pi).sum()
-        s = s @ q
-    return out
+    out = np.empty((len(rows), t_max + 1))
+    for curve, s in zip(out, rows):
+        for t in range(t_max + 1):
+            curve[t] = 0.5 * np.abs(s - pi).sum()
+            s = s @ q
+    return out if starts.ndim == 2 else out[0]
 
 
 def tv_curve_exact(tm: TransitionMatrix, start_index: int, t_max: int) -> List[Fraction]:
@@ -502,8 +507,6 @@ def lump_chain(ctx: FieldContext, full: TransitionMatrix) -> TransitionMatrix:
     orbit — that is what makes the projection a Markov chain at all —
     and the identity of those row sums is checked exactly.
     """
-    from .graph import orbit_invariant
-
     invariants = [orbit_invariant(ctx, pair) for pair in full.states]
     chain = "edges" if invariants[0].kind != EdgeKind.NON_EDGE else "nonedges"
     states = _chain_states(ctx, chain)

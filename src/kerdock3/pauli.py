@@ -115,14 +115,7 @@ class SymplecticMatrix:
 
     def apply(self, v: int) -> int:
         """Image of the packed row vector ``v`` under right action."""
-        acc = 0
-        k = 0
-        while v:
-            if v & 1:
-                acc ^= self.rows[k]
-            v >>= 1
-            k += 1
-        return acc
+        return f2_mat_mul((v,), self.rows)[0]
 
     def transpose(self) -> "SymplecticMatrix":
         return SymplecticMatrix(self.m, f2_mat_transpose(self.rows, 2 * self.m))

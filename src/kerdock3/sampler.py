@@ -21,16 +21,16 @@ reproducible and thread-count independent.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ._workers import ordered_map
 from .gf2m import FieldContext
 from .graph import (EdgeKind, OrbitInvariant, PauliPair, anticommutation_matrix,
-                    classify_pair, orbit_counts, orbit_invariant_vec, pair_code,
-                    pair_split, state_name, state_obj)
+                    classify_pair, closed_form_counts, orbit_counts, orbit_invariant_vec,
+                    pair_code, pair_split, state_name, state_obj)
 from .kerdock import PslElement, psl_to_symplectic, sample_psl, sample_psl_vec
 from .markov import mixing_time_bound
 from .pauli import (PauliIndex, SymplecticMatrix, Transvection,
@@ -153,12 +153,21 @@ def sample(config: SamplerConfig, rng: np.random.Generator,
     ``psl_override`` pins the PSL factor (test hook; the random draws
     still advance the stream identically).
     """
-    ctx = ctx or FieldContext(config.m)
+    ctx = _config_ctx(config, ctx)
     transvections, psl, pauli = _draw(ctx, config.resolved_steps(), rng)
     if psl_override is not None:
         psl = psl_override
     return DesignSample(transvections=transvections, psl=psl, pauli=pauli,
                         composed=compose(ctx, transvections, psl))
+
+
+def _config_ctx(config: SamplerConfig, ctx: Optional[FieldContext]) -> FieldContext:
+    """``ctx``, or the default field of degree ``config.m``; refuses another degree."""
+    if ctx is None:
+        return FieldContext(config.m)
+    if ctx.m != config.m:
+        raise ValueError(f"field context has m={ctx.m}, the config has m={config.m}")
+    return ctx
 
 
 def _substream(seed: int, index: int) -> np.random.Generator:
@@ -175,13 +184,7 @@ def sample_at(config: SamplerConfig, index: int,
 def sample_stream(config: SamplerConfig, threads: int = 1) -> Iterator[DesignSample]:
     """The ``count`` samples, in index order, identical for any thread count."""
     ctx = FieldContext(config.m)
-    if threads <= 1:
-        for i in range(config.count):
-            yield sample_at(config, i, ctx)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(lambda i: sample_at(config, i, ctx),
-                            range(config.count), chunksize=64)
+    yield from ordered_map(lambda i: sample_at(config, i, ctx), range(config.count), threads)
 
 
 def write_jsonl(samples: Iterator[DesignSample], fh) -> int:
@@ -201,13 +204,12 @@ def read_jsonl(fh, m: int) -> List[Tuple[int, DesignSample]]:
 
 def class_size(ctx: FieldContext, probe: Probe) -> Tuple[str, int]:
     """(class name, class cardinality) for a probe vertex or pair."""
-    n = ctx.order
+    counts = closed_form_counts(ctx.m)
     if isinstance(probe, PauliIndex) or (len(probe) == 2 and isinstance(probe[0], int)):
-        return "vertices", n * n - 1
-    kind = classify_pair(ctx, probe)
-    if kind == EdgeKind.NON_EDGE:
-        return "anticommuting_pairs", (n * n - 1) * n * n // 2
-    return "commuting_pairs", (n * n - 1) * (n * n - 4) // 2
+        return "vertices", counts["vertices"]
+    if classify_pair(ctx, probe) == EdgeKind.NON_EDGE:
+        return "anticommuting_pairs", counts["non_edges"]
+    return "commuting_pairs", counts["directed_edges"]
 
 
 def mc_sigma(k: int, samples: int) -> float:
@@ -370,38 +372,28 @@ def _stats_batch(ctx: FieldContext, config: SamplerConfig, probes: List[Probe],
 
 
 def pair_statistics_stream(config: SamplerConfig, probes: Sequence[Probe],
-                           threads: int = 1, batch_size: int = 1 << 17
-                           ) -> PairStatistics:
+                           threads: int = 1, batch_size: int = 1 << 17,
+                           ctx: Optional[FieldContext] = None) -> PairStatistics:
     """Monte-Carlo image statistics at scale, without materializing samples.
 
     Tracks only the probe images through the vectorized transvection and
     PSL kernels; the Pauli factor is never drawn here since it acts
-    trivially on indices.  For a fixed ``batch_size`` the result is
-    byte-identical for any ``threads`` value, because batch j always
-    consumes the substream (seed, 2^64-1-j) and the merge is a sum.
+    trivially on indices.  The walk runs in ``ctx`` (default: the default
+    field of degree ``config.m``).  For a fixed ``batch_size`` the result
+    is byte-identical for any ``threads`` value, because batch j always
+    consumes the substream (seed, 2^64-1-j) and the merge is an ordered
+    running sum, so memory does not grow with the number of batches.
     """
     probes = _normalize_probes(config.m, probes)
-    ctx = FieldContext(config.m)
+    ctx = _config_ctx(config, ctx)
     steps = config.resolved_steps()
-    n_batches = (config.count + batch_size - 1) // batch_size
-    sizes = [min(batch_size, config.count - j * batch_size) for j in range(n_batches)]
-
-    def run(j: int) -> List[np.ndarray]:
-        return _stats_batch(ctx, config, probes, j, sizes[j], steps)
-
     counts = _zero_counts(ctx, probes)
 
-    def accumulate(parts: Iterator[List[np.ndarray]]) -> None:
-        # a running sum: memory does not grow with the number of batches
-        for part in parts:
-            for total, hist in zip(counts, part):
-                total += hist
+    def batch(lo: int) -> List[np.ndarray]:
+        return _stats_batch(ctx, config, probes, lo // batch_size,
+                            min(batch_size, config.count - lo), steps)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            # one batch per thread in flight, so finished ones cannot pile up
-            for lo in range(0, n_batches, threads):
-                accumulate(pool.map(run, range(lo, min(lo + threads, n_batches))))
-    else:
-        accumulate(map(run, range(n_batches)))
+    for part in ordered_map(batch, range(0, config.count, batch_size), threads):
+        for total, hist in zip(counts, part):
+            total += hist
     return _statistics_from_counts(ctx, probes, counts, config.count, steps)

@@ -215,6 +215,24 @@ def test_verify_poly_override_passes(tmp_path):
     assert all(line.startswith("PASS ") for line in lines)
 
 
+def test_verify_poly_walks_pair_statistics_in_chosen_field(tmp_path, monkeypatch):
+    import kerdock3.cli as cli
+
+    fields = []
+    original = cli.pair_statistics_stream
+
+    def recording(config, probes, threads=1, batch_size=1 << 17, ctx=None):
+        fields.append(ctx.poly)
+        return original(config, probes, threads, batch_size, ctx)
+
+    monkeypatch.setattr(cli, "pair_statistics_stream", recording)
+    rc, text = run(tmp_path, "verify", "--m", "3", "--poly", "D",
+                   "--count", "20000", "--steps", "6", "--seed", "1")
+    assert rc == 0, text
+    assert "PASS pair-statistics" in text
+    assert fields == [0xD]
+
+
 def test_verify_caps_m(capsys):
     assert main(["verify", "--m", str(FULL_CHAIN_MAX_M + 1)]) == 2
     assert "FULL_CHAIN_MAX_M" in capsys.readouterr().err

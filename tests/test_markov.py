@@ -43,6 +43,17 @@ def test_edge_chain_block_structure(m):
     assert (report.col_sums == 3 * n).all()
 
 
+def test_edge_chain_checks_refuse_states_of_another_field():
+    """m = 3 edge states over the m = 4 denominator fit no field size."""
+    states = q_empirical(FieldContext(3), "edges").states
+    den = 4 * (16 * 16 - 1)
+    tm = TransitionMatrix(states=states, numerators=den * np.eye(len(states)),
+                          denominator=den)
+    report = q0_structure_check(tm)
+    assert "state counts (6, 3) do not fit any field size" in report.failures
+    assert not w2_eigenvector_check(tm)
+
+
 def test_r_anchor_m2():
     ctx = FieldContext(2)
     r = extract_r(q_empirical(ctx, "edges"))
@@ -184,6 +195,20 @@ def test_tv_curve_float_matches_exact():
         assert abs(f - float(e)) < 1e-12
 
 
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_tv_curve_stack_equals_per_start_curves(m):
+    """One call over every point-mass start gives, bit for bit, the
+    curves of one call per start."""
+    ctx = FieldContext(m)
+    for chain in ("edges", "nonedges"):
+        tm = q_empirical(ctx, chain)
+        starts = np.eye(len(tm.states))
+        stacked = tv_curve(tm, starts, 25)
+        assert stacked.shape == (len(tm.states), 26)
+        for row, curve in zip(starts, stacked):
+            assert np.array_equal(curve, tv_curve(tm, row, 25))
+
+
 def test_tv_decay_ratio_bounded_by_lambda2():
     ctx = FieldContext(3)
     for chain in ("edges", "nonedges"):
@@ -204,6 +229,8 @@ def test_tv_curve_rejects_bad_start():
         tv_curve(tm, [0.5, 0.6], 3)
     with pytest.raises(ValueError):
         tv_curve(tm, [1.0], 3)
+    with pytest.raises(ValueError):
+        tv_curve(tm, [[1.0, 0.0], [0.5, 0.6]], 3)
 
 
 def test_transition_matrix_json_round_trip():

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import time
 import tracemalloc
 
 import numpy as np
@@ -93,6 +94,31 @@ def test_stream_thread_invariance(threads):
     parallel = [s.to_json_line(i)
                 for i, s in enumerate(sample_stream(config, threads))]
     assert serial == parallel
+
+
+def test_stream_starts_at_most_threads_samples_ahead(monkeypatch):
+    """A consumer that stops after one sample has started at most
+    ``threads`` of them; an executor that submits every index up front
+    keeps drawing the rest in the background."""
+    import kerdock3.sampler as sampler_module
+
+    started = []
+    original = sampler_module.sample_at
+
+    def counting(config, index, ctx=None):
+        started.append(index)
+        return original(config, index, ctx)
+
+    monkeypatch.setattr(sampler_module, "sample_at", counting)
+    config = SamplerConfig(m=2, seed=4, count=5000, steps=10)
+    stream = sample_stream(config, 2)
+    try:
+        first = next(stream)
+        time.sleep(0.2)
+        assert len(started) <= 2
+    finally:
+        stream.close()
+    assert first.to_json_line(0) == original(config, 0).to_json_line(0)
 
 
 def test_different_seeds_differ():
@@ -280,6 +306,31 @@ def test_kernels_build_no_dense_field_tables(monkeypatch):
     assert "mul" not in ctx._np_cache and "div" not in ctx._np_cache
     assert not requested & {"mul", "div"}
     assert {"log", "exp", "dual"} <= requested
+
+
+def test_stream_statistics_walk_in_the_given_field():
+    """((1, 0), (0, 2)) anticommutes under poly 0xD (Tr(2) = 1) and
+    commutes under the default 0xB (Tr(2) = 0)."""
+    config = SamplerConfig(m=3, seed=2, count=3000, steps=4)
+    probe = ((0x1, 0x0), (0x0, 0x2))
+    in_d = pair_statistics_stream(config, [probe], batch_size=1024,
+                                  ctx=FieldContext(3, 0xD))
+    in_b = pair_statistics_stream(config, [probe], batch_size=1024)
+    assert in_d.probes[0].class_name == "anticommuting_pairs"
+    assert in_b.probes[0].class_name == "commuting_pairs"
+    explicit_b = pair_statistics_stream(config, [probe], batch_size=1024,
+                                        ctx=FieldContext(3, 0xB))
+    assert explicit_b.to_json() == in_b.to_json()
+
+
+def test_field_context_must_match_config_degree():
+    config = SamplerConfig(m=3, seed=0, count=10, steps=2)
+    with pytest.raises(ValueError, match="m=2"):
+        pair_statistics_stream(config, [COMMUTING_PROBE], ctx=FieldContext(2))
+    with pytest.raises(ValueError, match="m=4"):
+        sample(config, _substream(0, 0), ctx=FieldContext(4))
+    with pytest.raises(ValueError):
+        sample_at(config, 0, FieldContext(2))
 
 
 def test_stream_statistics_requires_a_pair_probe():
