@@ -22,8 +22,10 @@ type-1 edges; the orbit census is closed-form:
 and reports the closed forms alone beyond that.
 
 This module owns the pair code ``v * N^2 + w`` of two vertex codes and
-the orbit key ``kind * 2^16 + value`` made by ``orbit_invariant_vec``,
-which ``orbit_counts`` turns back into per-orbit counts.
+the orbit key ``kind * 2^16 + value`` made by ``orbit_key`` (for whole
+pairs ``orbit_invariant_vec``, for nonzero determinants
+``determinant_keys``), which ``orbit_counts`` turns back into per-orbit
+counts.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ __all__ = [
     "orbit_invariant",
     "classify_vec",
     "orbit_invariant_vec",
+    "orbit_key",
+    "determinant_keys",
     "pair_code",
     "pair_split",
     "orbit_counts",
@@ -96,6 +100,14 @@ class OrbitInvariant(NamedTuple):
 # an orbit key holds the value (a field element, m <= 16) in its low 16 bits
 ORBIT_KEY_SPACE = len(EdgeKind) << 16
 _KINDS = tuple(EdgeKind)
+
+
+def orbit_key(kind, value):
+    """The orbit key kind * 2^16 + value: an int for ints, a uint32
+    array for arrays."""
+    if isinstance(kind, np.ndarray) or isinstance(value, np.ndarray):
+        return (np.asarray(kind, dtype=np.uint32) << 16) | value
+    return int(kind) << 16 | value
 
 
 def pair_code(m: int, v, w):
@@ -176,8 +188,16 @@ def classify_vec(ctx: FieldContext, a, b, c, d):
 def orbit_invariant_vec(ctx: FieldContext, a, b, c, d):
     """The uint32 orbit key kind * 2^16 + value of each pair, from its
     components a, b, c, d; ``orbit_counts`` counts keys per orbit."""
-    kind, value = classify_vec(ctx, a, b, c, d)
-    return (kind.astype(np.uint32) << 16) | value
+    return orbit_key(*classify_vec(ctx, a, b, c, d))
+
+
+def determinant_keys(ctx: FieldContext) -> np.ndarray:
+    """The (N,) uint32 orbit key of a pair with nonzero determinant,
+    indexed by the determinant: (NON_EDGE, det) at trace 1, (TYPE2, det)
+    at trace 0.  Entry 0 is the key of no orbit; a type-1 pair's key
+    needs its ratio."""
+    kind = np.where(ctx.np_table("trace") == 1, EdgeKind.NON_EDGE, EdgeKind.TYPE2)
+    return orbit_key(kind, np.arange(ctx.order, dtype=np.uint32))
 
 
 def srg_parameters(m: int) -> Tuple[int, int, int, int]:

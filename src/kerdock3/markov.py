@@ -17,6 +17,24 @@ R row sums 6N and column sums 3N.  All matrices are held as integer
 numerators over the single denominator 4(N^2-1); every claimed identity
 is checked in exact integer arithmetic, with floating point entering
 only through the eigensolver.
+
+``q_empirical`` counts each row of an orbit chain through the
+determinant identity.  For a pair (v, w) with D = det(v, w) and a
+transvection h, write x = det(w, h) and y = det(v, h); then t_w = Tr x,
+t_v = Tr y, and the image (v + t_v h, w + t_w h) has
+
+    det' = D + t_w y + t_v x,
+
+exactly, because det is symmetric and bilinear over the field and
+det(h, h) = 2 h1 h2 = 0.  x and y are GF(2)-linear in h = h1 | h2 << m,
+so over all h they are outer XORs of two length-N vectors.  A nonzero
+det' names the image's orbit (non-edge or type 2) without applying
+Z_h; only a det' = 0 image needs applying, for its type-1 ratio, and
+only for a type-2 pair, since a type-1 pair has det' = 0 exactly on the
+images Z_h fixes.  ``full_chain`` and ``lump_chain`` (m <= 3), which
+apply every transvection to every pair, and the brute-force test over
+scalar ``apply_transvection`` remain the independent routes to the same
+matrices.
 """
 
 from __future__ import annotations
@@ -32,8 +50,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .gf2m import FieldContext
-from .graph import (EdgeKind, OrbitInvariant, PauliPair, anticommutation_matrix,
-                    edge_states, orbit_counts, orbit_invariant, orbit_invariant_vec,
+from .graph import (ORBIT_KEY_SPACE, EdgeKind, OrbitInvariant, PauliPair,
+                    anticommutation_matrix, determinant_keys, edge_states,
+                    orbit_invariant, orbit_invariant_vec, orbit_key,
                     orbit_representative, orbit_states, pair_code, state_name,
                     state_obj)
 from .pauli import PauliIndex, transvection_apply_vec, vertex_code, vertex_split
@@ -179,17 +198,41 @@ def _chain_states(ctx: FieldContext, chain: str) -> List[OrbitInvariant]:
     raise ValueError(f"chain must be 'edges' or 'nonedges', got {chain!r}")
 
 
-def _row_counts(ctx: FieldContext, pair: PauliPair,
-                col_of: Dict[OrbitInvariant, int]) -> np.ndarray:
-    """Counts of the N^2-1 transvection images of one pair, by orbit column."""
-    h1, h2 = vertex_split(ctx.m, np.arange(1, ctx.order ** 2, dtype=np.uint32))
-    (a, b), (c, d) = pair
-    ia, ib = transvection_apply_vec(ctx, h1, h2, np.uint16(a), np.uint16(b))
-    ic, id_ = transvection_apply_vec(ctx, h1, h2, np.uint16(c), np.uint16(d))
-    row = np.zeros(len(col_of), dtype=np.int64)
-    for inv, count in orbit_counts(orbit_invariant_vec(ctx, ia, ib, ic, id_)).items():
-        row[col_of[inv]] = count
-    return row
+# grid cells (pairs x transvections) per pass of _determinant_images; it
+# bounds the pass's temporaries to a few MB at every m
+_GRID_CELLS = 1 << 17
+
+
+def _determinant_images(ctx: FieldContext, a, b, c, d, det):
+    """det' of the image of each pair v = (a, b), w = (c, d) with
+    determinant ``det`` under every Z_h, h = 0 included, through the
+    determinant identity of the module docstring.  Returns the (R, N)
+    histogram of det' per pair and the (pair, h) arrays of the images
+    with det' = 0 of the pairs with det != 0."""
+    n = ctx.order
+    log, exp, tr = ctx.np_table("log"), ctx.np_table("exp"), ctx.np_table("trace")
+    ones = np.uint16(0) - tr.astype(np.uint16)  # all-ones where Tr = 1
+
+    def outer(p, q):  # the grid [pair, h2, h1] of p[h2] ^ q[h1], i.e. at h
+        return (p[:, :, None] ^ q[:, None, :]).reshape(len(p), n * n)
+
+    hist = np.empty((len(a), n), dtype=np.int64)
+    zero_pair, zero_h = [], []
+    step = max(1, _GRID_CELLS // (n * n))
+    for lo in range(0, len(a), step):
+        part = slice(lo, lo + step)
+        # x = det(w, h) = c h2 + d h1 and y = det(v, h) = a h2 + b h1
+        xc, xd, ya, yb = (exp[log[z[part]][:, None] + log] for z in (c, d, a, b))
+        shift = ((outer(ones[xc], ones[xd]) & outer(ya, yb))
+                 ^ (outer(ones[ya], ones[yb]) & outer(xc, xd)))  # t_w y + t_v x
+        offset = det[part].astype(np.intp) + np.arange(len(xc)) * n
+        hist[part] = np.bincount((offset[:, None] ^ shift).ravel(),
+                                 minlength=len(xc) * n).reshape(-1, n)
+        moved = np.flatnonzero(det[part])
+        i, h = np.nonzero(shift[moved] == det[part][moved, None])
+        zero_pair.append(lo + moved[i])
+        zero_h.append(h)
+    return hist, np.concatenate(zero_pair), np.concatenate(zero_h)
 
 
 def transvection_counts(ctx: FieldContext, chain: str,
@@ -197,17 +240,49 @@ def transvection_counts(ctx: FieldContext, chain: str,
                         ) -> Tuple[List[OrbitInvariant], np.ndarray]:
     """Raw per-orbit transvection image counts; each row sums to N^2 - 1.
 
-    ``representatives`` overrides the default orbit representatives (used
-    to verify that the reduction to orbits is representative-independent).
+    Row i counts the images of the i-th representative (by default one
+    pair per state, in state order) under the N^2 - 1 transvections, by
+    the state of the image.  ``representatives`` overrides the defaults
+    (used to verify that the reduction to orbits is
+    representative-independent); one whose images leave the chain
+    raises ValueError.
     """
     if ctx.m > EMPIRICAL_MAX_M:
         raise ValueError(f"orbit chain enumeration capped at m = {EMPIRICAL_MAX_M}")
     states = _chain_states(ctx, chain)
-    col_of = {s: i for i, s in enumerate(states)}
     if representatives is None:
         representatives = [orbit_representative(ctx, s) for s in states]
-    counts = np.stack([_row_counts(ctx, rep, col_of) for rep in representatives])
-    return states, counts
+    k = len(states)
+    # the state column of every orbit key; column k catches the rest
+    col_of_key = np.full(ORBIT_KEY_SPACE, k, dtype=np.intp)
+    col_of_key[[orbit_key(s.kind, s.value) for s in states]] = np.arange(k)
+    a, b, c, d = np.array(representatives, dtype=np.uint16).reshape(-1, 4).T
+    log, exp = ctx.np_table("log"), ctx.np_table("exp")
+    det = exp[log[a] + log[d]] ^ exp[log[b] + log[c]]
+    hist, moved, h = _determinant_images(ctx, a, b, c, d, det)
+    counts = np.zeros((len(a), k + 1), dtype=np.int64)
+    # det' != 0: the determinant is the image's orbit
+    np.add.at(counts.T, col_of_key[determinant_keys(ctx)][1:], hist[:, 1:].T)
+    # h = 0 is in the grid, as the pair itself.  A type-1 pair v = r w
+    # (det = 0, r != 0, 1) has det' = 0 exactly on the images Z_h fixes:
+    # a moved image has det' = x, r x or (1 + r) x with Tr x or Tr(r x) = 1.
+    # Any other det = 0 "pair" (a zero or repeated vertex) has an own key
+    # outside every chain.
+    own = col_of_key[orbit_invariant_vec(ctx, a, b, c, d)]
+    counts[np.arange(len(a)), own] += np.where(det == 0, hist[:, 0], 0) - 1
+    # the det' = 0 images of det != 0 pairs are moved: classify by ratio
+    h1, h2 = vertex_split(ctx.m, h)
+    keys = orbit_invariant_vec(
+        ctx, *transvection_apply_vec(ctx, h1, h2, a[moved], b[moved]),
+        *transvection_apply_vec(ctx, h1, h2, c[moved], d[moved]))
+    np.add.at(counts, (moved, col_of_key[keys]), 1)
+    outside = np.flatnonzero(counts[:, k])
+    if len(outside):
+        row = int(outside[0])
+        raise ValueError(f"representative {state_name(representatives[row])} (row {row}) "
+                         f"is not in the {chain!r} chain: its transvection images "
+                         f"leave it")
+    return states, counts[:, :k]
 
 
 def q_empirical(ctx: FieldContext, chain: str) -> TransitionMatrix:
@@ -496,7 +571,8 @@ def full_chain(ctx: FieldContext, chain: str) -> TransitionMatrix:
     states = [PauliPair(PauliIndex(*vertex_split(ctx.m, v)),
                         PauliIndex(*vertex_split(ctx.m, w)))
               for v, w in zip(vs, ws)]
-    return TransitionMatrix(states=states, numerators=4 * counts,
+    counts *= 4  # in place: at m = 3 a copy would be another 30 MB
+    return TransitionMatrix(states=states, numerators=counts,
                             denominator=4 * (n * n - 1))
 
 

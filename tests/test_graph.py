@@ -1,7 +1,9 @@
 """Commutation graph: pair classes, censuses, orbits, strong regularity."""
 
 import json
+import re
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +14,9 @@ from kerdock3.gf2m import FieldContext
 from kerdock3.graph import (CENSUS_MAX_M, ORBIT_KEY_SPACE, CensusReport,
                             EdgeKind, OrbitInvariant, PauliPair,
                             anticommutation_matrix, census, classify_pair,
-                            classify_vec, closed_form_counts, orbit_counts,
-                            orbit_invariant, orbit_invariant_vec,
-                            orbit_representative, orbit_states, pair_code,
+                            classify_vec, closed_form_counts,
+                            determinant_keys, orbit_counts, orbit_invariant,
+                            orbit_invariant_vec, orbit_key, orbit_representative, orbit_states, pair_code,
                             pair_split, parse_census, srg_check,
                             srg_parameters, state_name, state_obj)
 from kerdock3.kerdock import pair_action, sample_psl_vec
@@ -349,3 +351,29 @@ def test_orbit_counts_matches_scalar_invariants(m):
     assert got == want and list(got) == sorted(want)
     assert all(type(c) is int for c in got.values())
     assert orbit_counts(keys, weights) == want_weighted
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_determinant_keys_match_scalar_invariants(m):
+    """A pair with determinant det != 0 has orbit key determinant_keys[det]."""
+    ctx = FieldContext(m)
+    keys = determinant_keys(ctx)
+    assert keys.dtype == np.uint32 and keys.shape == (ctx.order,)
+    assert orbit_key(EdgeKind.TYPE2, 5) == (2 << 16) + 5
+    for det in ctx.nonzero():
+        inv = orbit_invariant(ctx, PauliPair(PauliIndex(1, 0), PauliIndex(0, det)))
+        assert inv.value == det
+        assert int(keys[det]) == orbit_key(inv.kind, inv.value)
+
+
+def test_orbit_key_encoding_has_one_owner():
+    """The orbit key's bit layout appears in graph.py alone; every other
+    module goes through orbit_key, orbit_invariant_vec, determinant_keys
+    or orbit_counts."""
+    src = Path(__file__).resolve().parents[1] / "src" / "kerdock3"
+    layout = re.compile(r"<<\s*16\b|>>\s*16\b|65536|0xFFFF", re.IGNORECASE)
+    offenders = [f"{path.name}:{n}: {line.strip()}"
+                 for path in sorted(src.glob("*.py")) if path.name != "graph.py"
+                 for n, line in enumerate(path.read_text().splitlines(), 1)
+                 if layout.search(line)]
+    assert not offenders, offenders

@@ -2,13 +2,16 @@
 
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from kerdock3.gf2m import FieldContext
-from kerdock3.graph import EdgeKind, orbit_representative, orbit_states
+from kerdock3.graph import (EdgeKind, PauliPair, orbit_invariant,
+                            orbit_representative, orbit_states, state_name)
+from kerdock3.kerdock import pair_action, sample_psl
 from kerdock3.markov import (EMPIRICAL_MAX_M, TransitionMatrix, extract_r,
                              full_chain, lambda_q0_bound, lambda_q1_closed,
                              lump_chain, mixing_time_bound,
@@ -18,6 +21,7 @@ from kerdock3.markov import (EMPIRICAL_MAX_M, TransitionMatrix, extract_r,
                              stationary_check, stationary_weights,
                              transvection_counts, tv_curve, tv_curve_exact,
                              w2_eigenvector_check)
+from kerdock3.pauli import apply_transvection, vertex_split
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -82,19 +86,58 @@ def test_m4_type2_alpha_row_counts():
     assert len(set(r.ravel().tolist())) > 1
 
 
-def test_counts_are_representative_independent():
-    ctx = FieldContext(3)
-    states, base = transvection_counts(ctx, "edges")
-    # second representative of each orbit: act by a fixed transvection image
-    reps = []
-    for s in states:
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("chain", ["edges", "nonedges"])
+def test_counts_match_scalar_brute_force(m, chain):
+    """Each count is the number of transvections whose image, made by the
+    scalar apply_transvection and classified by the scalar orbit_invariant,
+    lies in the column's orbit."""
+    ctx = FieldContext(m)
+    states, counts = transvection_counts(ctx, chain)
+    col_of = {s: j for j, s in enumerate(states)}
+    want = np.zeros((len(states), len(states)), dtype=np.int64)
+    for row, s in enumerate(states):
         p, q = orbit_representative(ctx, s)
-        reps.append((q, p) if s.kind != EdgeKind.TYPE1 else (p, q))
-    _, alt = transvection_counts(ctx, "edges", representatives=reps)
-    # swapped pairs stay in the same orbit only for symmetric invariants;
-    # verify at least the row sums and the type-1 rows agree
-    assert (alt.sum(axis=1) == base.sum(axis=1)).all()
-    assert np.array_equal(alt[:6], base[:6])
+        for h in range(1, ctx.order ** 2):
+            h = vertex_split(m, h)
+            image = PauliPair(apply_transvection(ctx, h, p), apply_transvection(ctx, h, q))
+            want[row, col_of[orbit_invariant(ctx, image)]] += 1
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, want)
+
+
+def test_counts_are_representative_independent():
+    """Any member of each orbit, here a random SL(2) image of the default
+    representative, gives the whole count matrix unchanged."""
+    rng = np.random.default_rng(2)
+    for m in (3, 4, 5):
+        ctx = FieldContext(m)
+        for chain in ("edges", "nonedges"):
+            states, base = transvection_counts(ctx, chain)
+            defaults = [orbit_representative(ctx, s) for s in states]
+            reps = []
+            for p, q in defaults:
+                g = sample_psl(ctx, rng)
+                reps.append(PauliPair(pair_action(ctx, g, p), pair_action(ctx, g, q)))
+            assert reps != defaults
+            _, alt = transvection_counts(ctx, chain, representatives=reps)
+            assert np.array_equal(alt, base), (m, chain)
+
+
+def test_counts_refuse_a_representative_of_another_chain():
+    ctx = FieldContext(3)
+    non_edge = orbit_representative(ctx, orbit_states(ctx, EdgeKind.NON_EDGE)[0])
+    type1 = orbit_representative(ctx, orbit_states(ctx, EdgeKind.TYPE1)[0])
+    for chain, rep in (("edges", non_edge), ("nonedges", type1)):
+        reps = [orbit_representative(ctx, s) for s in transvection_counts(ctx, chain)[0]]
+        reps[1] = rep
+        with pytest.raises(ValueError, match=rf"{re.escape(state_name(rep))} \(row 1\) "
+                                             rf"is not in the '{chain}' chain"):
+            transvection_counts(ctx, chain, representatives=reps)
+    # pairs that are no distinct nonzero pair belong to no chain
+    for rep in (((1, 0), (0, 0)), ((0, 0), (1, 0)), ((3, 1), (3, 1))):
+        with pytest.raises(ValueError, match="is not in the 'edges' chain"):
+            transvection_counts(ctx, "edges", representatives=[rep])
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
