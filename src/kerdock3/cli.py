@@ -171,15 +171,13 @@ def _cmd_chain(args) -> int:
         tm = q_empirical(ctx, chain)
         if args.format == "json":
             chunks.append(tm.to_json())
-            continue
-        if args.format == "csv":
+        elif args.format == "csv":
             chunks.append(f"# chain {chain}\n" + tm.to_csv())
         else:
-            num = np.array(tm.numerators)
             chunks.append(f"chain = {chain}\n"
                           f"states = {len(tm.states)}\n"
                           f"denominator = {tm.denominator}\n")
-            chunks.append(_mat_csv(f"numerators ({chain})", num))
+            chunks.append(_mat_csv(f"numerators ({chain})", tm.numerators))
         if not stationary_check(tm):
             failures.append(f"{chain}:stationary")
         if chain == "nonedges":

@@ -4,7 +4,8 @@ Field elements are plain ints in [0, 2^m).  Bit i of an element is the
 coefficient of alpha^i, where alpha is a root of the chosen degree-m
 primitive polynomial over GF(2); so the integer value doubles as the
 primal coordinate row vector of the element.  Addition is XOR,
-multiplication runs through log/antilog tables built once per context.
+multiplication runs through one pair of log/antilog tables per context,
+read by the scalar methods and, as arrays, by the vectorized kernels.
 
 Besides the primal coordinates ``[a] = (a_0, ..., a_{m-1})`` the module
 maintains dual (trace) coordinates: the dual basis of ``1, alpha, ...,
@@ -212,14 +213,15 @@ class FieldContext:
         self.order = 1 << m  # N = 2^m
         n1 = self.order - 1
 
-        # antilog table doubled so products of logs index without reduction
-        exp = [0] * (2 * n1)
-        log = [0] * self.order
+        # antilog table alpha^i for i <= 2(N-1), then zeros up to 4N; the
+        # sentinel log[0] = 2(N-1)+1 sends a zero operand into the zero
+        # tail, so products and quotients index with no zero branch
+        exp = [0] * (4 * self.order)
+        log = [2 * n1 + 1] + [0] * n1
         val = 1
         alpha_order = None
         for i in range(n1):
-            exp[i] = val
-            exp[i + n1] = val
+            exp[i] = exp[i + n1] = val
             if val != 1 or i == 0:
                 log[val] = i
             val <<= 1
@@ -237,6 +239,7 @@ class FieldContext:
                 f"polynomial {poly:#x} is irreducible but not primitive: "
                 f"x has multiplicative order {alpha_order}, need {n1}"
             )
+        exp[2 * n1] = 1
         self._exp = exp
         self._log = log
 
@@ -268,8 +271,6 @@ class FieldContext:
         return a ^ b
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
         return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
@@ -280,8 +281,6 @@ class FieldContext:
     def div(self, a: int, b: int) -> int:
         if b == 0:
             raise ValueError("division by 0")
-        if a == 0:
-            return 0
         return self._exp[self._log[a] + self.order - 1 - self._log[b]]
 
     def pow(self, a: int, k: int) -> int:
@@ -364,13 +363,12 @@ class FieldContext:
     def np_table(self, name: str) -> np.ndarray:
         """Cached numpy lookup tables for the vectorized kernels.
 
-        Kernels multiply through 'log' (N,) int32, with the sentinel
-        log[0] = 2(N-1)+1, and 'exp' (4N,), alpha^i up to i = 2(N-1) and
-        zero past it: exp[log[x] + log[y]] == x*y, and for y != 0
-        exp[log[x] - log[y] + N-1] == x/y.  A zero operand's sentinel puts
-        the index in the zero tail, so it needs no branch.  Also: 'trace',
-        'dual' and 'inv' (inv[0] = 0), all (N,), and the N x N 'mul' and
-        'div' (div[:, 0] = 0), refused above DENSE_TABLE_MAX_M.
+        Kernels multiply through 'log' (N,) int32 and 'exp' (4N,), the
+        arrays of the sentinel tables that scalar ``mul`` and ``div`` read:
+        exp[log[x] + log[y]] == x*y, and for y != 0
+        exp[log[x] - log[y] + N-1] == x/y.  Also: 'trace', 'dual' and
+        'inv' (inv[0] = 0), all (N,), and the N x N 'mul' and 'div'
+        (div[:, 0] = 0), refused above DENSE_TABLE_MAX_M.
         """
         if name in self._np_cache:
             return self._np_cache[name]
@@ -382,10 +380,8 @@ class FieldContext:
                              f"{DENSE_TABLE_MAX_M}; use the 'log'/'exp' tables")
         if name == "log":
             t = np.array(self._log, dtype=np.int32)
-            t[0] = 2 * n1 + 1
         elif name == "exp":
-            t = np.zeros(4 * n, dtype=dtype)
-            t[:2 * n1 + 1] = self._exp + self._exp[:1]
+            t = np.array(self._exp, dtype=dtype)
         elif name == "mul":
             log = self.np_table("log")
             t = self.np_table("exp")[log[:, None] + log[None, :]]
@@ -397,7 +393,7 @@ class FieldContext:
             t = np.zeros(n, dtype=dtype)
             t[1:] = self.np_table("exp")[n1 - self.np_table("log")[1:]]
         elif name == "trace":
-            t = np.array([self.trace(a) for a in range(n)], dtype=np.uint8)
+            t = np.bitwise_count(np.arange(n) & self._trace_mask).astype(np.uint8) & 1
         elif name == "dual":
             t = np.array(self._dual, dtype=dtype)
         else:

@@ -19,7 +19,9 @@ type-1 edges; the orbit census is closed-form:
     N-2        type-1 orbits,   size  N^2-1     (ratios in F minus {0,1})
 
 ``census`` verifies all of this by exhaustive enumeration for m <= 6
-and reports the closed forms alone beyond that.
+(CENSUS_MAX_M) and reports the closed forms alone beyond that.
+``pair_determinant`` owns the determinant and the pair check (two distinct
+nonzero entries); ``orbit_invariant`` and ``classify_pair`` read it.
 
 This module owns the pair code ``v * N^2 + w`` of two vertex codes and
 the orbit key ``kind * 2^16 + value`` made by ``orbit_key`` (for whole
@@ -134,38 +136,30 @@ def orbit_counts(keys, weights=None) -> Dict[OrbitInvariant, int]:
             for k, c in zip(nz.tolist(), hist[nz].astype(np.int64).tolist())}
 
 
-def _validate(pair: PauliPair) -> Tuple[int, int, int, int]:
+def pair_determinant(ctx: FieldContext, pair: PauliPair) -> int:
+    """det(a b; c d) = ad + bc, the field-valued commutation witness;
+    refuses a pair with a zero or repeated entry."""
     (a, b), (c, d) = pair
     if (a == 0 and b == 0) or (c == 0 and d == 0):
         raise ValueError("pair entries must be nonzero Pauli indices")
     if (a, b) == (c, d):
         raise ValueError("pair entries must be distinct")
-    return a, b, c, d
-
-
-def pair_determinant(ctx: FieldContext, pair: PauliPair) -> int:
-    """det(a b; c d) = ad + bc, the field-valued commutation witness."""
-    a, b, c, d = _validate(pair)
     return ctx.mul(a, d) ^ ctx.mul(b, c)
 
 
 def classify_pair(ctx: FieldContext, pair: PauliPair) -> EdgeKind:
-    det = pair_determinant(ctx, pair)
-    if ctx.trace(det) == 1:
-        return EdgeKind.NON_EDGE
-    return EdgeKind.TYPE1 if det == 0 else EdgeKind.TYPE2
+    return orbit_invariant(ctx, pair).kind
 
 
 def orbit_invariant(ctx: FieldContext, pair: PauliPair) -> OrbitInvariant:
     """(kind, det) for non-edges and type-2 edges; (TYPE1, a/c or b/d) else."""
-    a, b, c, d = _validate(pair)
-    det = ctx.mul(a, d) ^ ctx.mul(b, c)
+    det = pair_determinant(ctx, pair)
     if ctx.trace(det) == 1:
         return OrbitInvariant(EdgeKind.NON_EDGE, det)
     if det != 0:
         return OrbitInvariant(EdgeKind.TYPE2, det)
-    ratio = ctx.div(a, c) if c != 0 else ctx.div(b, d)
-    return OrbitInvariant(EdgeKind.TYPE1, ratio)
+    (a, b), (c, d) = pair
+    return OrbitInvariant(EdgeKind.TYPE1, ctx.div(a, c) if c != 0 else ctx.div(b, d))
 
 
 def classify_vec(ctx: FieldContext, a, b, c, d):
@@ -428,24 +422,14 @@ def _census_chunk(ctx: FieldContext, lo: int, hi: int) -> Dict[OrbitInvariant, i
     return orbit_counts(keys[first != second])
 
 
-def census(ctx: FieldContext, exhaustive: Optional[bool] = None,
-           threads: int = 1) -> CensusReport:
-    """Count edges, non-edges and orbit sizes; enumerate when m <= 6.
-
-    With ``exhaustive=None`` enumeration is performed exactly when the
-    state space is within the cap; requesting it explicitly beyond the
-    cap raises.
-    """
-    if exhaustive is None:
-        exhaustive = ctx.m <= CENSUS_MAX_M
-    elif exhaustive and ctx.m > CENSUS_MAX_M:
-        raise ValueError(
-            f"exhaustive census capped at m = {CENSUS_MAX_M}; "
-            f"use exhaustive=False for the formula-only report")
-    report = CensusReport(m=ctx.m, exhaustive=exhaustive,
+def census(ctx: FieldContext, threads: int = 1) -> CensusReport:
+    """Count edges, non-edges and orbit sizes, enumerating them exactly
+    when m <= CENSUS_MAX_M; beyond it the report holds the closed forms
+    alone."""
+    report = CensusReport(m=ctx.m, exhaustive=ctx.m <= CENSUS_MAX_M,
                           closed_form=closed_form_counts(ctx.m),
                           srg=srg_parameters(ctx.m))
-    if not exhaustive:
+    if not report.exhaustive:
         return report
 
     n = ctx.order

@@ -30,7 +30,7 @@ from typing import Iterator, List, NamedTuple, Optional, Tuple, Union
 import numpy as np
 
 from .gf2m import FieldContext, f2_rows_to_numpy
-from .pauli import PairLike, PauliIndex, SymplecticMatrix, vertex_split
+from .pauli import PairLike, PauliIndex, SymplecticMatrix, pack_index, vertex_split
 
 __all__ = [
     "INFINITY",
@@ -171,14 +171,8 @@ def psl_to_symplectic(ctx: FieldContext, g: PslElement) -> SymplecticMatrix:
     """
     _check_det(ctx, g)
     m = ctx.m
-    rows = []
-    for i in range(m):
-        q = pair_action(ctx, g, (1 << i, 0))
-        rows.append(q.a | (ctx.dual_coords(q.b) << m))
-    for j in range(m):
-        q = pair_action(ctx, g, (0, ctx.dual_decode(1 << j)))
-        rows.append(q.a | (ctx.dual_coords(q.b) << m))
-    return SymplecticMatrix(m, rows)
+    basis = [(1 << i, 0) for i in range(m)] + [(0, ctx.dual_decode(1 << j)) for j in range(m)]
+    return SymplecticMatrix(m, [pack_index(ctx, pair_action(ctx, g, p)) for p in basis])
 
 
 def psl_factors(ctx: FieldContext, g: PslElement):
@@ -195,13 +189,13 @@ def psl_factors(ctx: FieldContext, g: PslElement):
     mvw = lambda x: f2_rows_to_numpy(_mul_w_rows(ctx, x), ctx.m)
     if g.gamma == 0:
         return [
-            ("basis", f2_rows_to_numpy(ctx.mul_matrix_rows(g.alpha), ctx.m)),
+            ("basis", ctx.mul_matrix(g.alpha)),
             ("phase", mvw(ctx.mul(g.beta, g.delta))),
         ]
     inv_gamma = ctx.inv(g.gamma)
     return [
         ("phase", mvw(ctx.mul(g.alpha, inv_gamma))),
-        ("basis", f2_rows_to_numpy(ctx.mul_matrix_rows(inv_gamma), ctx.m)),
+        ("basis", ctx.mul_matrix(inv_gamma)),
         ("hadamard",),
         ("basis", f2_rows_to_numpy(ctx.w_inv_rows, ctx.m)),
         ("phase", mvw(ctx.mul(g.delta, inv_gamma))),

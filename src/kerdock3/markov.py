@@ -164,13 +164,20 @@ def parse_csv_probs(text: str) -> Tuple[List[str], np.ndarray]:
 # --- closed forms ---
 
 
+def _q1_block(n: int, k: int) -> np.ndarray:
+    """The k x k numerator block (N^2-4) I + 6N J of Q1, shared by Q0."""
+    return (n * n - 4) * np.eye(k, dtype=np.int64) + 6 * n
+
+
 def q1_closed_form(ctx: FieldContext) -> TransitionMatrix:
-    """Non-edge orbit chain: [(N^2-4) I + 6N J] / (4(N^2-1))."""
+    """Non-edge orbit chain: [(N^2-4) I + 6N J] / (4(N^2-1)); its (N/2)^2
+    numerators are refused above EMPIRICAL_MAX_M, as q_empirical's are."""
+    if ctx.m > EMPIRICAL_MAX_M:
+        raise ValueError(f"the closed-form Q1 is capped at m = {EMPIRICAL_MAX_M}, "
+                         f"as the orbit chains it is checked against are")
     n = ctx.order
-    k = n // 2
-    numerators = (n * n - 4) * np.eye(k, dtype=np.int64) + 6 * n * np.ones((k, k), dtype=np.int64)
     return TransitionMatrix(states=orbit_states(ctx, EdgeKind.NON_EDGE),
-                            numerators=numerators,
+                            numerators=_q1_block(n, n // 2),
                             denominator=4 * (n * n - 1))
 
 
@@ -340,8 +347,7 @@ def q0_structure_check(tm: TransitionMatrix) -> Q0StructureReport:
     upper_left = q[:m1, :m1]
     if not np.array_equal(upper_left, (n * n - 4) * np.eye(m1, dtype=np.int64)):
         failures.append(f"upper-left block is not (N^2-4) I: {upper_left.tolist()}")
-    expected_lr = (n * n - 4) * np.eye(m2, dtype=np.int64) + 6 * n * np.ones((m2, m2), dtype=np.int64)
-    if not np.array_equal(q[m1:, m1:], expected_lr):
+    if not np.array_equal(q[m1:, m1:], _q1_block(n, m2)):
         failures.append(f"lower-right block is not (N^2-4) I + 6N J: {q[m1:, m1:].tolist()}")
     if not np.array_equal(q[:m1, m1:], n * r.T):
         failures.append("upper-right block is not N R^T")
@@ -407,7 +413,12 @@ class SpectralReport:
         }, sort_keys=True) + "\n"
 
 
-def spectral_report(tm: TransitionMatrix, tol: float = 1e-10) -> SpectralReport:
+# spectral_report refuses a negative stationary mass below -_EIG_TOL, and
+# a leading eigenvalue or stationary residual off by more than its root
+_EIG_TOL = 1e-10
+
+
+def spectral_report(tm: TransitionMatrix) -> SpectralReport:
     q = tm.probs
     try:
         eigvals, left = np.linalg.eig(q.T)
@@ -416,16 +427,16 @@ def spectral_report(tm: TransitionMatrix, tol: float = 1e-10) -> SpectralReport:
     order = np.argsort(-eigvals.real)
     eigvals = eigvals[order]
     left = left[:, order]
-    if abs(eigvals[0] - 1.0) > math.sqrt(tol):
+    if abs(eigvals[0] - 1.0) > math.sqrt(_EIG_TOL):
         raise ValueError(f"leading eigenvalue {eigvals[0]} is not 1")
     pi = left[:, 0].real
     pi = pi / pi.sum()
-    if pi.min() < -tol:
+    if pi.min() < -_EIG_TOL:
         raise ValueError(f"stationary distribution has negative mass: {pi}")
     pi = np.clip(pi, 0.0, None)
     pi = pi / pi.sum()
     residual = float(np.abs(pi @ q - pi).max())
-    if residual > math.sqrt(tol):
+    if residual > math.sqrt(_EIG_TOL):
         raise ValueError(f"stationary residual {residual} too large")
     lambda2 = float(eigvals[1].real) if len(eigvals) > 1 else float("-inf")
     lambda_min = float(eigvals[-1].real)

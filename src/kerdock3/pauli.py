@@ -10,8 +10,8 @@ pair is the vertex code ``v = a | b << m`` (``vertex_code`` and
 
 Symplectic matrices act on the right of packed row vectors; a matrix is
 stored as 2m row words, so applying it is a bit-select XOR of rows and
-composition is word-wise GF(2) row reduction.  The generators mirror
-the standard Clifford dictionary:
+composition is word-wise GF(2) row reduction, and the inverse is
+Omega F^T Omega.  The generators mirror the standard Clifford dictionary:
 
     omega_matrix        block swap            <-> full Hadamard H_N
     basis_change_matrix [[Q,0],[0,Q^-T]]      <-> e_v -> e_{vQ}
@@ -20,7 +20,8 @@ the standard Clifford dictionary:
 
 Transvections ``Z_h = I + Omega h^T h`` are the self-inverse walk moves:
 ``x Z_h = x + <x, h> h``, in field form
-``(a, b) -> (a, b) + Tr(a h2 + b h1) (h1, h2)``.
+``(a, b) -> (a, b) + Tr(a h2 + b h1) (h1, h2)``; conjugation by F moves
+Z_h to Z_{hF}.
 """
 
 from __future__ import annotations
@@ -121,17 +122,9 @@ class SymplecticMatrix:
         return SymplecticMatrix(self.m, f2_mat_transpose(self.rows, 2 * self.m))
 
     def inverse(self) -> "SymplecticMatrix":
-        """Inverse via the symplectic block identity F^-1 = [[D^T,B^T],[C^T,A^T]]."""
-        m = self.m
-        mask = (1 << m) - 1
-        a = [r & mask for r in self.rows[:m]]
-        b = [r >> m for r in self.rows[:m]]
-        c = [r & mask for r in self.rows[m:]]
-        d = [r >> m for r in self.rows[m:]]
-        at, bt, ct, dt = (f2_mat_transpose(x, m) for x in (a, b, c, d))
-        rows = [dt[i] | (bt[i] << m) for i in range(m)]
-        rows += [ct[i] | (at[i] << m) for i in range(m)]
-        return SymplecticMatrix(m, rows)
+        """Omega F^T Omega: [[D^T, B^T], [C^T, A^T]] for F = [[A, B], [C, D]]."""
+        omega = omega_matrix(self.m)
+        return omega @ self.transpose() @ omega
 
     def is_symplectic(self) -> bool:
         """Check F Omega F^T = Omega, i.e. the action preserves the inner product."""
@@ -210,9 +203,8 @@ def apply_symplectic(ctx: FieldContext, f: SymplecticMatrix, p: PairLike) -> Pau
 
 
 def omega_matrix(m: int) -> SymplecticMatrix:
-    """Block swap [[0, I], [I, 0]]; the symplectic form itself."""
-    rows = [1 << (m + i) for i in range(m)] + [1 << i for i in range(m)]
-    return SymplecticMatrix(m, rows)
+    """Block swap [[0, I], [I, 0]], the symplectic form: H on all m coordinates."""
+    return partial_hadamard_matrix(m, m)
 
 
 def basis_change_matrix(m: int, q: np.ndarray) -> SymplecticMatrix:
@@ -273,7 +265,7 @@ def conjugate_transvection(
     ctx: FieldContext, f: SymplecticMatrix, h: PairLike
 ) -> Transvection:
     """The transvection with F^-1 Z_h F = Z_{hF}."""
-    return Transvection(*unpack_index(ctx, f.apply(pack_index(ctx, Transvection(*h)))))
+    return Transvection(*apply_symplectic(ctx, f, h))
 
 
 def sample_transvection(

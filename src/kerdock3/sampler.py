@@ -203,9 +203,16 @@ def read_jsonl(fh, m: int) -> List[Tuple[int, DesignSample]]:
 
 
 def class_size(ctx: FieldContext, probe: Probe) -> Tuple[str, int]:
-    """(class name, class cardinality) for a probe vertex or pair."""
+    """(class name, class cardinality) for a probe vertex or pair; refuses an
+    element outside [0, N), a zero vertex, or (``classify_pair``) a pair
+    with a zero or repeated entry."""
     counts = closed_form_counts(ctx.m)
-    if isinstance(probe, PauliIndex) or (len(probe) == 2 and isinstance(probe[0], int)):
+    vertex = isinstance(probe, PauliIndex) or (len(probe) == 2 and isinstance(probe[0], int))
+    if not all(0 <= x < ctx.order for v in ([probe] if vertex else probe) for x in v):
+        raise ValueError(f"field elements must lie in [0, {ctx.order})")
+    if vertex:
+        if tuple(probe) == (0, 0):
+            raise ValueError("a vertex probe must be a nonzero Pauli index")
         return "vertices", counts["vertices"]
     if classify_pair(ctx, probe) == EdgeKind.NON_EDGE:
         return "anticommuting_pairs", counts["non_edges"]
@@ -262,19 +269,23 @@ class PairStatistics:
         return "\n".join(lines) + "\n"
 
 
-def _normalize_probes(m: int, probes: Sequence[Probe]) -> List[Probe]:
-    """Probes as PauliIndex / PauliPair; at least one pair, and every
-    pair histogram (N^4 bins) within MAX_PAIR_BINS."""
+def _normalize_probes(ctx: FieldContext, probes: Sequence[Probe]) -> List[Probe]:
+    """Probes as PauliIndex / PauliPair, each checked by ``class_size``; at
+    least one pair, and every pair histogram (N^4 bins) within MAX_PAIR_BINS."""
     out: List[Probe] = []
     for probe in probes:
         if isinstance(probe[0], int):
             out.append(PauliIndex(*probe))
         else:
             out.append(PauliPair(PauliIndex(*probe[0]), PauliIndex(*probe[1])))
+        try:
+            class_size(ctx, out[-1])
+        except ValueError as exc:
+            raise ValueError(f"probe {state_name(out[-1])}: {exc}") from None
     if not any(isinstance(p, PauliPair) for p in out):
         raise ValueError("probes must include at least one pair")
-    if 1 << (4 * m) > MAX_PAIR_BINS:
-        raise ValueError(f"a pair probe at m={m} needs 2^{4 * m} histogram bins; "
+    if 1 << (4 * ctx.m) > MAX_PAIR_BINS:
+        raise ValueError(f"a pair probe at m={ctx.m} needs 2^{4 * ctx.m} histogram bins; "
                          f"the cap is {MAX_PAIR_BINS} (m <= 6)")
     return out
 
@@ -282,7 +293,9 @@ def _normalize_probes(m: int, probes: Sequence[Probe]) -> List[Probe]:
 def pair_statistics(ctx: FieldContext, samples: Sequence[DesignSample],
                     probes: Sequence[Probe]) -> PairStatistics:
     """Exact (per-sample) statistics for explicit sample lists."""
-    probes = _normalize_probes(ctx.m, probes)
+    probes = _normalize_probes(ctx, probes)
+    if not samples:
+        raise ValueError("pair statistics need at least one sample")
     m = ctx.m
     counts = _zero_counts(ctx, probes)
     for s in samples:
@@ -384,8 +397,12 @@ def pair_statistics_stream(config: SamplerConfig, probes: Sequence[Probe],
     consumes the substream (seed, 2^64-1-j) and the merge is an ordered
     running sum, so memory does not grow with the number of batches.
     """
-    probes = _normalize_probes(config.m, probes)
     ctx = _config_ctx(config, ctx)
+    probes = _normalize_probes(ctx, probes)
+    if config.count < 1:
+        raise ValueError(f"pair statistics need count >= 1, got {config.count}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     steps = config.resolved_steps()
     counts = _zero_counts(ctx, probes)
 

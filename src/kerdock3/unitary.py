@@ -36,9 +36,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .gf2m import FieldContext
-from .graph import EdgeKind
 from .kerdock import PslElement, psl_elements, psl_factors
-from .markov import q_empirical
+from .markov import q_empirical, stationary_weights
 from .pauli import PauliIndex, SymplecticMatrix, apply_symplectic, vertex_split
 from .sampler import DesignSample
 
@@ -179,9 +178,9 @@ def phase_unitary(m: int, p: np.ndarray) -> np.ndarray:
 
 
 _GENERATORS = {
-    "phase": lambda m, arg: phase_unitary(m, arg),
-    "basis": lambda m, arg: basis_unitary(m, arg),
-    "hadamard": lambda m: hadamard_unitary(m),
+    "phase": phase_unitary,
+    "basis": basis_unitary,
+    "hadamard": hadamard_unitary,
 }
 
 
@@ -251,8 +250,11 @@ def frame_potential(unitaries: Sequence[np.ndarray], k: int) -> float:
     return frame_potential_estimate(unitaries, k)[0]
 
 
-def frame_potential_estimate(unitaries: Sequence[np.ndarray], k: int,
-                             chunk: int = 1024) -> Tuple[float, float]:
+# Gram rows per block of frame_potential_estimate
+_GRAM_CHUNK = 1024
+
+
+def frame_potential_estimate(unitaries: Sequence[np.ndarray], k: int) -> Tuple[float, float]:
     """(F_hat, sigma_hat) for the uniform empirical frame potential.
 
     sigma_hat is the first-order (projection) standard error of the
@@ -263,8 +265,8 @@ def frame_potential_estimate(unitaries: Sequence[np.ndarray], k: int,
     s = vecs.shape[0]
     row_means = np.empty(s)
     total = 0.0
-    for lo in range(0, s, chunk):
-        hi = min(lo + chunk, s)
+    for lo in range(0, s, _GRAM_CHUNK):
+        hi = min(lo + _GRAM_CHUNK, s)
         g = np.abs(vecs[lo:hi] @ vecs.conj().T) ** (2 * k)
         row_means[lo:hi] = g.mean(axis=1)
         total += float(g.sum())
@@ -304,11 +306,11 @@ def haar_frame_potential(dim: int, k: int) -> int:
 
 
 def _ordered_orbit_sizes(ctx: FieldContext, chain: str) -> Dict[object, int]:
-    n = ctx.order
-    size = {EdgeKind.TYPE1: n * n - 1, EdgeKind.TYPE2: (n * n - 1) * n,
-            EdgeKind.NON_EDGE: (n * n - 1) * n}
+    """(N^2 - 1) stationary_weights: each state's orbit size, up to a factor
+    per chain (N for non-edges) that cancels in collision_frame_potential_3."""
     tm = q_empirical(ctx, chain)
-    return {s: size[s.kind] for s in tm.states}
+    sizes = (ctx.order ** 2 - 1) * stationary_weights(tm)
+    return dict(zip(tm.states, sizes.tolist()))
 
 
 def collision_frame_potential_3(ctx: FieldContext, t: int) -> float:

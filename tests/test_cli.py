@@ -88,6 +88,17 @@ def test_chain_csv_round_trip(tmp_path):
     assert np.allclose(probs.sum(axis=1), 1.0)
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_chain_failed_check_exits_1_in_every_format(fmt, tmp_path, monkeypatch, capsys):
+    import kerdock3.cli as cli
+
+    monkeypatch.setattr(cli, "stationary_check", lambda tm: False)
+    rc, _ = run(tmp_path, "chain", "--m", "2", "--format", fmt)
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err) == \
+        {"failures": ["edges:stationary", "nonedges:stationary"]}
+
+
 def test_spectra_text_and_json(tmp_path):
     rc, text = run(tmp_path, "spectra", "--m", "2", "--epsilon", "0.01")
     assert rc == 0

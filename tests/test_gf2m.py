@@ -210,6 +210,36 @@ def test_log_exp_contract(case):
     assert "mul" not in ctx._np_cache and "div" not in ctx._np_cache
 
 
+@st.composite
+def _scalars(draw):
+    """(ctx, a, b): two field elements, each zero about a third of the time."""
+    m = draw(st.integers(2, 16))
+    elem = st.one_of(st.just(0), st.integers(0, (1 << m) - 1), st.integers(1, (1 << m) - 1))
+    return _field(m), draw(elem), draw(elem)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scalars())
+def test_scalar_arithmetic_matches_polynomial_product(case):
+    """Scalar mul is the carry-less product reduced mod the polynomial, and
+    div and inv invert it, for random m in 2..16: an independent check of
+    the sentinel tables the scalar and vector paths share."""
+    ctx, a, b = case
+    prod = polymod(clmul(a, b), ctx.poly)
+    assert ctx.mul(a, b) == prod == ctx.mul(b, a)
+    if b:
+        assert polymod(clmul(b, ctx.inv(b)), ctx.poly) == 1
+        assert ctx.div(prod, b) == a
+        assert polymod(clmul(ctx.div(a, b), b), ctx.poly) == a
+    else:
+        with pytest.raises(ValueError):
+            ctx.div(a, b)
+        with pytest.raises(ValueError):
+            ctx.inv(b)
+        with pytest.raises(ValueError):
+            ctx.log(b)
+
+
 @pytest.mark.parametrize("m", [13, 16])
 def test_dense_tables_refused_above_cap(m):
     """N x N 'mul'/'div' above m = 12 raise before allocating anything."""

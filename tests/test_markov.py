@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -308,6 +309,21 @@ def test_empirical_cap():
     with pytest.raises(ValueError):
         q_empirical(ctx, "edges")
     assert EMPIRICAL_MAX_M == 8
+
+
+@pytest.mark.parametrize("m", [9, 16])
+def test_q1_closed_form_cap(m):
+    """Q1 has (N/2)^2 numerators (8 GiB per matrix at m = 16): refused
+    above EMPIRICAL_MAX_M before anything is allocated."""
+    ctx = FieldContext(m)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"capped at m = {EMPIRICAL_MAX_M}"):
+            q1_closed_form(ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_bad_chain_name():

@@ -16,7 +16,7 @@ from kerdock3.pauli import (PauliIndex, SymplecticMatrix, Transvection,
                             partial_hadamard_matrix, phase_matrix,
                             sample_transvection, symplectic_inner,
                             transvection_apply_vec, transvection_matrix,
-                            unpack_index)
+                            unpack_index, vertex_split)
 
 
 def test_pack_unpack_round_trip():
@@ -253,15 +253,17 @@ def test_sample_transvection_deterministic_and_nonzero():
 
 
 def test_inverse_block_formula():
-    """Symplectic inverse = [[D^T, B^T], [C^T, A^T]] of blocks [[A,B],[C,D]]."""
-    ctx = FieldContext(2)
+    """Symplectic inverse = [[D^T, B^T], [C^T, A^T]] of blocks [[A,B],[C,D]],
+    the numpy reference for Omega F^T Omega, at m = 2..8."""
     rng = np.random.default_rng(29)
-    for _ in range(40):
-        f = SymplecticMatrix.identity(2)
-        for k in rng.integers(1, 16, size=5):
-            f = f @ transvection_matrix(ctx, (int(k) & 3, int(k) >> 2))
-        mat = f.to_numpy()
-        a, b = mat[:2, :2], mat[:2, 2:]
-        c, d = mat[2:, :2], mat[2:, 2:]
-        inv = np.block([[d.T, b.T], [c.T, a.T]]) % 2
-        assert (f.inverse().to_numpy() == inv).all()
+    for m in range(2, 9):
+        ctx = FieldContext(m)
+        for _ in range(40):
+            f = SymplecticMatrix.identity(m)
+            for k in rng.integers(1, ctx.order ** 2, size=5):
+                f = f @ transvection_matrix(ctx, vertex_split(m, int(k)))
+            mat = f.to_numpy()
+            a, b = mat[:m, :m], mat[:m, m:]
+            c, d = mat[m:, :m], mat[m:, m:]
+            inv = np.block([[d.T, b.T], [c.T, a.T]]) % 2
+            assert (f.inverse().to_numpy() == inv).all()

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import re
 import time
 import tracemalloc
 
@@ -266,7 +267,7 @@ def test_pair_statistics_refuse_oversized_histograms(m):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 22
-    assert len(_normalize_probes(6, [COMMUTING_PROBE])) == 1  # m = 6 is at the cap
+    assert len(_normalize_probes(FieldContext(6), [COMMUTING_PROBE])) == 1  # m = 6 is at the cap
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -337,6 +338,51 @@ def test_stream_statistics_requires_a_pair_probe():
     config = SamplerConfig(m=2, seed=1, count=10, steps=1)
     with pytest.raises(ValueError):
         pair_statistics_stream(config, [(1, 0)])
+
+
+def _refuse_batches(monkeypatch):
+    import kerdock3.sampler as sampler_module
+
+    def never(*args, **kwargs):
+        raise AssertionError("a batch ran before the arguments were checked")
+
+    monkeypatch.setattr(sampler_module, "_stats_batch", never)
+
+
+@pytest.mark.parametrize("bad,name", [
+    ((0x0, 0x0), "vertex:0x0,0x0"),
+    ((0x4, 0x1), "vertex:0x4,0x1"),
+    ((-1, 0x1), "vertex:-0x1,0x1"),
+    (((0x1, 0x0), (0x1, 0x0)), "pair:0x1,0x0;0x1,0x0"),
+    (((0x0, 0x0), (0x1, 0x0)), "pair:0x0,0x0;0x1,0x0"),
+    (((0x1, 0x0), (0x0, 0x4)), "pair:0x1,0x0;0x0,0x4"),
+])
+def test_statistics_refuse_a_bad_probe_before_any_batch(bad, name, monkeypatch):
+    """A zero vertex, a repeated pair entry or an element outside [0, N)
+    is named and refused before the walk, by both entry points."""
+    _refuse_batches(monkeypatch)
+    config = SamplerConfig(m=2, seed=1, count=1 << 18, steps=2)
+    with pytest.raises(ValueError, match=re.escape(f"probe {name}:")):
+        pair_statistics_stream(config, [COMMUTING_PROBE, bad])
+    samples = [sample_at(config, 0)]
+    with pytest.raises(ValueError, match=re.escape(f"probe {name}:")):
+        pair_statistics(FieldContext(2), samples, [COMMUTING_PROBE, bad])
+
+
+def test_statistics_refuse_empty_runs(monkeypatch):
+    """count = 0, no samples, or a batch size below 1 are refused up front;
+    they gave NaN TV (and a ZeroDivisionError in to_json), an assertion
+    about escaped probe images, or a bare range() error."""
+    _refuse_batches(monkeypatch)
+    with pytest.raises(ValueError, match="count >= 1"):
+        pair_statistics_stream(SamplerConfig(m=2, seed=1, count=0, steps=2),
+                               [COMMUTING_PROBE])
+    with pytest.raises(ValueError, match="at least one sample"):
+        pair_statistics(FieldContext(2), [], [COMMUTING_PROBE])
+    config = SamplerConfig(m=2, seed=1, count=10, steps=2)
+    for batch_size in (0, -1):
+        with pytest.raises(ValueError, match="batch_size"):
+            pair_statistics_stream(config, [COMMUTING_PROBE], batch_size=batch_size)
 
 
 @pytest.mark.parametrize("m,probe,chain", [
