@@ -155,9 +155,11 @@ def f2_mat_transpose(rows: Tuple[int, ...], width: int) -> Tuple[int, ...]:
 def f2_mat_inv(rows: Tuple[int, ...], n: int) -> Tuple[int, ...]:
     """Inverse of an n x n packed GF(2) matrix (Gauss-Jordan).
 
-    Raises ValueError if the matrix is singular.
+    Raises ValueError unless it is n rows of n bits and nonsingular.
     """
     a = list(rows)
+    if len(a) != n or any(r >> n for r in a):
+        raise ValueError(f"expected an {n} x {n} matrix as {n} rows of {n} bits")
     inv = [1 << i for i in range(n)]
     for col in range(n):
         piv = next((r for r in range(col, n) if (a[r] >> col) & 1), None)
@@ -366,9 +368,9 @@ class FieldContext:
         Kernels multiply through 'log' (N,) int32 and 'exp' (4N,), the
         arrays of the sentinel tables that scalar ``mul`` and ``div`` read:
         exp[log[x] + log[y]] == x*y, and for y != 0
-        exp[log[x] - log[y] + N-1] == x/y.  Also: 'trace', 'dual' and
-        'inv' (inv[0] = 0), all (N,), and the N x N 'mul' and 'div'
-        (div[:, 0] = 0), refused above DENSE_TABLE_MAX_M.
+        exp[log[x] - log[y] + N-1] == x/y.  Also: 'trace' and 'dual',
+        both (N,), and the N x N 'mul' and 'div' (div[:, 0] = 0), refused
+        above DENSE_TABLE_MAX_M.
         """
         if name in self._np_cache:
             return self._np_cache[name]
@@ -389,9 +391,6 @@ class FieldContext:
             log = self.np_table("log")
             t = np.zeros((n, n), dtype=dtype)
             t[:, 1:] = self.np_table("exp")[log[:, None] - log[None, 1:] + n1]
-        elif name == "inv":
-            t = np.zeros(n, dtype=dtype)
-            t[1:] = self.np_table("exp")[n1 - self.np_table("log")[1:]]
         elif name == "trace":
             t = np.bitwise_count(np.arange(n) & self._trace_mask).astype(np.uint8) & 1
         elif name == "dual":

@@ -182,23 +182,22 @@ def psl_factors(ctx: FieldContext, g: PslElement):
     gamma == 0:  L_{A_alpha} . T_{A_{beta delta} W}
 
     Returned as ("phase", P) / ("basis", Q) / ("hadamard",) descriptors
-    with numpy matrix parameters, consumable by the symplectic generator
+    with packed-row matrix parameters, consumable by the symplectic generator
     constructors and by the unitary synthesis (in reversed order there).
     """
     _check_det(ctx, g)
-    mvw = lambda x: f2_rows_to_numpy(_mul_w_rows(ctx, x), ctx.m)
     if g.gamma == 0:
         return [
-            ("basis", ctx.mul_matrix(g.alpha)),
-            ("phase", mvw(ctx.mul(g.beta, g.delta))),
+            ("basis", ctx.mul_matrix_rows(g.alpha)),
+            ("phase", _mul_w_rows(ctx, ctx.mul(g.beta, g.delta))),
         ]
     inv_gamma = ctx.inv(g.gamma)
     return [
-        ("phase", mvw(ctx.mul(g.alpha, inv_gamma))),
-        ("basis", ctx.mul_matrix(inv_gamma)),
+        ("phase", _mul_w_rows(ctx, ctx.mul(g.alpha, inv_gamma))),
+        ("basis", ctx.mul_matrix_rows(inv_gamma)),
         ("hadamard",),
-        ("basis", f2_rows_to_numpy(ctx.w_inv_rows, ctx.m)),
-        ("phase", mvw(ctx.mul(g.delta, inv_gamma))),
+        ("basis", ctx.w_inv_rows),
+        ("phase", _mul_w_rows(ctx, ctx.mul(g.delta, inv_gamma))),
     ]
 
 

@@ -110,6 +110,13 @@ class TransitionMatrix:
         if not (sums == self.denominator).all():
             raise ValueError(f"rows must sum to {self.denominator}, got {sums}")
 
+    def __eq__(self, other: object) -> bool:
+        """Exact: the same states in order, denominator and numerators."""
+        if not isinstance(other, TransitionMatrix):
+            return NotImplemented
+        return (self.states == other.states and self.denominator == other.denominator
+                and np.array_equal(self.numerators, other.numerators))
+
     @property
     def probs(self) -> np.ndarray:
         """Floating-point view."""

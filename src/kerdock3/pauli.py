@@ -11,7 +11,8 @@ pair is the vertex code ``v = a | b << m`` (``vertex_code`` and
 Symplectic matrices act on the right of packed row vectors; a matrix is
 stored as 2m row words, so applying it is a bit-select XOR of rows and
 composition is word-wise GF(2) row reduction, and the inverse is
-Omega F^T Omega.  The generators mirror the standard Clifford dictionary:
+Omega F^T Omega.  The generators mirror the standard Clifford dictionary,
+with the m x m blocks Q and P given as m packed row words:
 
     omega_matrix        block swap            <-> full Hadamard H_N
     basis_change_matrix [[Q,0],[0,Q^-T]]      <-> e_v -> e_{vQ}
@@ -207,25 +208,18 @@ def omega_matrix(m: int) -> SymplecticMatrix:
     return partial_hadamard_matrix(m, m)
 
 
-def basis_change_matrix(m: int, q: np.ndarray) -> SymplecticMatrix:
+def basis_change_matrix(m: int, q: Tuple[int, ...]) -> SymplecticMatrix:
     """[[Q, 0], [0, Q^-T]] for invertible Q; relabels basis states by vQ."""
-    q_rows = f2_numpy_to_rows(q)
-    if len(q_rows) != m:
-        raise ValueError("Q must be m x m")
-    qinv = f2_mat_inv(q_rows, m)
-    rows = list(q_rows) + [r << m for r in f2_mat_transpose(qinv, m)]
-    return SymplecticMatrix(m, rows)
+    qinv = f2_mat_inv(q, m)
+    return SymplecticMatrix(m, tuple(q) + tuple(r << m for r in f2_mat_transpose(qinv, m)))
 
 
-def phase_matrix(m: int, p: np.ndarray) -> SymplecticMatrix:
+def phase_matrix(m: int, p: Tuple[int, ...]) -> SymplecticMatrix:
     """[[I, P], [0, I]] for symmetric P; the diagonal-phase generator."""
-    p = np.asarray(p) % 2
-    if not np.array_equal(p, p.T):
-        raise ValueError("P must be symmetric over GF(2)")
-    p_rows = f2_numpy_to_rows(p)
-    rows = [(1 << i) | (p_rows[i] << m) for i in range(m)]
-    rows += [1 << (m + i) for i in range(m)]
-    return SymplecticMatrix(m, rows)
+    if tuple(p) != f2_mat_transpose(p, m):
+        raise ValueError("P must be a symmetric m x m matrix over GF(2)")
+    return SymplecticMatrix(m, [(1 << i) | (r << m) for i, r in enumerate(p)]
+                            + [1 << (m + i) for i in range(m)])
 
 
 def partial_hadamard_matrix(m: int, t: int) -> SymplecticMatrix:

@@ -297,6 +297,10 @@ def pair_statistics(ctx: FieldContext, samples: Sequence[DesignSample],
     if not samples:
         raise ValueError("pair statistics need at least one sample")
     m = ctx.m
+    for s in samples:
+        if s.composed.m != m:
+            raise ValueError(f"a sample of degree m = {s.composed.m} in the field of "
+                             f"degree m = {m}")
     counts = _zero_counts(ctx, probes)
     for s in samples:
         f = s.composed

@@ -14,14 +14,15 @@ Conjugation by the generator unitaries moves index pairs by exactly the
 corresponding binary-symplectic generator matrices; ``conjugation_check``
 verifies that relation entrywise, tracking the +-1, +-i phase freedom.
 
-Generator unitaries are cached per field, keyed by (m, poly): the N^2
-Pauli monomials D(a, b), the N^2 - 1 transvection unitaries and the
-Hadamard H^(x m) are each built the first time they are asked for and
-kept as read-only arrays, so ``sample_unitary`` and ``psl_unitary``
-multiply stored factors instead of rebuilding them at every step.  The
-caches hold up to about 2 N^4 complex entries per field, 33 MB at m = 5
-and 0.5 GB at m = 6, so every dense constructor refuses m > DENSE_MAX_M
-with a ValueError before it allocates anything.
+Generator unitaries are built on first use and kept as read-only arrays,
+so ``sample_unitary`` and ``psl_unitary`` multiply stored factors instead
+of rebuilding them at every step.  The N^2 Pauli monomials D(a, b) and the
+N^2 - 1 transvection unitaries are keyed by (m, poly), the Hadamard H^(x m)
+by m, and the basis and phase factors of ``psl_factors`` by (m, packed
+rows): field-independent, at most about 2N + 1 entries per m.  The caches
+hold up to about 2 N^4 complex entries per field, 33 MB at m = 5 and
+0.5 GB at m = 6, so every dense constructor refuses m > DENSE_MAX_M with a
+ValueError before it allocates anything.
 
 Frame potentials are computed by chunked Gram products on flattened
 unitaries; the Haar baseline is the number of standard Young tableaux
@@ -35,7 +36,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .gf2m import FieldContext
+from .gf2m import FieldContext, f2_mat_inv, f2_mat_mul, f2_mat_transpose
 from .kerdock import PslElement, psl_elements, psl_factors
 from .markov import q_empirical, stationary_weights
 from .pauli import PauliIndex, SymplecticMatrix, apply_symplectic, vertex_split
@@ -69,9 +70,10 @@ __all__ = [
 # dense synthesis is refused above this m (see the module docstring)
 DENSE_MAX_M = 5
 
-# read-only generator unitaries: ("pauli" | "transvection", m, poly, x, y)
-# and ("hadamard", m) -> array.  Shared by the whole process, which is safe
-# because each entry is a pure function of its key and cannot be written.
+# read-only generator unitaries: ("pauli" | "transvection", m, poly, x, y),
+# ("basis" | "phase", m, rows) and ("hadamard", m) -> array.  Shared by the
+# whole process, which is safe because each entry is a pure function of its
+# key and cannot be written.
 _UNITARY_CACHE: Dict[tuple, np.ndarray] = {}
 
 
@@ -149,32 +151,31 @@ def partial_hadamard_unitary(m: int, t: int) -> np.ndarray:
     return np.kron(np.eye(1 << (m - t)), hadamard_unitary(t)).astype(np.complex128)
 
 
-def basis_unitary(m: int, q: np.ndarray) -> np.ndarray:
-    """Permutation e_v -> e_{vQ} for invertible binary Q."""
-    _check_dense(m)
-    q = np.asarray(q) % 2
+def _build_basis(m: int, q: Tuple[int, ...]) -> np.ndarray:
+    f2_mat_inv(q, m)  # raises unless Q is an invertible m x m matrix
     n = 1 << m
-    v = np.arange(n)
-    vbits = (v[:, None] >> np.arange(m)) & 1
-    img_bits = (vbits @ q) % 2
-    img = (img_bits << np.arange(m)).sum(axis=1)
-    if len(set(img.tolist())) != n:
-        raise ValueError("Q is not invertible")
     mat = np.zeros((n, n), dtype=np.complex128)
-    mat[img, v] = 1.0
+    mat[f2_mat_mul(range(n), q), range(n)] = 1.0
     return mat
 
 
-def phase_unitary(m: int, p: np.ndarray) -> np.ndarray:
-    """diag(i^(v P v^T mod 4)) for symmetric binary P."""
-    _check_dense(m)
-    p = np.asarray(p) % 2
-    if not np.array_equal(p, p.T):
-        raise ValueError("P must be symmetric over GF(2)")
-    n = 1 << m
-    vbits = (np.arange(n)[:, None] >> np.arange(m)) & 1
-    quad = np.einsum("vi,ij,vj->v", vbits, p, vbits) % 4
+def basis_unitary(m: int, q: Tuple[int, ...]) -> np.ndarray:
+    """Permutation e_v -> e_{vQ} for invertible Q as m packed rows (read-only)."""
+    return _cached(("basis", m, q), _build_basis, m, q)
+
+
+def _build_phase(m: int, p: Tuple[int, ...]) -> np.ndarray:
+    if p != f2_mat_transpose(p, m):
+        raise ValueError("P must be a symmetric m x m matrix over GF(2)")
+    v = np.arange(1 << m)
+    # v P v^T over the integers: sum_i v_i popcount(v & P_i)
+    quad = sum(((v >> i) & 1) * np.bitwise_count(v & r) for i, r in enumerate(p)) % 4
     return np.diag(1j ** quad)
+
+
+def phase_unitary(m: int, p: Tuple[int, ...]) -> np.ndarray:
+    """diag(i^(v P v^T mod 4)) for symmetric P as m packed rows (read-only)."""
+    return _cached(("phase", m, p), _build_phase, m, p)
 
 
 _GENERATORS = {

@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from kerdock3.gf2m import FieldContext
+from kerdock3.gf2m import FieldContext, f2_numpy_to_rows
 from kerdock3.graph import (EdgeKind, census, orbit_invariant_vec, srg_check,
                             srg_parameters)
 from kerdock3.kerdock import (PslElement, psl_elements, psl_to_symplectic,
@@ -237,10 +237,11 @@ def test_criterion_09_unitary_conjugation_oracle():
         for bits in product((0, 1), repeat=4):
             q = np.array(bits).reshape(2, 2)
             if (q[0, 0] * q[1, 1] + q[0, 1] * q[1, 0]) % 2 == 1:
+                q = f2_numpy_to_rows(q)
                 conjugation_check(ctx, basis_unitary(m, q),
                                   basis_change_matrix(m, q), tol=tol)
         for bits in product((0, 1), repeat=3):
-            p = np.array([[bits[0], bits[2]], [bits[2], bits[1]]])
+            p = f2_numpy_to_rows([[bits[0], bits[2]], [bits[2], bits[1]]])
             conjugation_check(ctx, phase_unitary(m, p), phase_matrix(m, p),
                               tol=tol)
         for h in range(1, 16):

@@ -287,6 +287,24 @@ def test_transition_matrix_json_round_trip():
         assert np.array_equal(back.numerators, tm.numerators)
 
 
+def test_transition_matrix_equality_is_exact():
+    """Equal means the same states, denominator and numerators; the
+    generated dataclass __eq__ raised on the ndarray field instead."""
+    tm = TransitionMatrix(states=["a", "b"], numerators=[[1, 1], [0, 2]], denominator=2)
+    assert tm == TransitionMatrix(states=["a", "b"], numerators=[[1, 1], [0, 2]],
+                                  denominator=2)
+    assert tm != TransitionMatrix(states=["a", "b"], numerators=[[2, 2], [0, 4]],
+                                  denominator=4)
+    assert tm != TransitionMatrix(states=["b", "a"], numerators=[[1, 1], [0, 2]],
+                                  denominator=2)
+    assert tm != TransitionMatrix(states=["a", "b"], numerators=[[2, 0], [0, 2]],
+                                  denominator=2)
+    assert tm != "a"
+    ctx = FieldContext(3)
+    assert q_empirical(ctx, "nonedges") == q1_closed_form(ctx)
+    assert q_empirical(ctx, "edges") != q_empirical(ctx, "nonedges")
+
+
 def test_transition_matrix_csv_round_trip():
     ctx = FieldContext(3)
     tm = q_empirical(ctx, "edges")

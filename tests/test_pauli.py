@@ -1,6 +1,8 @@
 """Pauli index pairs, symplectic matrices, generators, transvections."""
 
+import inspect
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,12 +102,12 @@ def test_generator_matrices_are_symplectic():
         assert omega_matrix(m) == partial_hadamard_matrix(m, m)
         assert partial_hadamard_matrix(m, 0) == SymplecticMatrix.identity(m)
         for z in range(1, ctx.order):
-            q = ctx.mul_matrix(z)
+            q = ctx.mul_matrix_rows(z)
             assert basis_change_matrix(m, q).is_symplectic()
-        p = ctx.w_matrix()
+        p = ctx.w_rows
         assert phase_matrix(m, p).is_symplectic()
         with pytest.raises(ValueError):
-            phase_matrix(m, np.eye(m, k=1, dtype=int))  # not symmetric
+            phase_matrix(m, tuple(2 << i for i in range(m - 1)) + (0,))  # not symmetric
 
 
 def test_omega_swaps_blocks():
@@ -267,3 +269,19 @@ def test_inverse_block_formula():
             c, d = mat[m:, :m], mat[m:, m:]
             inv = np.block([[d.T, b.T], [c.T, a.T]]) % 2
             assert (f.inverse().to_numpy() == inv).all()
+
+
+def test_numpy_matrices_enter_through_from_numpy_alone():
+    """GF(2) matrices pass between library functions as packed rows: under
+    src/kerdock3, f2_numpy_to_rows appears only in gf2m.py, where it is
+    defined, and in SymplecticMatrix.from_numpy (with its import)."""
+    src = Path(__file__).resolve().parents[1] / "src" / "kerdock3"
+    body, first = inspect.getsourcelines(SymplecticMatrix.from_numpy)
+    allowed = set(range(first, first + len(body)))
+    offenders = [f"{path.name}:{n}: {line.strip()}"
+                 for path in sorted(src.glob("*.py")) if path.name != "gf2m.py"
+                 for n, line in enumerate(path.read_text().splitlines(), 1)
+                 if "f2_numpy_to_rows" in line
+                 and not (path.name == "pauli.py"
+                          and (n in allowed or line.strip() == "f2_numpy_to_rows,"))]
+    assert not offenders, offenders

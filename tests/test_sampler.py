@@ -385,6 +385,16 @@ def test_statistics_refuse_empty_runs(monkeypatch):
             pair_statistics_stream(config, [COMMUTING_PROBE], batch_size=batch_size)
 
 
+def test_pair_statistics_refuse_samples_of_another_degree():
+    """Samples drawn at m = 3 in the m = 2 field are named and refused; they
+    ended in a bare IndexError from the dual-coordinate lookup."""
+    config = SamplerConfig(m=3, seed=1, count=5, steps=2)
+    samples = [sample_at(config, i) for i in range(5)]
+    with pytest.raises(ValueError, match="degree m = 3 in the field of degree m = 2"):
+        pair_statistics(FieldContext(2), samples, [COMMUTING_PROBE])
+    assert pair_statistics(FieldContext(3), samples, [COMMUTING_PROBE]).samples == 5
+
+
 @pytest.mark.parametrize("m,probe,chain", [
     (2, COMMUTING_PROBE, "edges"),
     (2, ANTI_PROBE_M2, "nonedges"),

@@ -6,10 +6,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kerdock3.gf2m import FieldContext
-from kerdock3.kerdock import (PslElement, psl_elements, psl_to_symplectic,
-                              sample_psl)
+from kerdock3.gf2m import FieldContext, f2_numpy_to_rows
+from kerdock3.kerdock import (PslElement, psl_elements, psl_factors,
+                              psl_to_symplectic, sample_psl)
 from kerdock3.pauli import (PauliIndex, SymplecticMatrix, apply_symplectic,
                             basis_change_matrix, partial_hadamard_matrix,
                             phase_matrix, symplectic_inner,
@@ -109,6 +111,7 @@ def test_generator_conjugations_exhaustive_m2():
     for bits in product((0, 1), repeat=4):
         q = np.array(bits).reshape(2, 2)
         if (q[0, 0] * q[1, 1] + q[0, 1] * q[1, 0]) % 2 == 1:
+            q = f2_numpy_to_rows(q)
             conjugation_check(ctx, basis_unitary(m, q),
                               basis_change_matrix(m, q))
             count_q += 1
@@ -116,7 +119,7 @@ def test_generator_conjugations_exhaustive_m2():
     # every symmetric P (8 of them)
     count_p = 0
     for bits in product((0, 1), repeat=3):
-        p = np.array([[bits[0], bits[2]], [bits[2], bits[1]]])
+        p = f2_numpy_to_rows([[bits[0], bits[2]], [bits[2], bits[1]]])
         conjugation_check(ctx, phase_unitary(m, p), phase_matrix(m, p))
         count_p += 1
     assert count_p == 8
@@ -131,7 +134,7 @@ def test_generator_conjugations_spot_m3():
     rng = np.random.default_rng(17)
     for _ in range(4):
         while True:
-            q = rng.integers(0, 2, size=(3, 3))
+            q = f2_numpy_to_rows(rng.integers(0, 2, size=(3, 3)))
             try:
                 u = basis_unitary(3, q)
                 break
@@ -139,19 +142,96 @@ def test_generator_conjugations_spot_m3():
                 continue
         conjugation_check(ctx, u, basis_change_matrix(3, q))
         p = rng.integers(0, 2, size=(3, 3))
-        p = (p + p.T) % 2
+        p = f2_numpy_to_rows(p + p.T)
         conjugation_check(ctx, phase_unitary(3, p), phase_matrix(3, p))
     conjugation_check(ctx, hadamard_unitary(3), partial_hadamard_matrix(3, 3))
 
 
 def test_basis_unitary_rejects_singular():
     with pytest.raises(ValueError):
-        basis_unitary(2, np.array([[1, 1], [1, 1]]))
+        basis_unitary(2, (0b11, 0b11))
 
 
 def test_phase_unitary_rejects_asymmetric():
     with pytest.raises(ValueError):
-        phase_unitary(2, np.array([[1, 1], [0, 1]]))
+        phase_unitary(2, (0b11, 0b10))
+
+
+def _basis_reference(m, q):
+    """e_v -> e_{vQ} from the bit matrix Q: the numpy formula the packed-row
+    builder replaced, kept here as its independent reference."""
+    n = 1 << m
+    v = np.arange(n)
+    vbits = (v[:, None] >> np.arange(m)) & 1
+    img = (((vbits @ q) % 2) << np.arange(m)).sum(axis=1)
+    mat = np.zeros((n, n), dtype=np.complex128)
+    mat[img, v] = 1.0
+    return mat
+
+
+def _phase_reference(m, p):
+    """diag(i^(v P v^T mod 4)) by einsum over the bit matrix P."""
+    vbits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
+    return np.diag(1j ** (np.einsum("vi,ij,vj->v", vbits, p, vbits) % 4))
+
+
+@st.composite
+def _generator_blocks(draw):
+    """(m, Q, P) as bit matrices: Q = perm . L . U invertible (every
+    element of GL(m, 2) has this form), P symmetric."""
+    m = draw(st.integers(2, 5))
+
+    def bits():
+        cells = draw(st.lists(st.integers(0, 1), min_size=m * m, max_size=m * m))
+        return np.array(cells).reshape(m, m)
+
+    eye = np.eye(m, dtype=int)
+    perm = eye[draw(st.permutations(range(m)))]
+    q = perm @ (np.tril(bits(), -1) + eye) @ (np.triu(bits(), 1) + eye) % 2
+    upper = np.triu(bits())
+    return m, q, (upper + np.triu(upper, 1).T) % 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(_generator_blocks())
+def test_packed_row_generators_match_bit_matrix_formulas(case):
+    """Q and P given as packed rows give the unitaries of the numpy
+    formulas and the symplectic blocks [[Q,0],[0,Q^-T]] and [[I,P],[0,I]]."""
+    m, q, p = case
+    q_rows, p_rows = f2_numpy_to_rows(q), f2_numpy_to_rows(p)
+    assert np.array_equal(basis_unitary(m, q_rows), _basis_reference(m, q))
+    assert np.array_equal(phase_unitary(m, p_rows), _phase_reference(m, p))
+    f = basis_change_matrix(m, q_rows).to_numpy()
+    assert np.array_equal(f[:m, :m], q)
+    assert not f[:m, m:].any() and not f[m:, :m].any()
+    assert np.array_equal(q @ f[m:, m:].T % 2, np.eye(m))
+    eye, zero = np.eye(m, dtype=int), np.zeros((m, m), dtype=int)
+    assert np.array_equal(phase_matrix(m, p_rows).to_numpy(),
+                          np.block([[eye, p], [zero, eye]]))
+
+
+@pytest.mark.parametrize("build", [basis_unitary, basis_change_matrix])
+@pytest.mark.parametrize("q", [
+    (0b11, 0b11),          # singular
+    (0b01,),               # one row short
+    (0b01, 0b10, 0b00),    # one row too many
+    (0b101, 0b10),         # a bit at column m
+])
+def test_basis_generators_refuse_bad_rows(build, q):
+    with pytest.raises(ValueError):
+        build(2, q)
+
+
+@pytest.mark.parametrize("build", [phase_unitary, phase_matrix])
+@pytest.mark.parametrize("p", [
+    (0b11, 0b00),          # asymmetric
+    (0b01,),               # one row short
+    (0b01, 0b10, 0b00),    # one row too many
+    (0b101, 0b10),         # a bit at column m
+])
+def test_phase_generators_refuse_bad_rows(build, p):
+    with pytest.raises(ValueError):
+        build(2, p)
 
 
 def test_psl_unitaries_all_m2():
@@ -223,7 +303,8 @@ def test_sample_unitary_golden_bytes(m, seed, count, steps, digest):
 def test_cached_generators_are_read_only():
     ctx = FieldContext(3)
     for u in (pauli_unitary(ctx, (1, 2)), transvection_unitary(ctx, (3, 1)),
-              hadamard_unitary(3)):
+              hadamard_unitary(3), basis_unitary(3, ctx.w_inv_rows),
+              phase_unitary(3, ctx.w_rows)):
         assert not u.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             u[0, 0] = 0.0
@@ -232,6 +313,27 @@ def test_cached_generators_are_read_only():
     for u in (hermitian_pauli(ctx, (1, 2)), psl_unitary(ctx, s.psl),
               sample_unitary(ctx, s)):
         assert u.flags.writeable
+
+
+def test_psl_unitary_builds_each_factor_once(monkeypatch):
+    """The 60 PSL unitaries at m = 2 build each distinct basis, phase and
+    Hadamard factor exactly once, at most 2N + 1 of them."""
+    ctx = FieldContext(2)
+    monkeypatch.setattr(unitary, "_UNITARY_CACHE", {})
+    built = []
+    for name in ("_build_basis", "_build_phase", "_build_hadamard"):
+        def counting(m, *rows, build=getattr(unitary, name), kind=name[7:]):
+            built.append((kind, *rows))
+            return build(m, *rows)
+        monkeypatch.setattr(unitary, name, counting)
+    elements = list(psl_elements(ctx))
+    us = [psl_unitary(ctx, g) for g in elements]
+    distinct = {f for g in elements for f in psl_factors(ctx, g)}
+    assert sorted(built) == sorted(distinct)
+    assert len(built) <= 2 * ctx.order + 1
+    for g, u in zip(elements, us):
+        assert np.array_equal(u, psl_unitary(ctx, g))
+    assert len(built) == len(distinct)
 
 
 def test_equal_field_contexts_share_one_cache_entry():
@@ -261,8 +363,8 @@ def test_dense_synthesis_refused_above_cap(m):
              lambda: psl_unitary(ctx, s.psl),
              lambda: hadamard_unitary(m),
              lambda: partial_hadamard_unitary(m, 1),
-             lambda: basis_unitary(m, np.eye(m, dtype=int)),
-             lambda: phase_unitary(m, np.zeros((m, m), dtype=int)),
+             lambda: basis_unitary(m, tuple(1 << i for i in range(m))),
+             lambda: phase_unitary(m, (0,) * m),
              lambda: kerdock_unitaries(ctx)]
     tracemalloc.start()
     try:
