@@ -44,11 +44,11 @@ from .sampler import (DesignSample, PairStatistics, SamplerConfig, compose,
                       read_jsonl, sample, sample_at, sample_stream,
                       steps_for_epsilon, write_jsonl)
 from .unitary import (collision_frame_potential_3, conjugation_check,
-                      delta_frame_potential_3, ensemble_from_samples,
-                      estimator_margin, frame_potential,
-                      frame_potential_estimate, haar_frame_potential,
-                      hermitian_pauli, kerdock_unitaries, pauli_unitary,
-                      psl_unitary, sample_unitary,
-                      single_qubit_clifford_group, transvection_unitary)
+                      delta_frame_potential_3, estimator_margin,
+                      frame_potential, frame_potential_estimate,
+                      haar_frame_potential, hermitian_pauli,
+                      kerdock_unitaries, pauli_unitary, psl_unitary,
+                      sample_unitary, single_qubit_clifford_group,
+                      transvection_unitary)
 
 __version__ = "0.1.0"

@@ -117,13 +117,9 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _mat_csv(name: str, mat: np.ndarray, header: Optional[List[str]] = None) -> str:
+def _mat_csv(name: str, mat: np.ndarray) -> str:
     lines = [f"# {name}"]
-    if header:
-        lines.append(",".join(header))
-    for row in np.asarray(mat):
-        lines.append(",".join(repr(x) if isinstance(x, float) else str(int(x))
-                              for x in row))
+    lines += [",".join(str(int(x)) for x in row) for row in np.asarray(mat)]
     return "\n".join(lines) + "\n"
 
 

@@ -33,7 +33,7 @@ multiplicative order of x if it is irreducible but not primitive.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 

@@ -51,7 +51,6 @@ __all__ = [
     "classify_pair",
     "pair_determinant",
     "orbit_invariant",
-    "classify_vec",
     "orbit_invariant_vec",
     "orbit_key",
     "determinant_keys",
@@ -162,9 +161,10 @@ def orbit_invariant(ctx: FieldContext, pair: PauliPair) -> OrbitInvariant:
     return OrbitInvariant(EdgeKind.TYPE1, ctx.div(a, c) if c != 0 else ctx.div(b, d))
 
 
-def classify_vec(ctx: FieldContext, a, b, c, d):
-    """Vectorized (kind, value) arrays for pair components a, b, c, d,
-    through the O(N) log/exp tables; a zero second vertex gives (TYPE1, 0)."""
+def orbit_invariant_vec(ctx: FieldContext, a, b, c, d):
+    """The uint32 orbit key kind * 2^16 + value of each pair, from its
+    components a, b, c, d, through the O(N) log/exp tables; a zero second
+    vertex gives (TYPE1, 0).  ``orbit_counts`` counts keys per orbit."""
     log, exp, tr = ctx.np_table("log"), ctx.np_table("exp"), ctx.np_table("trace")
     la, lb, lc, ld = log[a], log[b], log[c], log[d]
     det = exp[la + ld] ^ exp[lb + lc]
@@ -176,13 +176,8 @@ def classify_vec(ctx: FieldContext, a, b, c, d):
     ratio = exp[np.where(c_nz, la - lc, lb - ld) + (ctx.order - 1)]
     # with c = d = 0 the ratio would be b/0; det is the 0 wanted there
     value = np.where(type1 & (c_nz | (d != 0)), ratio, det)
-    return kind.astype(np.uint8), value.astype(np.uint16)
-
-
-def orbit_invariant_vec(ctx: FieldContext, a, b, c, d):
-    """The uint32 orbit key kind * 2^16 + value of each pair, from its
-    components a, b, c, d; ``orbit_counts`` counts keys per orbit."""
-    return orbit_key(*classify_vec(ctx, a, b, c, d))
+    del la, lb, lc, ld, det, ratio  # so the key arrays do not raise the peak memory
+    return orbit_key(kind.astype(np.uint8), value.astype(np.uint16))
 
 
 def determinant_keys(ctx: FieldContext) -> np.ndarray:

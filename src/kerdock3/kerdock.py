@@ -39,8 +39,6 @@ __all__ = [
     "kerdock_matrix",
     "classify_subgroup",
     "subgroup_members",
-    "label_to_text",
-    "label_from_text",
     "mobius_action",
     "psl_to_symplectic",
     "psl_factors",
@@ -121,19 +119,6 @@ def subgroup_members(ctx: FieldContext, label: SubgroupLabel) -> List[PauliIndex
     if label is INFINITY:
         return [PauliIndex(0, b) for b in ctx.nonzero()]
     return [PauliIndex(a, ctx.mul(a, label)) for a in ctx.nonzero()]
-
-
-def label_to_text(label: SubgroupLabel) -> str:
-    """Serialize a subgroup label as a hex word, or the literal ``inf``."""
-    if label is INFINITY:
-        return "inf"
-    return format(label, "#x")
-
-
-def label_from_text(text: str) -> SubgroupLabel:
-    if text == "inf":
-        return INFINITY
-    return int(text, 16)
 
 
 def mobius_action(ctx: FieldContext, g: PslElement, z: SubgroupLabel) -> SubgroupLabel:

@@ -327,16 +327,6 @@ class Q0StructureReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "m": self.m,
-            "ok": self.ok,
-            "r_matrix": self.r_matrix.tolist(),
-            "row_sums": self.row_sums.tolist(),
-            "col_sums": self.col_sums.tolist(),
-            "failures": self.failures,
-        }, sort_keys=True) + "\n"
-
 
 def q0_structure_check(tm: TransitionMatrix) -> Q0StructureReport:
     """Verify the block anatomy of an empirical edge chain."""
@@ -497,17 +487,17 @@ def mixing_time_report(m: int, eps: float) -> Dict[str, float]:
     ``approx_variant`` replaces 1/Delta by 4/3 (the large-N limit of the
     analytic gap); it is reported for comparison, not used anywhere.
     """
+    bound = mixing_time_bound(m, eps)  # checks eps before the logarithm
     n = 1 << m
     log_term = math.log(n ** 3 * (n * n - 4) / (2 * eps))
-    delta = 1.0 - lambda_q0_bound(m)
     return {
         "m": m,
         "eps": eps,
         "lambda_q0_bound": lambda_q0_bound(m),
-        "delta": delta,
+        "delta": 1.0 - lambda_q0_bound(m),
         "pi_star": 2.0 / (n * n - 4),
         "log_term": log_term,
-        "bound": mixing_time_bound(m, eps),
+        "bound": bound,
         "approx_variant": math.ceil(log_term * 4.0 / 3.0),
     }
 
@@ -525,6 +515,8 @@ def tv_curve(tm: TransitionMatrix, start, t_max: int) -> np.ndarray:
     if starts.ndim > 2 or rows.shape[1] != len(tm.states) or rows.min() < 0 or \
             (np.abs(rows.sum(axis=1) - 1.0) > 1e-12).any():
         raise ValueError("start must be probability vectors over the states")
+    if t_max < 0:
+        raise ValueError(f"t_max must be non-negative, got {t_max}")
     pi = spectral_report(tm).stationary
     out = np.empty((len(rows), t_max + 1))
     for curve, s in zip(out, rows):
@@ -542,6 +534,10 @@ def tv_curve_exact(tm: TransitionMatrix, start_index: int, t_max: int) -> List[F
     ratios are only meaningful in exact arithmetic.
     """
     k = len(tm.states)
+    if not 0 <= start_index < k:
+        raise ValueError(f"start_index {start_index} out of range [0, {k})")
+    if t_max < 0:
+        raise ValueError(f"t_max must be non-negative, got {t_max}")
     num = tm.numerators.tolist()
     den = tm.denominator
     w = stationary_weights(tm)

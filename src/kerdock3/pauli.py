@@ -27,7 +27,7 @@ Z_h to Z_{hF}.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional, Tuple, Union
+from typing import Iterable, NamedTuple, Tuple, Union
 
 import numpy as np
 
@@ -59,7 +59,6 @@ __all__ = [
     "transvection_matrix",
     "apply_transvection",
     "conjugate_transvection",
-    "sample_transvection",
     "transvection_apply_vec",
 ]
 
@@ -260,20 +259,6 @@ def conjugate_transvection(
 ) -> Transvection:
     """The transvection with F^-1 Z_h F = Z_{hF}."""
     return Transvection(*apply_symplectic(ctx, f, h))
-
-
-def sample_transvection(
-    ctx: FieldContext, rng: np.random.Generator, size: Optional[int] = None
-):
-    """Uniform nonzero transvection index pair(s).
-
-    With ``size=None`` returns a single Transvection; otherwise a pair of
-    numpy arrays (h1, h2) of that length.
-    """
-    if size is None:
-        return Transvection(*vertex_split(ctx.m, rng.integers(1, ctx.order * ctx.order)))
-    return vertex_split(ctx.m, rng.integers(1, ctx.order * ctx.order, size=size,
-                                            dtype=np.uint32))
 
 
 def transvection_apply_vec(ctx, h1, h2, a, b):

@@ -115,13 +115,18 @@ class DesignSample:
 
     @classmethod
     def from_json_line(cls, line: str, m: int) -> Tuple[int, "DesignSample"]:
+        """(index, sample) of one line; refuses a ``composed`` row wider than 2m bits."""
         obj = json.loads(line)
+        rows = [int(r, 16) for r in obj["composed"]]
+        for i, row in enumerate(rows):
+            if not 0 <= row < 1 << (2 * m):
+                raise ValueError(f"composed row {i} = {row:#x} is wider than 2m = {2 * m} bits")
         sample = cls(
             transvections=tuple(Transvection(int(h1, 16), int(h2, 16))
                                 for h1, h2 in obj["transvections"]),
             psl=PslElement(*(int(x, 16) for x in obj["psl"])),
             pauli=PauliIndex(*(int(x, 16) for x in obj["pauli"])),
-            composed=SymplecticMatrix(m, [int(r, 16) for r in obj["composed"]]),
+            composed=SymplecticMatrix(m, rows),
         )
         return int(obj["index"]), sample
 
@@ -146,17 +151,10 @@ def _draw(ctx: FieldContext, steps: int, rng: np.random.Generator
 
 
 def sample(config: SamplerConfig, rng: np.random.Generator,
-           ctx: Optional[FieldContext] = None,
-           psl_override: Optional[PslElement] = None) -> DesignSample:
-    """One design sample from the given stream.
-
-    ``psl_override`` pins the PSL factor (test hook; the random draws
-    still advance the stream identically).
-    """
+           ctx: Optional[FieldContext] = None) -> DesignSample:
+    """One design sample from the given stream."""
     ctx = _config_ctx(config, ctx)
     transvections, psl, pauli = _draw(ctx, config.resolved_steps(), rng)
-    if psl_override is not None:
-        psl = psl_override
     return DesignSample(transvections=transvections, psl=psl, pauli=pauli,
                         composed=compose(ctx, transvections, psl))
 

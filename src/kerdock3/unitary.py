@@ -53,7 +53,6 @@ __all__ = [
     "phase_unitary",
     "psl_unitary",
     "sample_unitary",
-    "ensemble_from_samples",
     "conjugation_check",
     "ConjugationFailure",
     "frame_potential",
@@ -208,11 +207,6 @@ def sample_unitary(ctx: FieldContext, s: DesignSample) -> np.ndarray:
     return hermitian_pauli(ctx, s.pauli) @ out
 
 
-def ensemble_from_samples(ctx: FieldContext,
-                          samples: Iterable[DesignSample]) -> List[np.ndarray]:
-    return [sample_unitary(ctx, s) for s in samples]
-
-
 class ConjugationFailure(Exception):
     """First Pauli index where U D(x) U+ deviates from a phase times D(xF)."""
 
@@ -330,6 +324,8 @@ def collision_frame_potential_3(ctx: FieldContext, t: int) -> float:
 
     with g_t the t-step lumped distribution out of the start orbit.
     """
+    if t < 0:
+        raise ValueError(f"t must be non-negative, got {t}")
     total = 4.0
     for chain in ("edges", "nonedges"):
         tm = q_empirical(ctx, chain)
@@ -351,6 +347,8 @@ def estimator_margin(m: int, t: int, samples: int, sigma_hat: float,
     diagonal inflation (N^6 - 6)/S, plus the exact ensemble excess at
     step t, plus 4 sigma_hat of estimator noise."""
     ctx = ctx or FieldContext(m)
+    if ctx.m != m:
+        raise ValueError(f"field context has m={ctx.m}, the margin is for m={m}")
     n = 1 << m
     return (float(n) ** 6 - 6.0) / samples \
         + max(0.0, delta_frame_potential_3(ctx, t)) + 4.0 * sigma_hat
@@ -387,13 +385,10 @@ def single_qubit_clifford_group() -> List[np.ndarray]:
     return list(seen.values())
 
 
-def kerdock_unitaries(ctx: FieldContext,
-                      include_paulis: bool = True) -> List[np.ndarray]:
-    """The exact step-0 ensemble: every PSL unitary, optionally left-
-    multiplied by every Hermitian Pauli (identity included)."""
+def kerdock_unitaries(ctx: FieldContext) -> List[np.ndarray]:
+    """The exact step-0 ensemble: every PSL unitary, left-multiplied by
+    every Hermitian Pauli (identity included)."""
     psl_us = [psl_unitary(ctx, g) for g in psl_elements(ctx)]
-    if not include_paulis:
-        return psl_us
     n = ctx.order
     paulis = [hermitian_pauli(ctx, (a, b)) for a in range(n) for b in range(n)]
     return [d @ u for u in psl_us for d in paulis]

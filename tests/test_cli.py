@@ -194,6 +194,14 @@ def test_invalid_arguments_exit_2(capsys):
                  "--epsilon", "1.5"]) == 2
     assert main(["field-info", "--m", "3", "--poly", "F"]) == 2
     capsys.readouterr()
+    for eps in ("0", "-1"):
+        assert main(["spectra", "--m", "2", "--epsilon", eps]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: eps must be in (0, 1)\n"
+    assert main(["convergence", "--m", "2", "--t-max", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "t_max must be non-negative" in captured.err
 
 
 def test_verify_m2_passes(tmp_path):

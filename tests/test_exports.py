@@ -1,7 +1,10 @@
-"""Every exported name resolves: each module's ``__all__`` and the package."""
+"""Every exported name resolves: each module's ``__all__`` and the package;
+no module imports a name it never uses."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -33,3 +36,22 @@ def test_package_exports_resolve_to_their_owners():
     namespace = {}
     exec("from kerdock3 import *", namespace)
     assert set(public) <= set(namespace)
+
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_uses_every_name_it_imports(name):
+    """Each name a module imports is read somewhere in it.  (The package
+    ``__init__`` imports to re-export and is not checked; a quoted
+    annotation does not count as a use, and none is needed under
+    ``from __future__ import annotations``.)"""
+    tree = ast.parse(Path(kerdock3.__path__[0], f"{name}.py").read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert {x: line for x, line in imported.items() if x not in used} == {}

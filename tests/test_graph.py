@@ -14,8 +14,8 @@ from kerdock3.gf2m import FieldContext
 from kerdock3.graph import (CENSUS_MAX_M, ORBIT_KEY_SPACE, CensusReport,
                             EdgeKind, OrbitInvariant, PauliPair,
                             anticommutation_matrix, census, classify_pair,
-                            classify_vec, closed_form_counts,
-                            determinant_keys, orbit_counts, orbit_invariant,
+                            closed_form_counts, determinant_keys,
+                            orbit_counts, orbit_invariant,
                             orbit_invariant_vec, orbit_key, orbit_representative, orbit_states, pair_code,
                             pair_split, parse_census, srg_check,
                             srg_parameters, state_name, state_obj)
@@ -221,15 +221,15 @@ def test_classify_vec_matches_scalar():
     vb = np.tile(np.arange(1, 16), 15).astype(np.uint16)
     keep = va != vb
     va, vb = va[keep], vb[keep]
-    kinds, values = classify_vec(ctx, (va & 3).astype(np.uint16),
-                                 (va >> 2).astype(np.uint16),
-                                 (vb & 3).astype(np.uint16),
-                                 (vb >> 2).astype(np.uint16))
+    keys = orbit_invariant_vec(ctx, (va & 3).astype(np.uint16),
+                               (va >> 2).astype(np.uint16),
+                               (vb & 3).astype(np.uint16),
+                               (vb >> 2).astype(np.uint16))
     for i in range(len(va)):
         p = PauliIndex(int(va[i]) & 3, int(va[i]) >> 2)
         q = PauliIndex(int(vb[i]) & 3, int(vb[i]) >> 2)
-        assert int(kinds[i]) == int(classify_pair(ctx, (p, q)))
-        assert int(values[i]) == orbit_invariant(ctx, (p, q)).value
+        assert int(keys[i]) >> 16 == int(classify_pair(ctx, (p, q)))
+        assert int(keys[i]) & 0xFFFF == orbit_invariant(ctx, (p, q)).value
 
 
 @lru_cache(maxsize=None)
@@ -270,8 +270,8 @@ def test_orbit_invariant_vec_matches_scalar_any_m(case):
         inv = orbit_invariant(ctx, pair)
         assert key == int(inv.kind) * 65536 + inv.value
     zero = np.zeros_like(c)
-    kind, value = classify_vec(ctx, a, b, zero, zero)
-    assert (kind == EdgeKind.TYPE1).all() and (value == 0).all()
+    keys = orbit_invariant_vec(ctx, a, b, zero, zero)
+    assert (keys >> 16 == EdgeKind.TYPE1).all() and (keys & 0xFFFF == 0).all()
     assert "mul" not in ctx._np_cache and "div" not in ctx._np_cache
 
 

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from kerdock3.gf2m import FieldContext, f2_mat_mul
 from kerdock3.kerdock import (INFINITY, PslElement, _psl_fill, classify_subgroup,
-                              kerdock_matrix, label_from_text, label_to_text,
-                              mobius_action, pair_action, psl_elements,
+                              kerdock_matrix, mobius_action, pair_action, psl_elements,
                               psl_factors, psl_identity, psl_inverse,
                               psl_order, psl_product, psl_to_symplectic,
                               sample_psl, sample_psl_vec, subgroup_members)
@@ -68,22 +67,14 @@ def test_classify_subgroup_and_members():
                 assert label is INFINITY
             else:
                 assert label == ctx.div(p.b, p.a)
-            seen.setdefault(label_to_text(label), set()).add(p)
+            seen.setdefault(label, set()).add(p)
         # N + 1 subgroup labels, each with N - 1 nonzero members, partitioning
         assert len(seen) == n + 1
         assert all(len(v) == n - 1 for v in seen.values())
-        for label_text, members in seen.items():
-            label = label_from_text(label_text)
+        for label, members in seen.items():
             assert set(subgroup_members(ctx, label)) == members
         with pytest.raises(ValueError):
             classify_subgroup(ctx, (0, 0))
-
-
-def test_label_text_round_trip():
-    ctx = FieldContext(3)
-    for label in [INFINITY] + list(range(8)):
-        assert label_from_text(label_to_text(label)) == label
-    assert label_to_text(INFINITY) == "inf"
 
 
 def test_psl_group_axioms_m2():

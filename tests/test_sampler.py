@@ -17,8 +17,9 @@ from kerdock3.markov import full_chain, q_empirical
 from kerdock3.pauli import (PauliIndex, SymplecticMatrix, apply_symplectic,
                             transvection_matrix)
 from kerdock3.sampler import (DesignSample, PairStatistics, SamplerConfig,
-                              _normalize_probes, _stats_batch, _substream,
-                              class_size, compose, mc_sigma, pair_statistics,
+                              _draw, _normalize_probes, _stats_batch,
+                              _substream, class_size, compose, mc_sigma,
+                              pair_statistics,
                               pair_statistics_stream, read_jsonl, sample,
                               sample_at, sample_stream, steps_for_epsilon,
                               write_jsonl)
@@ -71,12 +72,13 @@ def test_compose_equals_sequential_product():
 
 
 def test_identity_hook():
-    """steps=0 plus a pinned identity PSL composes to the identity."""
+    """steps=0 draws no transvection, and no transvection plus the identity
+    PSL element composes to the identity."""
     ctx = FieldContext(2)
     config = SamplerConfig(m=2, seed=5, count=1, steps=0)
-    s = sample(config, _substream(5, 0), ctx, psl_override=psl_identity(ctx))
+    s = sample(config, _substream(5, 0), ctx)
     assert s.transvections == ()
-    assert s.composed == SymplecticMatrix.identity(2)
+    assert compose(ctx, (), psl_identity(ctx)) == SymplecticMatrix.identity(2)
 
 
 def test_stream_is_deterministic_and_indexed():
@@ -142,6 +144,33 @@ def test_jsonl_round_trip():
     buf2 = io.StringIO()
     write_jsonl(sample_stream(config), buf2)
     assert buf2.getvalue() == buf.getvalue()
+
+
+@pytest.mark.parametrize("rows, shown", [((1 << 4, 2, 4, 8), "0x10"),
+                                         ((-1, 2, 4, 8), "-0x1")],
+                         ids=["bit-2m", "negative"])
+def test_json_line_refuses_a_row_wider_than_2m(rows, shown):
+    """A ``composed`` row with a bit at position >= 2m, or a negative one,
+    is refused where it is read, not later as a bare IndexError."""
+    line = sample_at(SamplerConfig(m=2, seed=0, count=1, steps=1), 0).to_json_line(0)
+    obj = json.loads(line)
+    obj["composed"] = [format(r, "#x") for r in rows]
+    with pytest.raises(ValueError, match=f"composed row 0 = {shown} is wider than 2m = 4"):
+        DesignSample.from_json_line(json.dumps(obj), 2)
+    with pytest.raises(ValueError, match="composed row 0"):
+        read_jsonl(io.StringIO(line + "\n" + json.dumps(obj) + "\n"), 2)
+
+
+def test_draw_is_deterministic_nonzero_and_reaches_every_transvection():
+    """The sampler's one transvection draw: the same substream repeats
+    exactly, no transvection is zero, and all 63 appear at m = 3."""
+    ctx = FieldContext(3)
+    draws = [_draw(ctx, 8, _substream(31, i)) for i in range(100)]
+    assert draws == [_draw(ctx, 8, _substream(31, i)) for i in range(100)]
+    hs = [h for transvections, _, _ in draws for h in transvections]
+    assert len(hs) == 800
+    assert all(h != (0, 0) for h in hs)
+    assert len(set(hs)) == 63
 
 
 def test_json_line_schema():

@@ -17,12 +17,13 @@ from kerdock3.pauli import (PauliIndex, SymplecticMatrix, apply_symplectic,
                             phase_matrix, symplectic_inner,
                             transvection_matrix)
 from kerdock3 import unitary
+from kerdock3.markov import q_empirical, tv_curve, tv_curve_exact
 from kerdock3.sampler import SamplerConfig, sample_at
 from kerdock3.unitary import (DENSE_MAX_M, ConjugationFailure, basis_unitary,
                               collision_frame_potential_3, conjugation_check,
-                              delta_frame_potential_3, ensemble_from_samples,
-                              estimator_margin, frame_potential,
-                              frame_potential_estimate, hadamard_unitary,
+                              delta_frame_potential_3, estimator_margin,
+                              frame_potential, frame_potential_estimate,
+                              hadamard_unitary,
                               haar_frame_potential, hermitian_pauli,
                               kerdock_unitaries, partial_hadamard_unitary,
                               pauli_unitary, phase_unitary, psl_unitary,
@@ -377,15 +378,6 @@ def test_dense_synthesis_refused_above_cap(m):
     assert peak < 1 << 20
     assert not any(key[1] == m for key in unitary._UNITARY_CACHE)
 
-def test_ensemble_from_samples():
-    ctx = FieldContext(2)
-    config = SamplerConfig(m=2, seed=3, count=4, steps=2)
-    samples = [sample_at(config, i, ctx) for i in range(4)]
-    ens = ensemble_from_samples(ctx, samples)
-    assert len(ens) == 4
-    for u, s in zip(ens, samples):
-        assert np.allclose(u, sample_unitary(ctx, s))
-
 
 def test_conjugation_check_raises_on_mismatch():
     ctx = FieldContext(2)
@@ -438,8 +430,9 @@ def test_kerdock_ensemble_m2_frame_potentials():
 
 
 def test_kerdock_without_paulis_is_smaller():
+    """The ensemble is the 60 PSL unitaries times the 16 Paulis."""
     ctx = FieldContext(2)
-    assert len(kerdock_unitaries(ctx, include_paulis=False)) == 60
+    assert len(kerdock_unitaries(ctx)) == 60 * 16
 
 
 def test_collision_formula_anchors():
@@ -470,7 +463,7 @@ def test_one_step_ensemble_matches_collision_formula():
 
 def test_frame_potential_estimate_consistency():
     ctx = FieldContext(2)
-    ens = kerdock_unitaries(ctx, include_paulis=False)
+    ens = [psl_unitary(ctx, g) for g in psl_elements(ctx)]
     fhat, sigma = frame_potential_estimate(ens, 2)
     assert fhat == pytest.approx(frame_potential(ens, 2), abs=1e-10)
     assert sigma >= 0.0
@@ -484,6 +477,38 @@ def test_estimator_margin_composition():
     # at long t the excess term vanishes and cannot go negative
     tail = estimator_margin(2, 56, 10_000, 0.0, ctx)
     assert tail == pytest.approx((4096.0 - 6.0) / 10_000, abs=1e-12)
+
+
+def _no_chain(*args):
+    raise AssertionError("a chain was built")
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda tm: collision_frame_potential_3(FieldContext(2), -1),
+                 "t must be non-negative", id="f3-t=-1"),
+    pytest.param(lambda tm: collision_frame_potential_3(FieldContext(2), -2),
+                 "t must be non-negative", id="f3-t=-2"),
+    pytest.param(lambda tm: estimator_margin(2, -1, 1000, 0.0),
+                 "t must be non-negative", id="margin-t=-1"),
+    pytest.param(lambda tm: tv_curve_exact(tm, len(tm.states), 4),
+                 "start_index", id="exact-start=k"),
+    pytest.param(lambda tm: tv_curve_exact(tm, -1, 4), "start_index",
+                 id="exact-start=-1"),
+    pytest.param(lambda tm: tv_curve_exact(tm, 0, -1), "t_max", id="exact-t_max=-1"),
+    pytest.param(lambda tm: tv_curve(tm, np.eye(len(tm.states)), -1), "t_max",
+                 id="float-t_max=-1"),
+    pytest.param(lambda tm: estimator_margin(3, 1, 1000, 0.0, FieldContext(2)),
+                 "m=2, the margin is for m=3", id="margin-degrees"),
+])
+def test_chain_propagators_refuse_bad_arguments(monkeypatch, call, match):
+    """Unchecked, each case returns a wrong number (F_3(-1) = 81 at m = 2
+    through an inverted chain, TV 1/2 at every step from a zero start,
+    empty curves, a margin of mixed degrees); each must raise ValueError
+    before any chain is built."""
+    tm = q_empirical(FieldContext(2), "edges")
+    monkeypatch.setattr(unitary, "q_empirical", _no_chain)
+    with pytest.raises(ValueError, match=match):
+        call(tm)
 
 
 def test_psl_unitary_weighted_frame_potential_m3():
