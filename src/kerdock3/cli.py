@@ -203,6 +203,7 @@ def _cmd_chain(args) -> int:
 def _cmd_spectra(args) -> int:
     ctx = _ctx(args)
     chains = ("edges", "nonedges") if args.chain == "both" else (args.chain,)
+    mix = mixing_time_report(ctx.m, args.epsilon)  # refuses epsilon before any chain
     out = []
     for chain in chains:
         rep = spectral_report(q_empirical(ctx, chain))
@@ -213,7 +214,6 @@ def _cmd_spectra(args) -> int:
                        f"eigenvalues = "
                        f"{','.join(repr(float(v.real)) for v in rep.eigenvalues)}\n"
                        f"gap = {rep.gap!r}\n")
-    mix = mixing_time_report(ctx.m, args.epsilon)
     if args.format == "json":
         out.append(json.dumps(mix, sort_keys=True) + "\n")
     else:
@@ -225,6 +225,8 @@ def _cmd_spectra(args) -> int:
 def _cmd_convergence(args) -> int:
     ctx = _ctx(args)
     t_max = args.t_max if args.t_max is not None else mixing_time_bound(ctx.m, args.epsilon)
+    if t_max < 0:
+        raise ValueError(f"t_max must be non-negative, got {t_max}")
     lines = ["chain,start,t,tv"]
     for chain in ("edges", "nonedges"):
         tm = q_empirical(ctx, chain)

@@ -22,7 +22,10 @@ with the m x m blocks Q and P given as m packed row words:
 Transvections ``Z_h = I + Omega h^T h`` are the self-inverse walk moves:
 ``x Z_h = x + <x, h> h``, in field form
 ``(a, b) -> (a, b) + Tr(a h2 + b h1) (h1, h2)``; conjugation by F moves
-Z_h to Z_{hF}.
+Z_h to Z_{hF}.  ``transvection_matrix`` keeps h beside the rows, so the
+right product ``F @ Z_h`` is that same update on each row of F, O(2m)
+word operations instead of a full product (the tableau update of
+Aaronson-Gottesman); every other product is the full one.
 """
 
 from __future__ import annotations
@@ -233,16 +236,46 @@ def partial_hadamard_matrix(m: int, t: int) -> SymplecticMatrix:
 # --- transvections ---
 
 
+class _TransvectionMatrix(SymplecticMatrix):
+    """Z_h with its two defining words: ``hv``, the packed h, and ``sh``,
+    the column selector Omega h^T.  ``F @ Z_h`` is the row update
+    r -> r + <r, h> h on each row of F, O(2m) instead of a full product;
+    Python tries this reflected operator before ``SymplecticMatrix``'s own."""
+
+    __slots__ = ("hv", "sh")
+
+    def __init__(self, m: int, hv: int, sh: int) -> None:
+        self.m = m
+        self.hv = hv
+        self.sh = sh
+        self.rows = tuple([(1 << i) ^ hv if (sh >> i) & 1 else 1 << i for i in range(2 * m)])
+
+    def __rmatmul__(self, other: SymplecticMatrix) -> SymplecticMatrix:
+        if not isinstance(other, SymplecticMatrix):
+            return NotImplemented
+        if self.m != other.m:
+            raise ValueError("dimension mismatch")
+        hv, sh = self.hv, self.sh
+        return SymplecticMatrix(self.m, [r ^ hv if (r & sh).bit_count() & 1 else r
+                                         for r in other.rows])
+
+
 def transvection_matrix(ctx: FieldContext, h: PairLike) -> SymplecticMatrix:
-    """Z_h = I + Omega h^T h; self-inverse, fixes exactly the centralizer of h."""
-    h = Transvection(*h)
-    if h == (0, 0):
-        raise ValueError("transvection requires a nonzero index pair")
+    """Z_h = I + Omega h^T h; self-inverse, fixes exactly the centralizer of h.
+
+    Refuses h = (0, 0) and an entry outside [0, N).  ``F @ Z_h`` costs one
+    inner product per row of F (see ``_TransvectionMatrix``).
+    """
+    h1, h2 = h
+    # N is a power of two, so h1 | h2 lies in (0, N) iff both entries lie
+    # in [0, N) and one is nonzero (a negative entry makes it negative)
+    if not 0 < h1 | h2 < ctx.order:
+        raise ValueError(f"transvection {tuple(h)} must be a nonzero pair of "
+                         f"field elements in [0, {ctx.order})")
     m = ctx.m
     hv = pack_index(ctx, h)
     sh = ((hv & (ctx.order - 1)) << m) | (hv >> m)  # Omega h^T as a column selector
-    rows = [(1 << i) ^ (hv if (sh >> i) & 1 else 0) for i in range(2 * m)]
-    return SymplecticMatrix(m, rows)
+    return _TransvectionMatrix(m, hv, sh)
 
 
 def apply_transvection(ctx: FieldContext, h: PairLike, p: PairLike) -> PauliIndex:

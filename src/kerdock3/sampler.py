@@ -115,19 +115,32 @@ class DesignSample:
 
     @classmethod
     def from_json_line(cls, line: str, m: int) -> Tuple[int, "DesignSample"]:
-        """(index, sample) of one line; refuses a ``composed`` row wider than 2m bits."""
+        """(index, sample) of one line; refuses a ``composed`` row wider than
+        2m bits, a transvection, ``psl`` or ``pauli`` entry outside [0, N)
+        and a zero transvection, naming the field."""
         obj = json.loads(line)
         rows = [int(r, 16) for r in obj["composed"]]
         for i, row in enumerate(rows):
             if not 0 <= row < 1 << (2 * m):
                 raise ValueError(f"composed row {i} = {row:#x} is wider than 2m = {2 * m} bits")
-        sample = cls(
-            transvections=tuple(Transvection(int(h1, 16), int(h2, 16))
-                                for h1, h2 in obj["transvections"]),
-            psl=PslElement(*(int(x, 16) for x in obj["psl"])),
-            pauli=PauliIndex(*(int(x, 16) for x in obj["pauli"])),
-            composed=SymplecticMatrix(m, rows),
-        )
+        n = 1 << m
+        # n is a power of two, so an OR of entries lies in [0, n) iff every
+        # entry does (a negative entry makes it negative)
+        transvections = []
+        for i, (x, y) in enumerate(obj["transvections"]):
+            h = Transvection(int(x, 16), int(y, 16))
+            if not 0 < h.h1 | h.h2 < n:
+                raise ValueError(f"transvection {i} = [{x}, {y}] must be a nonzero "
+                                 f"pair of field elements in [0, {n})")
+            transvections.append(h)
+        psl = PslElement(*(int(x, 16) for x in obj["psl"]))
+        pauli = PauliIndex(*(int(x, 16) for x in obj["pauli"]))
+        for name, joined in (("psl", psl.alpha | psl.beta | psl.gamma | psl.delta),
+                             ("pauli", pauli.a | pauli.b)):
+            if not 0 <= joined < n:
+                raise ValueError(f"{name} = {obj[name]} has an entry outside [0, {n})")
+        sample = cls(transvections=tuple(transvections), psl=psl, pauli=pauli,
+                     composed=SymplecticMatrix(m, rows))
         return int(obj["index"]), sample
 
 

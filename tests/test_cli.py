@@ -204,6 +204,28 @@ def test_invalid_arguments_exit_2(capsys):
     assert captured.out == "" and "t_max must be non-negative" in captured.err
 
 
+
+def test_bad_chain_arguments_are_refused_before_any_chain(monkeypatch, capsys):
+    """spectra refuses a bad --epsilon and convergence a negative --t-max
+    before any q_empirical call; a valid spectra run still builds both."""
+    from kerdock3 import cli
+    calls = []
+    original = cli.q_empirical
+    monkeypatch.setattr(cli, "q_empirical", lambda *a: calls.append(a) or original(*a))
+    for eps in ("0", "-1", "1"):
+        assert main(["spectra", "--m", "8", "--epsilon", eps]) == 2
+    assert main(["convergence", "--m", "8", "--t-max", "-1"]) == 2
+    assert calls == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error: eps must be in (0, 1)\n") == 3
+    assert "error: t_max must be non-negative, got -1\n" in captured.err
+    assert main(["spectra", "--m", "2"]) == 0
+    assert len(calls) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("chain = edges\n")
+    assert out.splitlines()[-1].startswith("pi_star = ")  # the mix block prints last
+
 def test_verify_m2_passes(tmp_path):
     rc, text = run(tmp_path, "verify", "--m", "2", "--count", "20000",
                    "--steps", "8", "--seed", "1")

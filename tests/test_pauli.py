@@ -1,6 +1,7 @@
 """Pauli index pairs, symplectic matrices, generators, transvections."""
 
 import inspect
+import re
 from functools import lru_cache
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kerdock3.gf2m import FieldContext
+from kerdock3.gf2m import FieldContext, f2_mat_mul
 from kerdock3.kerdock import psl_to_symplectic, sample_psl
 from kerdock3.pauli import (PauliIndex, SymplecticMatrix, Transvection,
                             apply_symplectic, apply_transvection,
@@ -139,6 +140,67 @@ def test_transvection_action_field_form():
             # h itself is fixed; anything anticommuting with h moves by h
             assert apply_transvection(ctx, h, h) == PauliIndex(*h)
 
+
+
+def test_transvection_matrix_is_a_plain_symplectic_matrix():
+    """Every Z_h at m = 2, 3 has the rows of I + Omega h^T h (numpy
+    reference), and equals and hashes like SymplecticMatrix(m, rows)."""
+    for m in (2, 3):
+        ctx = FieldContext(m)
+        omega = omega_matrix(m).to_numpy().astype(int)
+        for k in range(1, ctx.order ** 2):
+            h = vertex_split(m, k)
+            z = transvection_matrix(ctx, h)
+            hv = pack_index(ctx, h)
+            hbits = np.array([[(hv >> j) & 1 for j in range(2 * m)]])
+            want = (np.eye(2 * m, dtype=int) + omega @ hbits.T @ hbits) % 2
+            assert (z.to_numpy() == want).all()
+            plain = SymplecticMatrix(m, z.rows)
+            assert z == plain and plain == z
+            assert hash(z) == hash(plain)
+            assert len({z, plain}) == 1
+
+
+@pytest.mark.parametrize("h", [(4, 0), (0, 4), (-1, 0), (0, -1), (0, 0)])
+def test_transvection_matrix_refuses_entries_outside_the_field(h):
+    """At m = 2, an entry outside [0, 4) or the zero pair is refused with a
+    ValueError naming it (h1 = 4 used to give Z for (0, dual_decode(1)))."""
+    with pytest.raises(ValueError, match=re.escape(f"transvection {h} must be a nonzero")):
+        transvection_matrix(FieldContext(2), h)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 16), st.integers(0, 2 ** 32 - 1))
+def test_right_product_by_a_transvection_is_the_full_product(m, seed):
+    """F @ Z_h, computed as the row update r -> r + <r, h> h, equals the
+    full product f2_mat_mul(F, Z_h) for F a random product of PSL images
+    and transvection matrices, and for F with arbitrary rows."""
+    ctx = _field(m)
+    n = ctx.order
+    rng = np.random.default_rng(seed)
+    f = SymplecticMatrix.identity(m)
+    for use_psl in rng.integers(0, 2, size=5):
+        f = f @ (psl_to_symplectic(ctx, sample_psl(ctx, rng)) if use_psl
+                 else transvection_matrix(ctx, vertex_split(m, rng.integers(1, n * n))))
+    arbitrary = SymplecticMatrix(m, rng.integers(0, 1 << 2 * m, size=2 * m).tolist())
+    z = transvection_matrix(ctx, vertex_split(m, rng.integers(1, n * n)))
+    for left in (f, arbitrary, SymplecticMatrix.identity(m)):
+        out = left @ z
+        assert type(out) is SymplecticMatrix
+        assert out.rows == f2_mat_mul(left.rows, z.rows)
+        assert (z @ left).rows == f2_mat_mul(z.rows, left.rows)
+
+
+def test_right_product_by_a_transvection_refuses_other_operands():
+    z = transvection_matrix(FieldContext(2), (1, 2))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        SymplecticMatrix.identity(3) @ z
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        z @ SymplecticMatrix.identity(3)
+    for other in ((1, 2, 4, 8), 3, z.to_numpy().tolist()):
+        with pytest.raises(TypeError):
+            other @ z
+    assert z.__rmatmul__(z.rows) is NotImplemented
 
 def test_transvection_apply_vec_matches_scalar():
     ctx = FieldContext(4)

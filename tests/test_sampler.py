@@ -10,9 +10,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kerdock3.gf2m import FieldContext
+from kerdock3.gf2m import FieldContext, f2_mat_mul
 from kerdock3.graph import EdgeKind, PauliPair, census, orbit_invariant, srg_check
-from kerdock3.kerdock import PslElement, psl_identity, sample_psl_vec
+from kerdock3.kerdock import PslElement, psl_identity, psl_to_symplectic, sample_psl_vec
 from kerdock3.markov import full_chain, q_empirical
 from kerdock3.pauli import (PauliIndex, SymplecticMatrix, apply_symplectic,
                             transvection_matrix)
@@ -70,6 +70,20 @@ def test_compose_equals_sequential_product():
     assert acc == s.composed
     assert s.composed.is_symplectic()
 
+
+@pytest.mark.parametrize("m", [2, 6, 8])
+def test_compose_equals_a_full_product_fold(m):
+    """compose (one row update per transvection) equals the fold of full
+    f2_mat_mul products over 200 draws at the sampler's walk length."""
+    ctx = FieldContext(m)
+    steps = steps_for_epsilon(m, 0.01)
+    for i in range(200):
+        transvections, psl, _ = _draw(ctx, steps, _substream(43, i))
+        rows = SymplecticMatrix.identity(m).rows
+        for h in transvections:
+            rows = f2_mat_mul(rows, transvection_matrix(ctx, h).rows)
+        rows = f2_mat_mul(rows, psl_to_symplectic(ctx, psl).rows)
+        assert compose(ctx, transvections, psl).rows == rows
 
 def test_identity_hook():
     """steps=0 draws no transvection, and no transvection plus the identity
@@ -160,6 +174,27 @@ def test_json_line_refuses_a_row_wider_than_2m(rows, shown):
     with pytest.raises(ValueError, match="composed row 0"):
         read_jsonl(io.StringIO(line + "\n" + json.dumps(obj) + "\n"), 2)
 
+
+
+@pytest.mark.parametrize("field, entry, message", [
+    ("transvections", ["0x4", "0x0"], r"transvection 0 = \[0x4, 0x0\] must be a nonzero"),
+    ("transvections", ["0x0", "0x4"], r"transvection 0 = \[0x0, 0x4\] must be a nonzero"),
+    ("transvections", ["-0x1", "0x1"], r"transvection 0 = \[-0x1, 0x1\] must be a nonzero"),
+    ("transvections", ["0x0", "0x0"], r"transvection 0 = \[0x0, 0x0\] must be a nonzero"),
+    ("psl", ["0x1", "0x0", "0x4", "0x1"], r"psl = \['0x1', '0x0', '0x4', '0x1'\] has an entry"),
+    ("pauli", ["0x0", "0x4"], r"pauli = \['0x0', '0x4'\] has an entry outside \[0, 4\)"),
+    ("pauli", ["-0x1", "0x0"], r"pauli = \['-0x1', '0x0'\] has an entry outside"),
+], ids=["h1-4", "h2-4", "h1-negative", "h-zero", "psl-4", "pauli-4", "pauli-negative"])
+def test_json_line_refuses_entries_outside_the_field(field, entry, message):
+    """A transvection, psl or pauli entry outside [0, N), or a zero
+    transvection, is refused where it is read, naming the field."""
+    line = sample_at(SamplerConfig(m=2, seed=0, count=1, steps=1), 0).to_json_line(0)
+    obj = json.loads(line)
+    obj[field] = [entry] if field == "transvections" else entry
+    with pytest.raises(ValueError, match=message):
+        DesignSample.from_json_line(json.dumps(obj), 2)
+    with pytest.raises(ValueError, match=message):
+        read_jsonl(io.StringIO(line + "\n" + json.dumps(obj) + "\n"), 2)
 
 def test_draw_is_deterministic_nonzero_and_reaches_every_transvection():
     """The sampler's one transvection draw: the same substream repeats
