@@ -31,7 +31,7 @@ from typing import List, Optional
 import numpy as np
 
 from .gf2m import FieldContext
-from .graph import census, state_name
+from .graph import CHAINS, census, state_name
 from .kerdock import psl_elements, psl_to_symplectic
 from .markov import (FULL_CHAIN_MAX_M, extract_r, full_chain, lump_chain,
                      mixing_time_bound, mixing_time_report, q0_structure_check,
@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--count", type=int, default=1)
         return p
 
-    chains = dict(choices=("edges", "nonedges", "both"), default="both")
+    chains = dict(choices=CHAINS + ("both",), default="both")
     command("field-info", "field context tables")
     command("graph-census", "pair-class census", threads=True)
     command("chain", "transition matrices and checks",
@@ -162,7 +162,7 @@ def _cmd_chain(args) -> int:
     ctx = _ctx(args)
     failures: List[str] = []
     chunks: List[str] = []
-    chains = ("edges", "nonedges") if args.chain == "both" else (args.chain,)
+    chains = CHAINS if args.chain == "both" else (args.chain,)
     for chain in chains:
         tm = q_empirical(ctx, chain)
         if args.format == "json":
@@ -202,7 +202,7 @@ def _cmd_chain(args) -> int:
 
 def _cmd_spectra(args) -> int:
     ctx = _ctx(args)
-    chains = ("edges", "nonedges") if args.chain == "both" else (args.chain,)
+    chains = CHAINS if args.chain == "both" else (args.chain,)
     mix = mixing_time_report(ctx.m, args.epsilon)  # refuses epsilon before any chain
     out = []
     for chain in chains:
@@ -228,7 +228,7 @@ def _cmd_convergence(args) -> int:
     if t_max < 0:
         raise ValueError(f"t_max must be non-negative, got {t_max}")
     lines = ["chain,start,t,tv"]
-    for chain in ("edges", "nonedges"):
+    for chain in CHAINS:
         tm = q_empirical(ctx, chain)
         curves = tv_curve(tm, np.eye(len(tm.states)), t_max)
         for state, curve in zip(tm.states, curves):
@@ -291,14 +291,14 @@ def _verify_checks(args):
 
     @check("chain-stationary-exact")
     def _():
-        for chain in ("edges", "nonedges"):
+        for chain in CHAINS:
             if not stationary_check(q_empirical(ctx, chain)):
                 return f"{chain} stationary check failed"
         return None
 
     @check("full-chain-lumping")
     def _():
-        for chain in ("edges", "nonedges"):
+        for chain in CHAINS:
             if lump_chain(ctx, full_chain(ctx, chain)) != q_empirical(ctx, chain):
                 return f"{chain} lumping mismatch"
         return None

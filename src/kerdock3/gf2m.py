@@ -269,9 +269,6 @@ class FieldContext:
 
     # -- scalar arithmetic --
 
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         return self._exp[self._log[a] + self._log[b]]
 

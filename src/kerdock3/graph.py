@@ -22,6 +22,9 @@ type-1 edges; the orbit census is closed-form:
 (CENSUS_MAX_M) and reports the closed forms alone beyond that.
 ``pair_determinant`` owns the determinant and the pair check (two distinct
 nonzero entries); ``orbit_invariant`` and ``classify_pair`` read it.
+``CHAINS`` names the two pair classes as the walk's chains;
+``chain_states`` and ``chain_mask`` give their orbit states and pair
+masks, and refuse any other name.
 
 This module owns the pair code ``v * N^2 + w`` of two vertex codes and
 the orbit key ``kind * 2^16 + value`` made by ``orbit_key`` (for whole
@@ -58,11 +61,12 @@ __all__ = [
     "pair_split",
     "orbit_counts",
     "ORBIT_KEY_SPACE",
-    "anticommutation_matrix",
+    "CHAINS",
+    "chain_states",
+    "chain_mask",
     "srg_parameters",
     "srg_check",
     "orbit_states",
-    "edge_states",
     "orbit_representative",
     "state_name",
     "state_obj",
@@ -74,6 +78,8 @@ __all__ = [
 ]
 
 CENSUS_MAX_M = 6
+# the two pair classes, as the walk's chains: commuting, anticommuting
+CHAINS = ("edges", "nonedges")
 
 
 class EdgeKind(enum.IntEnum):
@@ -197,17 +203,27 @@ def srg_parameters(m: int) -> Tuple[int, int, int, int]:
     return (nsq - 1, nsq // 2 - 2, nsq // 4 - 3, nsq // 4 - 1)
 
 
-def anticommutation_matrix(ctx: FieldContext) -> np.ndarray:
-    """Boolean (N^2, N^2): [v, w] is Tr(ad + bc) = 1 for the codes
-    v = a | b << m, w = c | d << m, zero included (m <= CENSUS_MAX_M).
-    With Tr(ad) = parity(a & |d|) and x[v, w] = a_v & |b_w|, it is
-    parity(x ^ x^T)."""
+def _check_chain(chain: str) -> None:
+    if chain not in CHAINS:
+        raise ValueError(f"chain must be 'edges' or 'nonedges', got {chain!r}")
+
+
+def chain_mask(ctx: FieldContext, chain: str) -> np.ndarray:
+    """Boolean (N^2, N^2): [v, w] is True for distinct nonzero codes
+    v = a | b << m, w = c | d << m whose pair is in ``chain`` (m <=
+    CENSUS_MAX_M).  With Tr(ad) = parity(a & |d|) and x[v, w] = a_v & |b_w|,
+    Tr(ad + bc) is parity(x ^ x^T)."""
+    _check_chain(chain)
     if ctx.m > CENSUS_MAX_M:
-        raise ValueError(f"the anticommutation matrix is capped at m = {CENSUS_MAX_M}")
+        raise ValueError(f"the chain mask is capped at m = {CENSUS_MAX_M}")
     n = ctx.order
     a, b = vertex_split(ctx.m, np.arange(n * n, dtype=np.uint32))
     x = a[:, None] & ctx.np_table("dual")[b][None, :]
-    return (np.bitwise_count(x ^ x.T) & 1).astype(bool)
+    # a pair's class is CHAINS[Tr(ad + bc)]
+    mask = (np.bitwise_count(x ^ x.T) & 1) == CHAINS.index(chain)
+    mask[0, :] = mask[:, 0] = False
+    np.fill_diagonal(mask, False)
+    return mask
 
 
 def srg_check(ctx: FieldContext) -> Tuple[int, int, int, int]:
@@ -216,8 +232,7 @@ def srg_check(ctx: FieldContext) -> Tuple[int, int, int, int]:
     Raises if the graph is not strongly regular (non-constant degree or
     common-neighbour counts).
     """
-    adj = ~anticommutation_matrix(ctx)[1:, 1:]
-    np.fill_diagonal(adj, False)
+    adj = chain_mask(ctx, "edges")[1:, 1:]
     degrees = adj.sum(axis=1)
     if degrees.min() != degrees.max():
         raise ValueError("graph is not regular")
@@ -247,8 +262,11 @@ def orbit_states(ctx: FieldContext, kind: EdgeKind) -> List[OrbitInvariant]:
     return [OrbitInvariant(kind, v) for v in vals]
 
 
-def edge_states(ctx: FieldContext) -> List[OrbitInvariant]:
-    """Edge-chain state order: the N-2 type-1 orbits, then the (N-2)/2 type-2."""
+def chain_states(ctx: FieldContext, chain: str) -> List[OrbitInvariant]:
+    """Chain state order: non-edge orbits, or N-2 type-1 then (N-2)/2 type-2."""
+    _check_chain(chain)
+    if chain == "nonedges":
+        return orbit_states(ctx, EdgeKind.NON_EDGE)
     return orbit_states(ctx, EdgeKind.TYPE1) + orbit_states(ctx, EdgeKind.TYPE2)
 
 

@@ -190,12 +190,8 @@ def psl_factors(ctx: FieldContext, g: PslElement):
 
 
 def psl_product(ctx: FieldContext, g1: PslElement, g2: PslElement) -> PslElement:
-    return PslElement(
-        ctx.mul(g1.alpha, g2.alpha) ^ ctx.mul(g1.beta, g2.gamma),
-        ctx.mul(g1.alpha, g2.beta) ^ ctx.mul(g1.beta, g2.delta),
-        ctx.mul(g1.gamma, g2.alpha) ^ ctx.mul(g1.delta, g2.gamma),
-        ctx.mul(g1.gamma, g2.beta) ^ ctx.mul(g1.delta, g2.delta),
-    )
+    """g1 g2: each row of g1 right-multiplied by g2."""
+    return PslElement(*pair_action(ctx, g2, g1[:2]), *pair_action(ctx, g2, g1[2:]))
 
 
 def psl_inverse(ctx: FieldContext, g: PslElement) -> PslElement:

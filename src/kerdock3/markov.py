@@ -35,6 +35,8 @@ images Z_h fixes.  ``full_chain`` and ``lump_chain`` (m <= 3), which
 apply every transvection to every pair, and the brute-force test over
 scalar ``apply_transvection`` remain the independent routes to the same
 matrices.
+Chain names, states and pair masks are ``graph``'s: ``CHAINS``,
+``chain_states`` and ``chain_mask``.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import numpy as np
 
 from .gf2m import FieldContext
 from .graph import (ORBIT_KEY_SPACE, EdgeKind, OrbitInvariant, PauliPair,
-                    anticommutation_matrix, determinant_keys, edge_states,
+                    chain_mask, chain_states, determinant_keys,
                     orbit_invariant, orbit_invariant_vec, orbit_key,
                     orbit_representative, orbit_states, pair_code, state_name,
                     state_obj)
@@ -204,14 +206,6 @@ def lambda_q0_bound(m: int) -> float:
 # --- empirical chains by transvection enumeration ---
 
 
-def _chain_states(ctx: FieldContext, chain: str) -> List[OrbitInvariant]:
-    if chain == "nonedges":
-        return orbit_states(ctx, EdgeKind.NON_EDGE)
-    if chain == "edges":
-        return edge_states(ctx)
-    raise ValueError(f"chain must be 'edges' or 'nonedges', got {chain!r}")
-
-
 # grid cells (pairs x transvections) per pass of _determinant_images; it
 # bounds the pass's temporaries to a few MB at every m
 _GRID_CELLS = 1 << 17
@@ -263,7 +257,7 @@ def transvection_counts(ctx: FieldContext, chain: str,
     """
     if ctx.m > EMPIRICAL_MAX_M:
         raise ValueError(f"orbit chain enumeration capped at m = {EMPIRICAL_MAX_M}")
-    states = _chain_states(ctx, chain)
+    states = chain_states(ctx, chain)
     if representatives is None:
         representatives = [orbit_representative(ctx, s) for s in states]
     k = len(states)
@@ -318,7 +312,6 @@ def extract_r(tm: TransitionMatrix) -> np.ndarray:
 @dataclass
 class Q0StructureReport:
     m: int
-    r_matrix: np.ndarray
     row_sums: np.ndarray
     col_sums: np.ndarray
     failures: List[str]
@@ -354,9 +347,8 @@ def q0_structure_check(tm: TransitionMatrix) -> Q0StructureReport:
         failures.append(f"R row sums are not 6N: {row_sums.tolist()}")
     if not (col_sums == 3 * n).all():
         failures.append(f"R column sums are not 3N: {col_sums.tolist()}")
-    return Q0StructureReport(m=n.bit_length() - 1, r_matrix=r,
-                             row_sums=row_sums, col_sums=col_sums,
-                             failures=failures)
+    return Q0StructureReport(m=n.bit_length() - 1, row_sums=row_sums,
+                             col_sums=col_sums, failures=failures)
 
 
 # --- exact stationary / eigenvector identities ---
@@ -560,10 +552,7 @@ def full_chain(ctx: FieldContext, chain: str) -> TransitionMatrix:
         raise ValueError(f"full chain capped at m = {FULL_CHAIN_MAX_M}")
     n = ctx.order
     # all ordered pairs (v, w) of distinct nonzero codes in the class
-    anti = anticommutation_matrix(ctx)[1:, 1:]
-    mask = ~anti if chain == "edges" else anti
-    np.fill_diagonal(mask, False)
-    vs, ws = (x.astype(np.uint32) + 1 for x in np.nonzero(mask))
+    vs, ws = (x.astype(np.uint32) for x in np.nonzero(chain_mask(ctx, chain)))
     k = len(vs)
     code_to_idx = np.full(n ** 4, -1, dtype=np.int64)
     code_to_idx[pair_code(ctx.m, vs, ws)] = np.arange(k)
@@ -599,7 +588,7 @@ def lump_chain(ctx: FieldContext, full: TransitionMatrix) -> TransitionMatrix:
     """
     invariants = [orbit_invariant(ctx, pair) for pair in full.states]
     chain = "edges" if invariants[0].kind != EdgeKind.NON_EDGE else "nonedges"
-    states = _chain_states(ctx, chain)
+    states = chain_states(ctx, chain)
     col_of = {s: j for j, s in enumerate(states)}
     member_cols = np.array([col_of[inv] for inv in invariants])
     lumped = np.zeros((len(full.states), len(states)), dtype=np.int64)

@@ -113,6 +113,8 @@ class SymplecticMatrix:
         return f2_rows_to_numpy(self.rows, 2 * self.m)
 
     def __matmul__(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
+        if not isinstance(other, SymplecticMatrix):
+            return NotImplemented
         if self.m != other.m:
             raise ValueError("dimension mismatch")
         return SymplecticMatrix(self.m, f2_mat_mul(self.rows, other.rows))
@@ -176,9 +178,9 @@ def vertex_split(m: int, v):
 
 
 def pack_index(ctx: FieldContext, p: PairLike) -> int:
-    """Packed row vector [ [a] | |b| ] of a Pauli index."""
+    """Packed row vector [ [a] | |b| ] of a Pauli index, a Python int."""
     a, b = p
-    return a | (ctx.dual_coords(b) << ctx.m)
+    return int(a) | (ctx.dual_coords(b) << ctx.m)
 
 
 def unpack_index(ctx: FieldContext, v: int) -> PauliIndex:

@@ -28,8 +28,8 @@ import numpy as np
 
 from ._workers import ordered_map
 from .gf2m import FieldContext
-from .graph import (EdgeKind, OrbitInvariant, PauliPair, anticommutation_matrix,
-                    classify_pair, closed_form_counts, orbit_counts, orbit_invariant_vec,
+from .graph import (EdgeKind, OrbitInvariant, PauliPair, chain_mask, classify_pair,
+                    closed_form_counts, orbit_counts, orbit_invariant_vec,
                     pair_code, pair_split, state_name, state_obj)
 from .kerdock import PslElement, psl_to_symplectic, sample_psl, sample_psl_vec
 from .markov import mixing_time_bound
@@ -272,13 +272,6 @@ class PairStatistics:
             } for p in self.probes],
         }, sort_keys=True, indent=2) + "\n"
 
-    def to_csv(self) -> str:
-        lines = ["probe,class,class_size,samples,tv_to_uniform,four_sigma"]
-        for p in self.probes:
-            lines.append(f"{state_name(p.probe)},{p.class_name},{p.class_size},"
-                         f"{p.samples},{p.tv_to_uniform!r},{p.four_sigma()!r}")
-        return "\n".join(lines) + "\n"
-
 
 def _normalize_probes(ctx: FieldContext, probes: Sequence[Probe]) -> List[Probe]:
     """Probes as PauliIndex / PauliPair, each checked by ``class_size``; at
@@ -340,24 +333,18 @@ def _statistics_from_counts(ctx: FieldContext, probes: List[Probe],
     stats = []
     for probe, hist in zip(probes, counts):
         name, k = class_size(ctx, probe)
-        if isinstance(probe, PauliIndex):
-            member = hist
-        else:
-            anti = anticommutation_matrix(ctx)
-            mask = anti if name == "anticommuting_pairs" else ~anti
-            mask[0, :] = mask[:, 0] = False
-            np.fill_diagonal(mask, False)
-            member = hist[mask.ravel()]
+        member, orbit_hist = hist, None
+        if isinstance(probe, PauliPair):
+            chain = "nonedges" if name == "anticommuting_pairs" else "edges"
+            member = hist[chain_mask(ctx, chain).ravel()]
             if int(member.sum()) != total:
                 raise AssertionError("probe images escaped their pair class")
-        tv = 0.5 * float(np.abs(member / total - 1.0 / k).sum())
-        orbit_hist = None
-        if isinstance(probe, PauliPair):
             codes = np.flatnonzero(hist)
             v, w = pair_split(ctx.m, codes)
             keys = orbit_invariant_vec(ctx, *vertex_split(ctx.m, v),
                                        *vertex_split(ctx.m, w))
             orbit_hist = orbit_counts(keys, hist[codes])
+        tv = 0.5 * float(np.abs(member / total - 1.0 / k).sum())
         stats.append(ProbeStatistics(probe=probe, class_name=name, class_size=k,
                                      samples=total, tv_to_uniform=tv,
                                      orbit_histogram=orbit_hist))

@@ -22,7 +22,9 @@ by m, and the basis and phase factors of ``psl_factors`` by (m, packed
 rows): field-independent, at most about 2N + 1 entries per m.  The caches
 hold up to about 2 N^4 complex entries per field, 33 MB at m = 5 and
 0.5 GB at m = 6, so every dense constructor refuses m > DENSE_MAX_M with a
-ValueError before it allocates anything.
+ValueError before it allocates anything.  A generator refuses what its
+symplectic twin in ``pauli`` refuses by building the twin when it is built
+itself, and D(a, b) an entry outside [0, N); cache hits check nothing.
 
 Frame potentials are computed by chunked Gram products on flattened
 unitaries; the Haar baseline is the number of standard Young tableaux
@@ -36,10 +38,13 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .gf2m import FieldContext, f2_mat_inv, f2_mat_mul, f2_mat_transpose
+from .gf2m import FieldContext, f2_mat_mul
+from .graph import CHAINS
 from .kerdock import PslElement, psl_elements, psl_factors
 from .markov import q_empirical, stationary_weights
-from .pauli import PauliIndex, SymplecticMatrix, apply_symplectic, vertex_split
+from .pauli import (PauliIndex, SymplecticMatrix, apply_symplectic,
+                    basis_change_matrix, partial_hadamard_matrix, phase_matrix,
+                    transvection_matrix, vertex_split)
 from .sampler import DesignSample
 
 __all__ = [
@@ -95,6 +100,9 @@ def _cached(key: tuple, build: Callable[..., np.ndarray], *args) -> np.ndarray:
 
 def _build_pauli(ctx: FieldContext, a: int, b: int) -> np.ndarray:
     n = ctx.order
+    # n is a power of two, so a | b lies in [0, n) iff both entries do
+    if not 0 <= a | b < n:
+        raise ValueError(f"Pauli index {(a, b)} must be a pair of field elements in [0, {n})")
     db = ctx.dual_coords(b)
     v = np.arange(n)
     signs = 1.0 - 2.0 * (np.bitwise_count(v & db) & 1)
@@ -112,10 +120,12 @@ def pauli_unitary(ctx: FieldContext, p: Tuple[int, int]) -> np.ndarray:
 def hermitian_pauli(ctx: FieldContext, p: Tuple[int, int]) -> np.ndarray:
     """E(a, b) = i^Tr(ab) D(a, b); Hermitian with E^2 = I."""
     a, b = p
-    return (1j ** ctx.trace(ctx.mul(a, b))) * pauli_unitary(ctx, p)
+    d = pauli_unitary(ctx, p)  # refuses p before the field product reads it
+    return (1j ** ctx.trace(ctx.mul(a, b))) * d
 
 
 def _build_transvection(ctx: FieldContext, h: Tuple[int, int]) -> np.ndarray:
+    transvection_matrix(ctx, h)  # refuses what Z_h refuses
     e = hermitian_pauli(ctx, h)
     return (np.eye(e.shape[0]) + 1j * e) / math.sqrt(2.0)
 
@@ -144,14 +154,13 @@ def hadamard_unitary(m: int) -> np.ndarray:
 
 def partial_hadamard_unitary(m: int, t: int) -> np.ndarray:
     """Hadamard on coordinates 0..t-1 (the low label bits)."""
-    if not 0 <= t <= m:
-        raise ValueError(f"t={t} out of range [0, {m}]")
+    partial_hadamard_matrix(m, t)  # refuses t outside [0, m]
     _check_dense(m)
     return np.kron(np.eye(1 << (m - t)), hadamard_unitary(t)).astype(np.complex128)
 
 
 def _build_basis(m: int, q: Tuple[int, ...]) -> np.ndarray:
-    f2_mat_inv(q, m)  # raises unless Q is an invertible m x m matrix
+    basis_change_matrix(m, q)  # refuses Q unless it is invertible m x m
     n = 1 << m
     mat = np.zeros((n, n), dtype=np.complex128)
     mat[f2_mat_mul(range(n), q), range(n)] = 1.0
@@ -164,8 +173,7 @@ def basis_unitary(m: int, q: Tuple[int, ...]) -> np.ndarray:
 
 
 def _build_phase(m: int, p: Tuple[int, ...]) -> np.ndarray:
-    if p != f2_mat_transpose(p, m):
-        raise ValueError("P must be a symmetric m x m matrix over GF(2)")
+    phase_matrix(m, p)  # refuses P unless it is symmetric m x m
     v = np.arange(1 << m)
     # v P v^T over the integers: sum_i v_i popcount(v & P_i)
     quad = sum(((v >> i) & 1) * np.bitwise_count(v & r) for i, r in enumerate(p)) % 4
@@ -327,7 +335,7 @@ def collision_frame_potential_3(ctx: FieldContext, t: int) -> float:
     if t < 0:
         raise ValueError(f"t must be non-negative, got {t}")
     total = 4.0
-    for chain in ("edges", "nonedges"):
+    for chain in CHAINS:
         tm = q_empirical(ctx, chain)
         sizes = np.array([_ordered_orbit_sizes(ctx, chain)[s] for s in tm.states],
                          dtype=float)

@@ -11,9 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kerdock3.gf2m import FieldContext
-from kerdock3.graph import (CENSUS_MAX_M, ORBIT_KEY_SPACE, CensusReport,
+from kerdock3.graph import (CENSUS_MAX_M, CHAINS, ORBIT_KEY_SPACE, CensusReport,
                             EdgeKind, OrbitInvariant, PauliPair,
-                            anticommutation_matrix, census, classify_pair,
+                            census, chain_mask, chain_states, classify_pair,
                             closed_form_counts, determinant_keys,
                             orbit_counts, orbit_invariant,
                             orbit_invariant_vec, orbit_key, orbit_representative, orbit_states, pair_code,
@@ -275,17 +275,24 @@ def test_orbit_invariant_vec_matches_scalar_any_m(case):
     assert "mul" not in ctx._np_cache and "div" not in ctx._np_cache
 
 
-def test_anticommutation_matrix_matches_symplectic_inner():
+def test_chain_masks_match_symplectic_inner():
     ctx = FieldContext(3)
-    anti = anticommutation_matrix(ctx)
-    assert anti.shape == (64, 64) and anti.dtype == bool
-    for v in range(64):
-        for w in range(64):
-            assert anti[v, w] == symplectic_inner(ctx, (v & 7, v >> 3), (w & 7, w >> 3))
-    assert (anti == anti.T).all() and not anti[0].any() and not anti.diagonal().any()
+    masks = [chain_mask(ctx, chain) for chain in CHAINS]
+    for inner, mask in enumerate(masks):
+        assert mask.shape == (64, 64) and mask.dtype == bool
+        assert (mask == mask.T).all()
+        assert not mask[0].any() and not mask[:, 0].any() and not mask.diagonal().any()
+        for v in range(1, 64):
+            for w in range(1, 64):
+                want = v != w and symplectic_inner(ctx, (v & 7, v >> 3), (w & 7, w >> 3)) == inner
+                assert mask[v, w] == want
+    assert not (masks[0] & masks[1]).any()
     assert "mul" not in ctx._np_cache
     with pytest.raises(ValueError, match="capped"):
-        anticommutation_matrix(FieldContext(CENSUS_MAX_M + 1))
+        chain_mask(FieldContext(CENSUS_MAX_M + 1), "edges")
+    for refuse in (chain_mask, chain_states):
+        with pytest.raises(ValueError, match="'edgs'"):
+            refuse(ctx, "edgs")
 
 
 def test_state_name_and_obj():

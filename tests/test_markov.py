@@ -348,6 +348,8 @@ def test_bad_chain_name():
     ctx = FieldContext(2)
     with pytest.raises(ValueError):
         q_empirical(ctx, "loops")
+    with pytest.raises(ValueError, match="'edgs'"):
+        full_chain(ctx, "edgs")
 
 
 def test_probability_rows_sum_to_one():

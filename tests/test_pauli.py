@@ -191,6 +191,22 @@ def test_right_product_by_a_transvection_is_the_full_product(m, seed):
         assert (z @ left).rows == f2_mat_mul(z.rows, left.rows)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 16), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([np.uint16, np.uint32]))
+def test_numpy_integer_entries_act_as_python_ints(m, seed, dtype):
+    """pack_index and transvection_matrix give the same result for numpy
+    integer entries as for Python ints (uint16 entries used to overflow
+    in a | dual(b) << m above m = 8)."""
+    ctx = _field(m)
+    n = ctx.order
+    h = vertex_split(m, int(np.random.default_rng(seed).integers(1, n * n)))
+    wide = tuple(dtype(x) for x in h)
+    assert pack_index(ctx, wide) == pack_index(ctx, h)
+    assert type(pack_index(ctx, wide)) is int
+    assert transvection_matrix(ctx, wide) == transvection_matrix(ctx, h)
+
+
 def test_right_product_by_a_transvection_refuses_other_operands():
     z = transvection_matrix(FieldContext(2), (1, 2))
     with pytest.raises(ValueError, match="dimension mismatch"):
@@ -200,6 +216,9 @@ def test_right_product_by_a_transvection_refuses_other_operands():
     for other in ((1, 2, 4, 8), 3, z.to_numpy().tolist()):
         with pytest.raises(TypeError):
             other @ z
+    for left in (SymplecticMatrix.identity(2), z):
+        with pytest.raises(TypeError):
+            left @ 3
     assert z.__rmatmul__(z.rows) is NotImplemented
 
 def test_transvection_apply_vec_matches_scalar():

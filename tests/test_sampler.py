@@ -291,7 +291,6 @@ def test_stream_statistics_thread_and_run_invariance():
     b = pair_statistics_stream(config, probes, threads=4, batch_size=4096)
     c = pair_statistics_stream(config, probes, threads=1, batch_size=4096)
     assert a.to_json() == b.to_json() == c.to_json()
-    assert a.to_csv() == b.to_csv()
 
 
 # sha256 of the report, pinned from the table-lookup walk kernel: any
@@ -505,7 +504,3 @@ def test_statistics_json_and_csv_shape():
     assert len(obj["probes"]) == 2
     names = {p["class"] for p in obj["probes"]}
     assert names == {"commuting_pairs", "vertices"}
-    csv_text = stats.to_csv()
-    lines = csv_text.strip().split("\n")
-    assert lines[0] == "probe,class,class_size,samples,tv_to_uniform,four_sigma"
-    assert len(lines) == 3

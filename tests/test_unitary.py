@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -233,6 +234,24 @@ def test_basis_generators_refuse_bad_rows(build, q):
 def test_phase_generators_refuse_bad_rows(build, p):
     with pytest.raises(ValueError):
         build(2, p)
+
+
+@pytest.mark.parametrize("kind, build, p", [
+    ("transvection", transvection_unitary, (0, 0)),
+    ("transvection", transvection_unitary, (-1, 0)),
+    ("transvection", transvection_unitary, (4, 0)),
+    ("pauli", pauli_unitary, (-1, 0)),
+    ("pauli", pauli_unitary, (4, 0)),
+    ("pauli", hermitian_pauli, (0, 4)),
+])
+def test_dense_paulis_and_transvections_refuse_entries_outside_the_field(kind, build, p):
+    """At m = 2, (0, 0) as a transvection and an entry outside [0, 4) are
+    refused, and nothing is cached under their keys ((-1, 0) used to be
+    built as a copy of (3, 0), (0, 0) as (1 + i)/sqrt(2) I)."""
+    ctx = FieldContext(2)
+    with pytest.raises(ValueError, match=re.escape(f"{p} must be")):
+        build(ctx, p)
+    assert (kind, 2, ctx.poly, *p) not in unitary._UNITARY_CACHE
 
 
 def test_psl_unitaries_all_m2():
