@@ -5,7 +5,8 @@ coefficient of alpha^i, where alpha is a root of the chosen degree-m
 primitive polynomial over GF(2); so the integer value doubles as the
 primal coordinate row vector of the element.  Addition is XOR,
 multiplication runs through one pair of log/antilog tables per context,
-read by the scalar methods and, as arrays, by the vectorized kernels.
+read by the scalar methods and, as arrays, by ``FieldContext.mul_vec``
+and ``div_vec`` alone: every vectorized kernel multiplies through them.
 
 Besides the primal coordinates ``[a] = (a_0, ..., a_{m-1})`` the module
 maintains dual (trace) coordinates: the dual basis of ``1, alpha, ...,
@@ -357,22 +358,28 @@ class FieldContext:
     def nonzero(self) -> range:
         return range(1, self.order)
 
-    # -- vectorized lookup tables (numpy) --
+    # -- vectorized arithmetic and lookup tables (numpy) --
+
+    def mul_vec(self, x, y) -> np.ndarray:
+        """Elementwise x*y of broadcasting arrays or ints, as exp[log x +
+        log y]: the sentinel log[0] sends a zero operand to exp's zero tail."""
+        log = self.np_table("log")
+        return self.np_table("exp")[log[x] + log[y]]
+
+    def div_vec(self, x, y) -> np.ndarray:
+        """Elementwise x/y, as exp[log x - log y + N-1]; a lane with y = 0
+        holds an unspecified element, for the caller's ``where`` to drop."""
+        log = self.np_table("log")
+        return self.np_table("exp")[log[x] - log[y] + (self.order - 1)]
 
     def np_table(self, name: str) -> np.ndarray:
-        """Cached numpy lookup tables for the vectorized kernels.
-
-        Kernels multiply through 'log' (N,) int32 and 'exp' (4N,), the
-        arrays of the sentinel tables that scalar ``mul`` and ``div`` read:
-        exp[log[x] + log[y]] == x*y, and for y != 0
-        exp[log[x] - log[y] + N-1] == x/y.  Also: 'trace' and 'dual',
-        both (N,), and the N x N 'mul' and 'div' (div[:, 0] = 0), refused
-        above DENSE_TABLE_MAX_M.
-        """
+        """Cached numpy tables: 'log' (N,) int32 and 'exp' (4N,), read by
+        ``mul_vec``/``div_vec`` alone; 'trace' and 'dual', both (N,); the
+        N x N 'mul' and 'div' (div[:, 0] = 0), refused above
+        DENSE_TABLE_MAX_M, read only by the benchmark and their own tests."""
         if name in self._np_cache:
             return self._np_cache[name]
         n = self.order
-        n1 = n - 1
         dtype = np.uint32 if self.m > 8 else np.uint16
         if name in ("mul", "div") and self.m > DENSE_TABLE_MAX_M:
             raise ValueError(f"the N x N {name!r} table is capped at m = "
@@ -382,12 +389,10 @@ class FieldContext:
         elif name == "exp":
             t = np.array(self._exp, dtype=dtype)
         elif name == "mul":
-            log = self.np_table("log")
-            t = self.np_table("exp")[log[:, None] + log[None, :]]
+            t = self.mul_vec(np.arange(n)[:, None], np.arange(n))
         elif name == "div":
-            log = self.np_table("log")
             t = np.zeros((n, n), dtype=dtype)
-            t[:, 1:] = self.np_table("exp")[log[:, None] - log[None, 1:] + n1]
+            t[:, 1:] = self.div_vec(np.arange(n)[:, None], np.arange(1, n))
         elif name == "trace":
             t = np.bitwise_count(np.arange(n) & self._trace_mask).astype(np.uint8) & 1
         elif name == "dual":

@@ -21,7 +21,8 @@ type-1 edges; the orbit census is closed-form:
 ``census`` verifies all of this by exhaustive enumeration for m <= 6
 (CENSUS_MAX_M) and reports the closed forms alone beyond that.
 ``pair_determinant`` owns the determinant and the pair check (two distinct
-nonzero entries); ``orbit_invariant`` and ``classify_pair`` read it.
+nonzero Pauli indices of field elements in [0, N)); ``orbit_invariant``
+and ``classify_pair`` read it.
 ``CHAINS`` names the two pair classes as the walk's chains;
 ``chain_states`` and ``chain_mask`` give their orbit states and pair
 masks, and refuse any other name.
@@ -143,8 +144,10 @@ def orbit_counts(keys, weights=None) -> Dict[OrbitInvariant, int]:
 
 def pair_determinant(ctx: FieldContext, pair: PauliPair) -> int:
     """det(a b; c d) = ad + bc, the field-valued commutation witness;
-    refuses a pair with a zero or repeated entry."""
+    refuses a pair with a zero or repeated entry or one outside [0, N)."""
     (a, b), (c, d) = pair
+    if not 0 <= a | b | c | d < ctx.order:
+        raise ValueError(f"pair (({a}, {b}), ({c}, {d})) has an entry outside [0, {ctx.order})")
     if (a == 0 and b == 0) or (c == 0 and d == 0):
         raise ValueError("pair entries must be nonzero Pauli indices")
     if (a, b) == (c, d):
@@ -169,20 +172,18 @@ def orbit_invariant(ctx: FieldContext, pair: PauliPair) -> OrbitInvariant:
 
 def orbit_invariant_vec(ctx: FieldContext, a, b, c, d):
     """The uint32 orbit key kind * 2^16 + value of each pair, from its
-    components a, b, c, d, through the O(N) log/exp tables; a zero second
+    components a, b, c, d, through ``mul_vec``/``div_vec``; a zero second
     vertex gives (TYPE1, 0).  ``orbit_counts`` counts keys per orbit."""
-    log, exp, tr = ctx.np_table("log"), ctx.np_table("exp"), ctx.np_table("trace")
-    la, lb, lc, ld = log[a], log[b], log[c], log[d]
-    det = exp[la + ld] ^ exp[lb + lc]
-    anti = tr[det] == 1
+    det = ctx.mul_vec(a, d) ^ ctx.mul_vec(b, c)
+    anti = ctx.np_table("trace")[det] == 1
     type1 = (det == 0) & ~anti
     kind = np.where(anti, int(EdgeKind.NON_EDGE),
                     np.where(type1, int(EdgeKind.TYPE1), int(EdgeKind.TYPE2)))
     c_nz = c != 0
-    ratio = exp[np.where(c_nz, la - lc, lb - ld) + (ctx.order - 1)]
+    ratio = ctx.div_vec(np.where(c_nz, a, b), np.where(c_nz, c, d))
     # with c = d = 0 the ratio would be b/0; det is the 0 wanted there
     value = np.where(type1 & (c_nz | (d != 0)), ratio, det)
-    del la, lb, lc, ld, det, ratio  # so the key arrays do not raise the peak memory
+    del det, ratio  # so the key arrays do not raise the peak memory
     return orbit_key(kind.astype(np.uint8), value.astype(np.uint16))
 
 
@@ -273,6 +274,8 @@ def chain_states(ctx: FieldContext, chain: str) -> List[OrbitInvariant]:
 def orbit_representative(ctx: FieldContext, inv: OrbitInvariant) -> PauliPair:
     """One explicit pair with the given invariant."""
     kind, v = inv
+    if not 0 <= v < ctx.order:
+        raise ValueError(f"orbit value {v} is outside [0, {ctx.order})")
     if kind == EdgeKind.TYPE1:
         if v in (0, 1):
             raise ValueError("type-1 ratio must avoid 0 and 1")

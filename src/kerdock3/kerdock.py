@@ -86,6 +86,8 @@ def psl_identity(ctx: FieldContext) -> PslElement:
 
 
 def _check_det(ctx: FieldContext, g: PslElement) -> None:
+    if not 0 <= g.alpha | g.beta | g.gamma | g.delta < ctx.order:
+        raise ValueError(f"{g} has an entry outside [0, {ctx.order})")
     det = ctx.mul(g.alpha, g.delta) ^ ctx.mul(g.beta, g.gamma)
     if det != 1:
         raise ValueError(f"determinant {det} != 1, not an SL(2) element: {g}")
@@ -235,14 +237,12 @@ def sample_psl(ctx: FieldContext, rng: np.random.Generator) -> PslElement:
 def sample_psl_vec(ctx: FieldContext, rng: np.random.Generator, size: int):
     """Vectorized uniform SL(2) draw; returns arrays (alpha, beta, gamma, delta).
 
-    ``_psl_fill`` lane by lane, through the O(N) log/exp tables; each
-    ``where`` discards the junk its other branch reads."""
+    ``_psl_fill`` lane by lane, through ``mul_vec``/``div_vec``; each
+    ``where`` discards the junk quotient its other branch computes."""
     n = ctx.order
-    log, exp = ctx.np_table("log"), ctx.np_table("exp")
     alpha, gamma = vertex_split(ctx.m, rng.integers(1, n * n, size=size, dtype=np.uint32))
     j = rng.integers(0, n, size=size, dtype=np.uint16)
     fin = alpha != 0
-    lg = log[gamma]
-    beta = np.where(fin, j, exp[(n - 1) - lg])
-    delta = np.where(fin, exp[log[1 ^ exp[log[beta] + lg]] - log[alpha] + (n - 1)], j)
+    beta = np.where(fin, j, ctx.div_vec(1, gamma))
+    delta = np.where(fin, ctx.div_vec(1 ^ ctx.mul_vec(beta, gamma), alpha), j)
     return alpha, beta.astype(np.uint16), gamma, delta.astype(np.uint16)

@@ -218,8 +218,8 @@ def _determinant_images(ctx: FieldContext, a, b, c, d, det):
     histogram of det' per pair and the (pair, h) arrays of the images
     with det' = 0 of the pairs with det != 0."""
     n = ctx.order
-    log, exp, tr = ctx.np_table("log"), ctx.np_table("exp"), ctx.np_table("trace")
-    ones = np.uint16(0) - tr.astype(np.uint16)  # all-ones where Tr = 1
+    field = np.arange(n)
+    ones = np.uint16(0) - ctx.np_table("trace").astype(np.uint16)  # all-ones where Tr = 1
 
     def outer(p, q):  # the grid [pair, h2, h1] of p[h2] ^ q[h1], i.e. at h
         return (p[:, :, None] ^ q[:, None, :]).reshape(len(p), n * n)
@@ -230,7 +230,7 @@ def _determinant_images(ctx: FieldContext, a, b, c, d, det):
     for lo in range(0, len(a), step):
         part = slice(lo, lo + step)
         # x = det(w, h) = c h2 + d h1 and y = det(v, h) = a h2 + b h1
-        xc, xd, ya, yb = (exp[log[z[part]][:, None] + log] for z in (c, d, a, b))
+        xc, xd, ya, yb = (ctx.mul_vec(z[part][:, None], field) for z in (c, d, a, b))
         shift = ((outer(ones[xc], ones[xd]) & outer(ya, yb))
                  ^ (outer(ones[ya], ones[yb]) & outer(xc, xd)))  # t_w y + t_v x
         offset = det[part].astype(np.intp) + np.arange(len(xc)) * n
@@ -265,8 +265,7 @@ def transvection_counts(ctx: FieldContext, chain: str,
     col_of_key = np.full(ORBIT_KEY_SPACE, k, dtype=np.intp)
     col_of_key[[orbit_key(s.kind, s.value) for s in states]] = np.arange(k)
     a, b, c, d = np.array(representatives, dtype=np.uint16).reshape(-1, 4).T
-    log, exp = ctx.np_table("log"), ctx.np_table("exp")
-    det = exp[log[a] + log[d]] ^ exp[log[b] + log[c]]
+    det = ctx.mul_vec(a, d) ^ ctx.mul_vec(b, c)
     hist, moved, h = _determinant_images(ctx, a, b, c, d, det)
     counts = np.zeros((len(a), k + 1), dtype=np.int64)
     # det' != 0: the determinant is the image's orbit

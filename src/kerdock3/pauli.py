@@ -178,8 +178,11 @@ def vertex_split(m: int, v):
 
 
 def pack_index(ctx: FieldContext, p: PairLike) -> int:
-    """Packed row vector [ [a] | |b| ] of a Pauli index, a Python int."""
+    """Packed row vector [ [a] | |b| ] of a Pauli index, a Python int;
+    refuses an entry outside [0, N)."""
     a, b = p
+    if not 0 <= a | b < ctx.order:  # as in transvection_matrix
+        raise ValueError(f"Pauli index {tuple(p)} has an entry outside [0, {ctx.order})")
     return int(a) | (ctx.dual_coords(b) << ctx.m)
 
 

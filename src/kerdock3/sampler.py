@@ -358,7 +358,8 @@ def _stats_batch(ctx: FieldContext, config: SamplerConfig, probes: List[Probe],
 
     The distinct probe vertices walk together as rows of one (V, batch)
     array, so each step is a single kernel call with that step's
-    transvections broadcast across the rows.
+    transvections broadcast across the rows; the PSL image (a, b) g is
+    four ``mul_vec`` products over the same broadcast.
     """
     n, m = ctx.order, ctx.m
     rng = _substream(config.seed, 2 ** 64 - 1 - batch_index)
@@ -371,11 +372,8 @@ def _stats_batch(ctx: FieldContext, config: SamplerConfig, probes: List[Probe],
     b = np.array([[v.b] for v in verts], dtype=np.uint16)
     for k in ks:
         a, b = transvection_apply_vec(ctx, *vertex_split(m, k), a, b)
-    # the PSL image (a, b) g; a, b become logs, freeing the fields early
-    log, exp = ctx.np_table("log"), ctx.np_table("exp")
-    a, b = log[a], log[b]
-    images = vertex_code(m, (exp[a + log[alpha]] ^ exp[b + log[gamma]]).astype(np.int64),
-                         exp[a + log[beta]] ^ exp[b + log[delta]])
+    images = vertex_code(m, (ctx.mul_vec(a, alpha) ^ ctx.mul_vec(b, gamma)).astype(np.int64),
+                         ctx.mul_vec(a, beta) ^ ctx.mul_vec(b, delta))
     out = []
     for probe in probes:
         if isinstance(probe, PauliIndex):

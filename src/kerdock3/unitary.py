@@ -353,10 +353,12 @@ def estimator_margin(m: int, t: int, samples: int, sigma_hat: float,
                      ctx: Optional[FieldContext] = None) -> float:
     """Upper margin for the S-sample empirical F_3 above the value 6:
     diagonal inflation (N^6 - 6)/S, plus the exact ensemble excess at
-    step t, plus 4 sigma_hat of estimator noise."""
+    step t, plus 4 sigma_hat of estimator noise; refuses samples < 1."""
     ctx = ctx or FieldContext(m)
     if ctx.m != m:
         raise ValueError(f"field context has m={ctx.m}, the margin is for m={m}")
+    if samples < 1:
+        raise ValueError(f"samples={samples} must be at least 1")
     n = 1 << m
     return (float(n) ** 6 - 6.0) / samples \
         + max(0.0, delta_frame_potential_3(ctx, t)) + 4.0 * sigma_hat

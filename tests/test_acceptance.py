@@ -79,7 +79,7 @@ def test_criterion_02_multiplication_matrix_relations_exhaustive():
             n = ctx.order
             mats = np.stack([ctx.mul_matrix(x) for x in range(n)])
             w = ctx.w_matrix()
-            mul = ctx.np_table("mul")
+            mul = np.array([[ctx.mul(x, z) for z in range(n)] for x in range(n)])
             # (a) A_x A_z = A_z A_x = A_{xz} for all x, z
             prod = np.einsum("xij,zjk->xzik", mats, mats) % 2
             assert np.array_equal(prod, mats[mul])
@@ -134,7 +134,8 @@ def test_criterion_04_orbit_statistics_and_invariance():
         c, d = (vb & (n - 1)).astype(np.uint16), (vb >> m).astype(np.uint16)
         before = orbit_invariant_vec(ctx, a, b, c, d)
         al, be, ga, de = sample_psl_vec(ctx, rng, count)
-        mul = ctx.np_table("mul")
+        mul = np.array([[ctx.mul(x, z) for z in range(n)] for x in range(n)],
+                       dtype=np.uint16)
         after = orbit_invariant_vec(
             ctx, mul[a, al] ^ mul[b, ga], mul[a, be] ^ mul[b, de],
             mul[c, al] ^ mul[d, ga], mul[c, be] ^ mul[d, de])

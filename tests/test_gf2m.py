@@ -1,7 +1,10 @@
 """Field layer: arithmetic, trace/dual machinery, multiplication matrices."""
 
+import inspect
+import re
 import tracemalloc
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,7 +106,7 @@ def test_mul_matrix_relations(m):
     """(a) A_z A_x = A_{zx};  (b) A_x + A_z = A_{x+z};  (c) A_z W = W A_z^T."""
     ctx = FieldContext(m)
     n = ctx.order
-    mul = ctx.np_table("mul")
+    mul = np.array([[ctx.mul(x, z) for z in range(n)] for x in range(n)], dtype=np.uint16)
     basis = np.array([1 << i for i in range(m)], dtype=np.uint16)
     # vectorized complete coverage of (a) and (b) over all field pairs
     bz = mul[basis[:, None], np.arange(n)[None, :]]           # rows of A_z
@@ -189,7 +192,8 @@ def _operands(draw):
 @given(_operands())
 def test_log_exp_contract(case):
     """exp[log x + log y] = xy, exp[log x - log y + N-1] = x/y for y != 0,
-    zero operands without a branch, for random m in 2..16."""
+    zero operands without a branch, for random m in 2..16; and so do
+    mul_vec and div_vec, which own that arithmetic for the kernels."""
     ctx, x, y = case
     n = ctx.order
     log, exp = ctx.np_table("log"), ctx.np_table("exp")
@@ -203,6 +207,30 @@ def test_log_exp_contract(case):
     # a zero operand lands in the zero tail
     nz = np.arange(1, n)
     assert not exp[log[0] + log].any() and not exp[log[0] - log[nz] + n - 1].any()
+    # mul_vec / div_vec: lane by lane against scalar mul / div, zeros included
+    prod, quot = ctx.mul_vec(x, y), ctx.div_vec(x, y)
+    assert prod.dtype == quot.dtype == exp.dtype and prod.shape == quot.shape == x.shape
+    for i, (xi, yi) in enumerate(zip(x.tolist(), y.tolist())):
+        assert prod[i] == ctx.mul(xi, yi)
+        if yi:
+            assert quot[i] == ctx.div(xi, yi)
+    # an (R, 1) column against the whole field (N,), as the chain grid
+    # uses it: each row is the scalar product at every drawn y, and a
+    # permutation of the field (all zeros for x = 0)
+    grid, quots = ctx.mul_vec(x[:, None], np.arange(n)), ctx.div_vec(x[:, None], y)
+    assert grid.shape == (len(x), n) and quots.shape == (len(x), len(y))
+    for i, xi in enumerate(x.tolist()):
+        assert grid[i, y].tolist() == [ctx.mul(xi, yi) for yi in y.tolist()]
+        assert (np.sort(grid[i]) == (np.arange(n) if xi else 0)).all()
+        for j, yj in enumerate(y.tolist()):
+            if yj:
+                assert quots[i, j] == ctx.div(xi, yj)
+    # a Python-int operand on either side
+    assert (ctx.mul_vec(1, y) == y).all() and not ctx.mul_vec(x, 0).any()
+    for yi, q in zip(y.tolist(), ctx.div_vec(1, y).tolist()):
+        if yi:
+            assert q == ctx.inv(yi)
+    assert ctx.div_vec(0, y[y != 0]).tolist() == [0] * int((y != 0).sum())
     assert "mul" not in ctx._np_cache and "div" not in ctx._np_cache
 
 
@@ -250,3 +278,20 @@ def test_dense_tables_refused_above_cap(m):
         tracemalloc.stop()
     assert peak < 1 << 20
     assert "mul" not in ctx._np_cache and "div" not in ctx._np_cache
+
+
+def test_log_exp_tables_are_read_by_mul_vec_and_div_vec_alone():
+    """GF(2^m) array arithmetic has one owner: under src/kerdock3,
+    np_table("log") and np_table("exp") appear only in the bodies of
+    FieldContext.mul_vec and div_vec in gf2m.py."""
+    src = Path(__file__).resolve().parents[1] / "src" / "kerdock3"
+    allowed = set()
+    for method in (FieldContext.mul_vec, FieldContext.div_vec):
+        body, first = inspect.getsourcelines(method)
+        allowed |= set(range(first, first + len(body)))
+    read = re.compile(r"""np_table\(\s*["'](log|exp)["']""")
+    offenders = [f"{path.name}:{n}: {line.strip()}"
+                 for path in sorted(src.glob("*.py"))
+                 for n, line in enumerate(path.read_text().splitlines(), 1)
+                 if read.search(line) and not (path.name == "gf2m.py" and n in allowed)]
+    assert not offenders, offenders

@@ -135,7 +135,7 @@ def test_orbit_invariant_preserved_under_psl(m):
     d = (vb >> m).astype(np.uint16)
     before = orbit_invariant_vec(ctx, a, b, c, d)
     alpha, beta, gamma, delta = sample_psl_vec(ctx, rng, count)
-    mul = ctx.np_table("mul")
+    mul = np.array([[ctx.mul(x, z) for z in range(n)] for x in range(n)], dtype=np.uint16)
     a2 = mul[a, alpha] ^ mul[b, gamma]
     b2 = mul[a, beta] ^ mul[b, delta]
     c2 = mul[c, alpha] ^ mul[d, gamma]
@@ -171,6 +171,30 @@ def test_orbit_invariant_scalar_vs_vector():
             ctx, np.array([p.a], dtype=np.uint16), np.array([p.b], dtype=np.uint16),
             np.array([q.a], dtype=np.uint16), np.array([q.b], dtype=np.uint16))[0]
         assert int(key) == int(inv.kind) * 65536 + inv.value
+
+
+@pytest.mark.parametrize("pair", [((-1, 0), (0, 1)), ((5, 0), (0, 1)),
+                                  ((1, 0), (0, 4)), ((1, 0), (-2, 1))])
+def test_pair_entries_outside_the_field_are_refused(pair):
+    """At m = 2 the scalar pair path refuses an entry outside [0, 4)
+    (orbit_invariant of ((-1, 0), (0, 1)) used to be NON_EDGE:0x3 and
+    ((5, 0), (0, 1)) to end in an IndexError)."""
+    ctx = FieldContext(2)
+    pair = PauliPair(PauliIndex(*pair[0]), PauliIndex(*pair[1]))
+    for call in (orbit_invariant, classify_pair):
+        with pytest.raises(ValueError, match=re.escape(f"pair {tuple(map(tuple, pair))} has")):
+            call(ctx, pair)
+
+
+@pytest.mark.parametrize("inv", [OrbitInvariant(EdgeKind.TYPE1, 9),
+                                 OrbitInvariant(EdgeKind.TYPE1, -2),
+                                 OrbitInvariant(EdgeKind.TYPE2, 6),
+                                 OrbitInvariant(EdgeKind.NON_EDGE, 7)])
+def test_orbit_representative_refuses_values_outside_the_field(inv):
+    """At m = 2 an orbit value outside [0, 4) is refused (TYPE1 with
+    value 9 used to return a pair holding the entry 9)."""
+    with pytest.raises(ValueError, match=f"orbit value {inv.value} is outside"):
+        orbit_representative(FieldContext(2), inv)
 
 
 def test_orbit_representative_round_trip():

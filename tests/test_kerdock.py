@@ -200,7 +200,8 @@ def test_sample_psl_vec_valid_group_elements():
     ctx = FieldContext(3)
     rng = np.random.default_rng(1234)
     alpha, beta, gamma, delta = sample_psl_vec(ctx, rng, 5000)
-    mul = ctx.np_table("mul")
+    n = ctx.order
+    mul = np.array([[ctx.mul(x, z) for z in range(n)] for x in range(n)], dtype=np.uint16)
     det = mul[alpha, delta] ^ mul[beta, gamma]
     assert (det == 1).all()
     # both branches appear
@@ -246,3 +247,16 @@ def test_invalid_psl_rejected():
         psl_to_symplectic(ctx, PslElement(1, 1, 1, 1))  # det = 0
     with pytest.raises(ValueError):
         psl_factors(ctx, PslElement(0, 0, 0, 1))
+
+
+@pytest.mark.parametrize("g", [PslElement(-3, 0, 0, 1), PslElement(5, 0, 0, 1),
+                               PslElement(1, 0, 4, 1), PslElement(1, -1, 0, 1)])
+def test_psl_entries_outside_the_field_are_refused(g):
+    """At m = 2 an entry outside [0, 4) is refused, naming the element, before the
+    determinant reads the tables ((-3, 0, 0, 1) used to pass as the
+    identity through negative indexing, (5, 0, 0, 1) to end in an
+    IndexError)."""
+    ctx = FieldContext(2)
+    for build in (psl_to_symplectic, psl_factors):
+        with pytest.raises(ValueError, match="has an entry outside"):
+            build(ctx, g)

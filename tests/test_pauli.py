@@ -207,6 +207,19 @@ def test_numpy_integer_entries_act_as_python_ints(m, seed, dtype):
     assert transvection_matrix(ctx, wide) == transvection_matrix(ctx, h)
 
 
+@pytest.mark.parametrize("p", [(4, 0), (0, 4), (-1, 0), (0, -1)])
+def test_pauli_index_entries_outside_the_field_are_refused(p):
+    """At m = 2, pack_index refuses an entry outside [0, 4), and so every
+    action that packs one does ((4, 0) and (0, -1) used to act as (0, 3),
+    and (0, 4) and (-1, 0) to end in an IndexError)."""
+    ctx = FieldContext(2)
+    ident = SymplecticMatrix.identity(2)
+    for call in (lambda: pack_index(ctx, p), lambda: apply_symplectic(ctx, ident, p),
+                 lambda: conjugate_transvection(ctx, ident, p)):
+        with pytest.raises(ValueError, match=re.escape(f"Pauli index {p} has an entry")):
+            call()
+
+
 def test_right_product_by_a_transvection_refuses_other_operands():
     z = transvection_matrix(FieldContext(2), (1, 2))
     with pytest.raises(ValueError, match="dimension mismatch"):

@@ -518,12 +518,17 @@ def _no_chain(*args):
                  id="float-t_max=-1"),
     pytest.param(lambda tm: estimator_margin(3, 1, 1000, 0.0, FieldContext(2)),
                  "m=2, the margin is for m=3", id="margin-degrees"),
+    pytest.param(lambda tm: estimator_margin(2, 1, 0, 0.0), "samples=0 must be at least 1",
+                 id="margin-samples=0"),
+    pytest.param(lambda tm: estimator_margin(2, 1, -5, 0.0), "samples=-5 must be at least 1",
+                 id="margin-samples=-5"),
 ])
 def test_chain_propagators_refuse_bad_arguments(monkeypatch, call, match):
     """Unchecked, each case returns a wrong number (F_3(-1) = 81 at m = 2
     through an inverted chain, TV 1/2 at every step from a zero start,
-    empty curves, a margin of mixed degrees); each must raise ValueError
-    before any chain is built."""
+    empty curves, a margin of mixed degrees or a negative margin from
+    negative samples) or, for zero samples, a ZeroDivisionError; each must
+    raise ValueError before any chain is built."""
     tm = q_empirical(FieldContext(2), "edges")
     monkeypatch.setattr(unitary, "q_empirical", _no_chain)
     with pytest.raises(ValueError, match=match):
