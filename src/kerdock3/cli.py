@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def command(name, help, *, formats=("json", "text"), poly=True,
-                threads=False, walk=False):
+                threads=False, threads_help=None, walk=False):
         """A subcommand with only the flags it reads; ``walk`` adds
         --epsilon | --steps, --seed and --count."""
         p = sub.add_parser(name, help=help)
@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
         if formats:
             p.add_argument("--format", choices=formats, default="text")
         if threads:
-            p.add_argument("--threads", type=int, default=1)
+            p.add_argument("--threads", type=int, default=1, help=threads_help)
         if walk:
             g = p.add_mutually_exclusive_group()
             g.add_argument("--epsilon", type=float, default=None)
@@ -93,7 +93,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p.add_argument("--t-max", type=int, default=None)
     command("sample", "stream design samples (JSONL)", formats=(), poly=False,
-            threads=True, walk=True)
+            threads=True, walk=True,
+            threads_help="worker threads (default 1); each sample holds the GIL, so "
+                         "more threads do not speed sampling up; the output is the "
+                         "same for any count")
     command("verify", "oracle suite, pass/fail per check", formats=(),
             threads=True, walk=True)
     return parser

@@ -25,12 +25,13 @@ Together with the Pauli group, the image of theta is an exact unitary
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterator, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from .gf2m import FieldContext, f2_rows_to_numpy
-from .pauli import PairLike, PauliIndex, SymplecticMatrix, pack_index, vertex_split
+from .pauli import PairLike, PauliIndex, SymplecticMatrix, vertex_split
 
 __all__ = [
     "INFINITY",
@@ -86,7 +87,8 @@ def psl_identity(ctx: FieldContext) -> PslElement:
 
 
 def _check_det(ctx: FieldContext, g: PslElement) -> None:
-    if not 0 <= g.alpha | g.beta | g.gamma | g.delta < ctx.order:
+    joined = index(g.alpha) | index(g.beta) | index(g.gamma) | index(g.delta)
+    if not 0 <= joined < ctx.order:
         raise ValueError(f"{g} has an entry outside [0, {ctx.order})")
     det = ctx.mul(g.alpha, g.delta) ^ ctx.mul(g.beta, g.gamma)
     if det != 1:
@@ -157,9 +159,16 @@ def psl_to_symplectic(ctx: FieldContext, g: PslElement) -> SymplecticMatrix:
     together with the Paulis is the Kerdock 2-design.
     """
     _check_det(ctx, g)
-    m = ctx.m
-    basis = [(1 << i, 0) for i in range(m)] + [(0, ctx.dual_decode(1 << j)) for j in range(m)]
-    return SymplecticMatrix(m, [pack_index(ctx, pair_action(ctx, g, p)) for p in basis])
+    m, mul, dual = ctx.m, ctx.mul, ctx.dual_coords
+    alpha, beta, gamma, delta = g
+    rows = []
+    for i in range(m):  # (x, 0) g = (x alpha, x beta), packed
+        x = 1 << i
+        rows.append(mul(x, alpha) | dual(mul(x, beta)) << m)
+    for j in range(m):  # (0, y) g = (y gamma, y delta), packed
+        y = ctx.dual_decode(1 << j)
+        rows.append(mul(y, gamma) | dual(mul(y, delta)) << m)
+    return SymplecticMatrix(m, rows)
 
 
 def psl_factors(ctx: FieldContext, g: PslElement):

@@ -22,15 +22,19 @@ with the m x m blocks Q and P given as m packed row words:
 Transvections ``Z_h = I + Omega h^T h`` are the self-inverse walk moves:
 ``x Z_h = x + <x, h> h``, in field form
 ``(a, b) -> (a, b) + Tr(a h2 + b h1) (h1, h2)``; conjugation by F moves
-Z_h to Z_{hF}.  ``transvection_matrix`` keeps h beside the rows, so the
-right product ``F @ Z_h`` is that same update on each row of F, O(2m)
-word operations instead of a full product (the tableau update of
-Aaronson-Gottesman); every other product is the full one.
+Z_h to Z_{hF}.  ``transvection_matrix`` stores only two words, the
+packed h and the column selector Omega h^T, and builds the 2m rows of
+Z_h when something reads them.  ``transvection_product`` computes
+F @ Z_{h_1} @ ... @ Z_{h_t} by walking each row of F once through every
+update (the tableau update of Aaronson-Gottesman): O(2m t) word
+operations and no matrix per step.  ``F @ Z_h`` is its one-step case;
+every other product is the full one.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Tuple, Union
+from operator import index
+from typing import Iterable, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -60,6 +64,7 @@ __all__ = [
     "phase_matrix",
     "partial_hadamard_matrix",
     "transvection_matrix",
+    "transvection_product",
     "apply_transvection",
     "conjugate_transvection",
     "transvection_apply_vec",
@@ -180,10 +185,10 @@ def vertex_split(m: int, v):
 def pack_index(ctx: FieldContext, p: PairLike) -> int:
     """Packed row vector [ [a] | |b| ] of a Pauli index, a Python int;
     refuses an entry outside [0, N)."""
-    a, b = p
+    a, b = index(p[0]), index(p[1])
     if not 0 <= a | b < ctx.order:  # as in transvection_matrix
         raise ValueError(f"Pauli index {tuple(p)} has an entry outside [0, {ctx.order})")
-    return int(a) | (ctx.dual_coords(b) << ctx.m)
+    return a | (ctx.dual_coords(b) << ctx.m)
 
 
 def unpack_index(ctx: FieldContext, v: int) -> PauliIndex:
@@ -242,10 +247,10 @@ def partial_hadamard_matrix(m: int, t: int) -> SymplecticMatrix:
 
 
 class _TransvectionMatrix(SymplecticMatrix):
-    """Z_h with its two defining words: ``hv``, the packed h, and ``sh``,
-    the column selector Omega h^T.  ``F @ Z_h`` is the row update
-    r -> r + <r, h> h on each row of F, O(2m) instead of a full product;
-    Python tries this reflected operator before ``SymplecticMatrix``'s own."""
+    """Z_h as its two defining words: ``hv``, the packed h, and ``sh``, the
+    column selector Omega h^T; ``rows`` is built each time it is read.
+    ``F @ Z_h`` is ``transvection_product`` with one step; Python tries
+    this reflected operator before ``SymplecticMatrix``'s own."""
 
     __slots__ = ("hv", "sh")
 
@@ -253,34 +258,51 @@ class _TransvectionMatrix(SymplecticMatrix):
         self.m = m
         self.hv = hv
         self.sh = sh
-        self.rows = tuple([(1 << i) ^ hv if (sh >> i) & 1 else 1 << i for i in range(2 * m)])
+
+    @property
+    def rows(self) -> Tuple[int, ...]:
+        hv, sh = self.hv, self.sh
+        return tuple([(1 << i) ^ hv if (sh >> i) & 1 else 1 << i for i in range(2 * self.m)])
 
     def __rmatmul__(self, other: SymplecticMatrix) -> SymplecticMatrix:
         if not isinstance(other, SymplecticMatrix):
             return NotImplemented
-        if self.m != other.m:
-            raise ValueError("dimension mismatch")
-        hv, sh = self.hv, self.sh
-        return SymplecticMatrix(self.m, [r ^ hv if (r & sh).bit_count() & 1 else r
-                                         for r in other.rows])
+        return transvection_product(other, (self,))
 
 
 def transvection_matrix(ctx: FieldContext, h: PairLike) -> SymplecticMatrix:
     """Z_h = I + Omega h^T h; self-inverse, fixes exactly the centralizer of h.
 
-    Refuses h = (0, 0) and an entry outside [0, N).  ``F @ Z_h`` costs one
-    inner product per row of F (see ``_TransvectionMatrix``).
+    Refuses h = (0, 0) and an entry outside [0, N).  The result holds two
+    words and builds its rows only when they are read; ``F @ Z_h`` and
+    ``transvection_product`` use the words alone.
     """
-    h1, h2 = h
+    h1, h2 = index(h[0]), index(h[1])
     # N is a power of two, so h1 | h2 lies in (0, N) iff both entries lie
     # in [0, N) and one is nonzero (a negative entry makes it negative)
     if not 0 < h1 | h2 < ctx.order:
         raise ValueError(f"transvection {tuple(h)} must be a nonzero pair of "
                          f"field elements in [0, {ctx.order})")
     m = ctx.m
-    hv = pack_index(ctx, h)
-    sh = ((hv & (ctx.order - 1)) << m) | (hv >> m)  # Omega h^T as a column selector
-    return _TransvectionMatrix(m, hv, sh)
+    d2 = ctx.dual_coords(h2)
+    return _TransvectionMatrix(m, h1 | d2 << m, h1 << m | d2)
+
+
+def transvection_product(f: SymplecticMatrix,
+                         zs: Sequence[_TransvectionMatrix]) -> SymplecticMatrix:
+    """F @ Z_{h_1} @ ... @ Z_{h_t} for ``transvection_matrix`` results: each
+    row r of F walks every step r -> r + <r, h> h in turn, with no matrix
+    between steps.  Refuses a Z_h of another degree."""
+    if any(z.m != f.m for z in zs):
+        raise ValueError("dimension mismatch")
+    steps = [(z.hv, z.sh) for z in zs]
+    rows = []
+    for r in f.rows:
+        for hv, sh in steps:
+            if (r & sh).bit_count() & 1:
+                r ^= hv
+        rows.append(r)
+    return SymplecticMatrix(f.m, rows)
 
 
 def apply_transvection(ctx: FieldContext, h: PairLike, p: PairLike) -> PauliIndex:

@@ -35,7 +35,8 @@ from .kerdock import PslElement, psl_to_symplectic, sample_psl, sample_psl_vec
 from .markov import mixing_time_bound
 from .pauli import (PauliIndex, SymplecticMatrix, Transvection,
                     apply_symplectic, transvection_apply_vec,
-                    transvection_matrix, vertex_code, vertex_split)
+                    transvection_matrix, transvection_product, vertex_code,
+                    vertex_split)
 
 __all__ = [
     "SamplerConfig",
@@ -106,10 +107,9 @@ class DesignSample:
         width = (2 * m + 3) // 4
         return json.dumps({
             "index": index,
-            "transvections": [[format(h.h1, "#x"), format(h.h2, "#x")]
-                              for h in self.transvections],
-            "psl": [format(x, "#x") for x in self.psl],
-            "pauli": [format(self.pauli.a, "#x"), format(self.pauli.b, "#x")],
+            "transvections": [[hex(h.h1), hex(h.h2)] for h in self.transvections],
+            "psl": [hex(x) for x in self.psl],
+            "pauli": [hex(self.pauli.a), hex(self.pauli.b)],
             "composed": [format(row, f"#0{width + 2}x") for row in self.composed.rows],
         }, sort_keys=True)
 
@@ -146,11 +146,11 @@ class DesignSample:
 
 def compose(ctx: FieldContext, transvections: Sequence[Transvection],
             psl: PslElement) -> SymplecticMatrix:
-    """Z_{h_1} ... Z_{h_t} theta(psl); h_1 acts first on row vectors."""
-    out = SymplecticMatrix.identity(ctx.m)
-    for h in transvections:
-        out = out @ transvection_matrix(ctx, h)
-    return out @ psl_to_symplectic(ctx, psl)
+    """Z_{h_1} ... Z_{h_t} theta(psl); h_1 acts first on row vectors.  Each
+    row of the identity walks through all t transvections in one pass."""
+    walk = transvection_product(SymplecticMatrix.identity(ctx.m),
+                                [transvection_matrix(ctx, h) for h in transvections])
+    return walk @ psl_to_symplectic(ctx, psl)
 
 
 def _draw(ctx: FieldContext, steps: int, rng: np.random.Generator

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kerdock3 import pauli
 from kerdock3.gf2m import FieldContext, f2_mat_mul
-from kerdock3.kerdock import psl_to_symplectic, sample_psl
+from kerdock3.graph import pair_determinant
+from kerdock3.kerdock import PslElement, psl_to_symplectic, sample_psl
 from kerdock3.pauli import (PauliIndex, SymplecticMatrix, Transvection,
                             apply_symplectic, apply_transvection,
                             basis_change_matrix, commutes,
@@ -19,7 +21,8 @@ from kerdock3.pauli import (PauliIndex, SymplecticMatrix, Transvection,
                             partial_hadamard_matrix, phase_matrix,
                             symplectic_inner,
                             transvection_apply_vec, transvection_matrix,
-                            unpack_index, vertex_split)
+                            transvection_product, unpack_index, vertex_split)
+from kerdock3.sampler import compose, steps_for_epsilon
 
 
 def test_pack_unpack_round_trip():
@@ -218,6 +221,75 @@ def test_pauli_index_entries_outside_the_field_are_refused(p):
                  lambda: conjugate_transvection(ctx, ident, p)):
         with pytest.raises(ValueError, match=re.escape(f"Pauli index {p} has an entry")):
             call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda ctx: pack_index(ctx, (np.uint16(1), -1)),
+    lambda ctx: transvection_matrix(ctx, (np.uint16(1), -1)),
+    lambda ctx: psl_to_symplectic(ctx, PslElement(np.uint16(1), -1, 0, 1)),
+    lambda ctx: pair_determinant(ctx, ((np.uint16(1), -1), (1, 0))),
+], ids=["pack_index", "transvection_matrix", "psl_to_symplectic", "pair_determinant"])
+def test_numpy_entry_beside_a_negative_int_is_refused_with_value_error(call):
+    """At m = 2, a numpy unsigned entry next to a negative Python int is
+    refused with the range check's ValueError (the OR of the raw entries
+    used to end in OverflowError: Python integer -1 out of bounds)."""
+    with pytest.raises(ValueError, match=re.escape("[0, 4)")):
+        call(FieldContext(2))
+
+
+def _z_from_definition(ctx, h):
+    """Rows of I + Omega h^T h, from the numpy bits of pack_index(h)."""
+    m = ctx.m
+    hv = pack_index(ctx, h)
+    hbits = np.array([[(hv >> j) & 1 for j in range(2 * m)]], dtype=np.int64)
+    omega = omega_matrix(m).to_numpy().astype(np.int64)
+    return SymplecticMatrix.from_numpy(np.eye(2 * m, dtype=np.int64)
+                                       + omega @ hbits.T @ hbits).rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 16), st.sampled_from([0, 1, None]), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_transvection_product_is_a_fold_of_full_products(m, steps, arbitrary, seed):
+    """transvection_product(F, Z_1..Z_t) and compose equal the fold of full
+    f2_mat_mul products by I + Omega h^T h, for t = 0, 1 or a random t up
+    to the sampler's walk length, and for F a PSL image or arbitrary rows."""
+    ctx = _field(m)
+    n = ctx.order
+    rng = np.random.default_rng(seed)
+    if steps is None:
+        steps = int(rng.integers(0, steps_for_epsilon(m, 0.01) + 1))
+    hs = [Transvection(*vertex_split(m, int(k))) for k in rng.integers(1, n * n, size=steps)]
+    f = (SymplecticMatrix(m, rng.integers(0, 1 << 2 * m, size=2 * m).tolist()) if arbitrary
+         else psl_to_symplectic(ctx, sample_psl(ctx, rng)))
+    walk, rows = SymplecticMatrix.identity(m).rows, f.rows
+    for h in hs:
+        z = _z_from_definition(ctx, h)
+        walk, rows = f2_mat_mul(walk, z), f2_mat_mul(rows, z)
+    out = transvection_product(f, [transvection_matrix(ctx, h) for h in hs])
+    assert type(out) is SymplecticMatrix and out.rows == rows
+    psl = sample_psl(ctx, rng)
+    assert compose(ctx, hs, psl).rows == f2_mat_mul(walk, psl_to_symplectic(ctx, psl).rows)
+
+
+def test_transvection_product_refuses_another_degree():
+    z2 = transvection_matrix(FieldContext(2), (1, 2))
+    z3 = transvection_matrix(FieldContext(3), (1, 2))
+    for f, zs in ((SymplecticMatrix.identity(3), [z2]),
+                  (SymplecticMatrix.identity(2), [z2, z3])):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            transvection_product(f, zs)
+
+
+def test_compose_reads_no_transvection_rows(monkeypatch):
+    """compose walks the two words of each Z_h and never builds its rows."""
+    def refuse(self):
+        raise AssertionError("Z_h rows built")
+    ctx = FieldContext(3)
+    hs = [Transvection(1, 2), Transvection(5, 0), Transvection(0, 7)]
+    want = compose(ctx, hs, PslElement(1, 0, 0, 1))
+    monkeypatch.setattr(pauli._TransvectionMatrix, "rows", property(refuse))
+    assert compose(ctx, hs, PslElement(1, 0, 0, 1)) == want
 
 
 def test_right_product_by_a_transvection_refuses_other_operands():
