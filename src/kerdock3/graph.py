@@ -19,7 +19,9 @@ type-1 edges; the orbit census is closed-form:
     N-2        type-1 orbits,   size  N^2-1     (ratios in F minus {0,1})
 
 ``census`` verifies all of this by exhaustive enumeration for m <= 6
-(CENSUS_MAX_M) and reports the closed forms alone beyond that.
+(CENSUS_MAX_M) and reports the closed forms alone beyond that.  It reads
+the determinants of a block of first vertices against every vertex from
+``xor_grid``, the determinant grid ``markov`` also reads.
 ``pair_determinant`` owns the determinant and the pair check (two distinct
 nonzero Pauli indices of field elements in [0, N)); ``orbit_invariant``
 and ``classify_pair`` read it.
@@ -59,6 +61,7 @@ __all__ = [
     "orbit_invariant_vec",
     "orbit_key",
     "determinant_keys",
+    "xor_grid",
     "pair_code",
     "pair_split",
     "orbit_counts",
@@ -195,6 +198,14 @@ def determinant_keys(ctx: FieldContext) -> np.ndarray:
     needs its ratio."""
     kind = np.where(ctx.np_table("trace") == 1, EdgeKind.NON_EDGE, EdgeKind.TYPE2)
     return orbit_key(kind, np.arange(ctx.order, dtype=np.uint32))
+
+
+def xor_grid(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The (R, N^2) grid p[:, h2] ^ q[:, h1] at column h = h1 | h2 << m,
+    of two (R, N) arrays.  With p = x * F and q = y * F over the field F,
+    row i is det((x_i, y_i), h) = x_i h2 + y_i h1 against every vertex h."""
+    r, n = p.shape
+    return (p[:, :, None] ^ q[:, None, :]).reshape(r, n * n)
 
 
 def srg_parameters(m: int) -> Tuple[int, int, int, int]:
@@ -431,18 +442,37 @@ def parse_census(text: str) -> CensusReport:
 
 
 def _census_chunk(ctx: FieldContext, lo: int, hi: int) -> Dict[OrbitInvariant, int]:
-    """Orbit sizes over the distinct pairs with first vertex in [lo, hi)."""
-    first = np.arange(lo, hi, dtype=np.uint32)[:, None]
-    second = np.arange(1, ctx.order ** 2, dtype=np.uint32)[None, :]
-    keys = orbit_invariant_vec(ctx, *vertex_split(ctx.m, first),
-                               *vertex_split(ctx.m, second))
-    return orbit_counts(keys[first != second])
+    """Orbit sizes over the distinct pairs with first vertex in [lo, hi).
+
+    For first vertices v = (a, b) and every second vertex w = c | d << m,
+    det(v, w) = ad + bc is ``xor_grid(a * F, b * F)``.  A cell with
+    det != 0 is in the orbit ``determinant_keys`` names, so those cells
+    are counted per determinant; only the det = 0 cells, about 1 in N,
+    go through ``orbit_invariant_vec`` for their type-1 ratio, after w = 0
+    and w = v (both det = 0) are dropped."""
+    field = np.arange(ctx.order)
+    v = np.arange(lo, hi, dtype=np.uint32)
+    a, b = vertex_split(ctx.m, v)
+    det = xor_grid(ctx.mul_vec(a[:, None], field), ctx.mul_vec(b[:, None], field))
+    per_det = np.bincount(det.ravel(), minlength=ctx.order)
+    i, w = np.divmod(np.flatnonzero(det == 0), ctx.order ** 2)
+    keep = (w != 0) & (w != v[i])
+    i, w = i[keep], w[keep]
+    type1 = orbit_invariant_vec(ctx, a[i], b[i], *vertex_split(ctx.m, w))
+    return orbit_counts(np.concatenate([determinant_keys(ctx)[1:], type1]),
+                        np.concatenate([per_det[1:], np.ones(len(type1))]))
 
 
 def census(ctx: FieldContext, threads: int = 1) -> CensusReport:
     """Count edges, non-edges and orbit sizes, enumerating them exactly
     when m <= CENSUS_MAX_M; beyond it the report holds the closed forms
-    alone."""
+    alone.
+
+    The enumeration reads every ordered pair's determinant ad + bc from
+    the grid ``xor_grid(a * F, b * F)`` of a block of first vertices
+    (a, b) against all N^2 vertices: a nonzero determinant keys the pair's
+    orbit (non-edge or type 2) directly, and only the det = 0 type-1
+    pairs go through ``orbit_invariant_vec``, for their ratio."""
     report = CensusReport(m=ctx.m, exhaustive=ctx.m <= CENSUS_MAX_M,
                           closed_form=closed_form_counts(ctx.m),
                           srg=srg_parameters(ctx.m))

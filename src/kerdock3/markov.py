@@ -56,7 +56,7 @@ from .graph import (ORBIT_KEY_SPACE, EdgeKind, OrbitInvariant, PauliPair,
                     chain_mask, chain_states, determinant_keys,
                     orbit_invariant, orbit_invariant_vec, orbit_key,
                     orbit_representative, orbit_states, pair_code, state_name,
-                    state_obj)
+                    state_obj, xor_grid)
 from .pauli import PauliIndex, transvection_apply_vec, vertex_code, vertex_split
 
 __all__ = [
@@ -220,10 +220,6 @@ def _determinant_images(ctx: FieldContext, a, b, c, d, det):
     n = ctx.order
     field = np.arange(n)
     ones = np.uint16(0) - ctx.np_table("trace").astype(np.uint16)  # all-ones where Tr = 1
-
-    def outer(p, q):  # the grid [pair, h2, h1] of p[h2] ^ q[h1], i.e. at h
-        return (p[:, :, None] ^ q[:, None, :]).reshape(len(p), n * n)
-
     hist = np.empty((len(a), n), dtype=np.int64)
     zero_pair, zero_h = [], []
     step = max(1, _GRID_CELLS // (n * n))
@@ -231,8 +227,8 @@ def _determinant_images(ctx: FieldContext, a, b, c, d, det):
         part = slice(lo, lo + step)
         # x = det(w, h) = c h2 + d h1 and y = det(v, h) = a h2 + b h1
         xc, xd, ya, yb = (ctx.mul_vec(z[part][:, None], field) for z in (c, d, a, b))
-        shift = ((outer(ones[xc], ones[xd]) & outer(ya, yb))
-                 ^ (outer(ones[ya], ones[yb]) & outer(xc, xd)))  # t_w y + t_v x
+        shift = ((xor_grid(ones[xc], ones[xd]) & xor_grid(ya, yb))
+                 ^ (xor_grid(ones[ya], ones[yb]) & xor_grid(xc, xd)))  # t_w y + t_v x
         offset = det[part].astype(np.intp) + np.arange(len(xc)) * n
         hist[part] = np.bincount((offset[:, None] ^ shift).ravel(),
                                  minlength=len(xc) * n).reshape(-1, n)

@@ -331,12 +331,15 @@ def _statistics_from_counts(ctx: FieldContext, probes: List[Probe],
                             counts: List[np.ndarray], total: int,
                             steps: Optional[int]) -> PairStatistics:
     stats = []
+    masks = {}  # each chain's flat (N^4,) mask, built at most once per call
     for probe, hist in zip(probes, counts):
         name, k = class_size(ctx, probe)
         member, orbit_hist = hist, None
         if isinstance(probe, PauliPair):
             chain = "nonedges" if name == "anticommuting_pairs" else "edges"
-            member = hist[chain_mask(ctx, chain).ravel()]
+            if chain not in masks:
+                masks[chain] = chain_mask(ctx, chain).ravel()
+            member = hist[masks[chain]]
             if int(member.sum()) != total:
                 raise AssertionError("probe images escaped their pair class")
             codes = np.flatnonzero(hist)

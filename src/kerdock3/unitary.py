@@ -337,8 +337,8 @@ def collision_frame_potential_3(ctx: FieldContext, t: int) -> float:
     total = 4.0
     for chain in CHAINS:
         tm = q_empirical(ctx, chain)
-        sizes = np.array([_ordered_orbit_sizes(ctx, chain)[s] for s in tm.states],
-                         dtype=float)
+        orbit_sizes = _ordered_orbit_sizes(ctx, chain)
+        sizes = np.array([orbit_sizes[s] for s in tm.states], dtype=float)
         pt = np.linalg.matrix_power(tm.probs, t)
         total += float((sizes @ (pt ** 2 / sizes[None, :])).sum())
     return total

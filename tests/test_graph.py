@@ -1,7 +1,9 @@
 """Commutation graph: pair classes, censuses, orbits, strong regularity."""
 
+import hashlib
 import json
 import re
+from collections import Counter
 from functools import lru_cache
 from pathlib import Path
 
@@ -85,7 +87,7 @@ def test_srg_parameters_and_check():
         assert srg_check(FieldContext(m)) == srg_parameters(m)
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_census_matches_closed_forms(m):
     ctx = FieldContext(m)
     report = census(ctx)
@@ -101,6 +103,31 @@ def test_census_matches_closed_forms(m):
     assert closed["non_edges"] == (nsq - 1) * nsq // 2
     assert report.enumerated["directed_edges"] == closed["directed_edges"]
     assert report.enumerated["non_edges"] == closed["non_edges"]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_census_orbit_sizes_match_the_scalar_invariant_per_pair(m):
+    """The per-pair route: ``orbit_invariant`` of every ordered pair of
+    distinct nonzero vertices, counted per orbit."""
+    ctx = FieldContext(m)
+    verts = [PauliIndex(a, b) for b in ctx.elements() for a in ctx.elements() if a or b]
+    expected = Counter(orbit_invariant(ctx, PauliPair(v, w))
+                       for v in verts for w in verts if v != w)
+    assert census(ctx).orbit_sizes == dict(expected)
+
+
+# sha256 of census(FieldContext(m)).to_json(), pinned from the per-pair
+# classification; at m = 6 the first vertices span 8 chunks
+CENSUS_DIGESTS = [
+    (5, "276da371fa64a9d485981c95a6ad72f08ce14faf0a3f6a8bb173e81a8754efd7"),
+    (6, "7bda79d8cdc5d9d154d570c7d1d047547d52759e9db712e5c9e4276d56cf3236"),
+]
+
+
+@pytest.mark.parametrize("m,digest", CENSUS_DIGESTS)
+def test_census_golden_json(m, digest):
+    report = census(FieldContext(m))
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from kerdock3.gf2m import FieldContext, f2_mat_mul
-from kerdock3.graph import EdgeKind, PauliPair, census, orbit_invariant, srg_check
+from kerdock3 import sampler
+from kerdock3.graph import (EdgeKind, PauliPair, census, chain_mask, orbit_invariant,
+                            srg_check)
 from kerdock3.kerdock import PslElement, psl_identity, psl_to_symplectic, sample_psl_vec
 from kerdock3.markov import full_chain, q_empirical
 from kerdock3.pauli import (PauliIndex, SymplecticMatrix, apply_symplectic,
@@ -347,6 +349,26 @@ def test_stream_statistics_memory_does_not_grow_with_batches(threads):
         tracemalloc.stop()
     assert [p.samples for p in stats.probes] == [256, 256]
     assert peak < 8 << 20
+
+
+# sha256 of the report below, pinned when the mask was built per probe
+STATS_DIGEST = "510ffdeefc533bff77af3af32b7305f147530ccc9cb93dc3a10a4a52ad74f510"
+
+
+def test_statistics_build_each_chain_mask_once(monkeypatch):
+    """Two commuting probes share one edge mask."""
+    built = []
+
+    def counting(ctx, chain):
+        built.append(chain)
+        return chain_mask(ctx, chain)
+
+    monkeypatch.setattr(sampler, "chain_mask", counting)
+    config = SamplerConfig(m=3, seed=5, count=400, steps=3)
+    stats = pair_statistics_stream(
+        config, [COMMUTING_PROBE, ANTI_PROBE_M3, ((0x1, 0x0), (0x3, 0x0))], batch_size=128)
+    assert sorted(built) == ["edges", "nonedges"]
+    assert hashlib.sha256(stats.to_json().encode()).hexdigest() == STATS_DIGEST
 
 
 def test_kernels_build_no_dense_field_tables(monkeypatch):

@@ -469,6 +469,21 @@ def test_collision_formula_anchors():
     assert delta_frame_potential_3(ctx2, 56) < 1e-12
 
 
+def test_collision_frame_potential_3_builds_each_chain_at_most_twice(monkeypatch):
+    """One chain for its powers and one for its orbit sizes, never one
+    per state (63 builds at m = 5); the value is pinned bit for bit."""
+    built = []
+
+    def counting(ctx, chain):
+        built.append(chain)
+        return q_empirical(ctx, chain)
+
+    monkeypatch.setattr(unitary, "q_empirical", counting)
+    assert collision_frame_potential_3(FieldContext(5), 5).hex() == "0x1.80011bcca4212p+2"
+    assert sorted(set(built)) == ["edges", "nonedges"]
+    assert max(built.count(chain) for chain in built) <= 2
+
+
 def test_one_step_ensemble_matches_collision_formula():
     """Brute-force F_3 of the t=1 ensemble against the chain-based formula."""
     ctx = FieldContext(2)
