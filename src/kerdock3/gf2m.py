@@ -195,8 +195,9 @@ class FieldContext:
         Extension degree, 2 <= m <= 16.
     poly : int, optional
         Primitive polynomial as a bit-vector int of degree m.  Defaults to
-        the table entry for m.  Reducible or non-primitive polynomials are
-        rejected with a witness in the error message.
+        the table entry for m.  A negative int is refused; reducible or
+        non-primitive polynomials are rejected with a witness in the error
+        message.
     """
 
     def __init__(self, m: int, poly: Optional[int] = None) -> None:
@@ -204,6 +205,9 @@ class FieldContext:
             raise ValueError(f"m={m} out of supported range [{MIN_M}, {MAX_M}]")
         if poly is None:
             poly = PRIMITIVE_POLYS[m]
+        if poly < 0:
+            raise ValueError(f"polynomial {poly:#x} is negative; it must be a "
+                             f"bit-vector int of degree {m}")
         if poly_degree(poly) != m:
             raise ValueError(
                 f"polynomial {poly:#x} has degree {poly_degree(poly)}, expected {m}"

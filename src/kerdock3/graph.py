@@ -21,13 +21,15 @@ type-1 edges; the orbit census is closed-form:
 ``census`` verifies all of this by exhaustive enumeration for m <= 6
 (CENSUS_MAX_M) and reports the closed forms alone beyond that.  It reads
 the determinants of a block of first vertices against every vertex from
-``xor_grid``, the determinant grid ``markov`` also reads.
+``xor_grid``, the determinant grid ``chain_mask`` and ``markov`` also
+read; its reports name each kind by ``EdgeKind``'s name in lower case.
 ``pair_determinant`` owns the determinant and the pair check (two distinct
 nonzero Pauli indices of field elements in [0, N)); ``orbit_invariant``
 and ``classify_pair`` read it.
 ``CHAINS`` names the two pair classes as the walk's chains;
 ``chain_states`` and ``chain_mask`` give their orbit states and pair
-masks, and refuse any other name.
+masks (the class of a pair is CHAINS[Tr(det)]), and refuse any other
+name.
 
 This module owns the pair code ``v * N^2 + w`` of two vertex codes and
 the orbit key ``kind * 2^16 + value`` made by ``orbit_key`` (for whole
@@ -224,16 +226,15 @@ def _check_chain(chain: str) -> None:
 def chain_mask(ctx: FieldContext, chain: str) -> np.ndarray:
     """Boolean (N^2, N^2): [v, w] is True for distinct nonzero codes
     v = a | b << m, w = c | d << m whose pair is in ``chain`` (m <=
-    CENSUS_MAX_M).  With Tr(ad) = parity(a & |d|) and x[v, w] = a_v & |b_w|,
-    Tr(ad + bc) is parity(x ^ x^T)."""
+    CENSUS_MAX_M).  det(v, w) = ad + bc is ``xor_grid(a * F, b * F)``,
+    as in the census, and the pair's class is CHAINS[Tr(det)]."""
     _check_chain(chain)
     if ctx.m > CENSUS_MAX_M:
         raise ValueError(f"the chain mask is capped at m = {CENSUS_MAX_M}")
-    n = ctx.order
-    a, b = vertex_split(ctx.m, np.arange(n * n, dtype=np.uint32))
-    x = a[:, None] & ctx.np_table("dual")[b][None, :]
-    # a pair's class is CHAINS[Tr(ad + bc)]
-    mask = (np.bitwise_count(x ^ x.T) & 1) == CHAINS.index(chain)
+    field = np.arange(ctx.order)
+    a, b = vertex_split(ctx.m, np.arange(ctx.order ** 2, dtype=np.uint32))
+    det = xor_grid(ctx.mul_vec(a[:, None], field), ctx.mul_vec(b[:, None], field))
+    mask = ctx.np_table("trace")[det] == CHAINS.index(chain)
     mask[0, :] = mask[:, 0] = False
     np.fill_diagonal(mask, False)
     return mask
@@ -350,9 +351,6 @@ class CensusReport:
     enumerated: Optional[Dict[str, int]] = None
     orbit_sizes: Optional[Dict[OrbitInvariant, int]] = None
 
-    _KIND_NAMES = {EdgeKind.NON_EDGE: "non_edge", EdgeKind.TYPE1: "type1",
-                   EdgeKind.TYPE2: "type2"}
-
     def matches_closed_form(self) -> bool:
         """True when every enumerated count equals its closed-form value."""
         if not self.exhaustive:
@@ -362,11 +360,11 @@ class CensusReport:
                 continue
             if self.enumerated.get(key) != expected:
                 return False
-        for kind, name in self._KIND_NAMES.items():
+        for kind in EdgeKind:
             sizes = [s for inv, s in self.orbit_sizes.items() if inv.kind == kind]
-            if len(sizes) != self.closed_form[f"{name}_orbits"]:
+            if len(sizes) != self.closed_form[f"{kind.name.lower()}_orbits"]:
                 return False
-            if set(sizes) != {self.closed_form[f"{name}_orbit_size"]}:
+            if set(sizes) != {self.closed_form[f"{kind.name.lower()}_orbit_size"]}:
                 return False
         return True
 
@@ -388,8 +386,8 @@ class CensusReport:
             for key in sorted(self.enumerated):
                 lines.append(f"enumerated.{key} = {self.enumerated[key]}")
             for inv in sorted(self.orbit_sizes, key=lambda i: (i.kind, i.value)):
-                name = self._KIND_NAMES[inv.kind]
-                lines.append(f"orbit_size.{name}.{inv.value:#x} = {self.orbit_sizes[inv]}")
+                lines.append(f"orbit_size.{inv.kind.name.lower()}.{inv.value:#x} = "
+                             f"{self.orbit_sizes[inv]}")
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
@@ -402,13 +400,10 @@ class CensusReport:
         if self.exhaustive:
             payload["enumerated"] = self.enumerated
             payload["orbit_sizes"] = {
-                f"{self._KIND_NAMES[inv.kind]}.{inv.value:#x}": size
+                f"{inv.kind.name.lower()}.{inv.value:#x}": size
                 for inv, size in sorted(self.orbit_sizes.items())
             }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-_NAME_KINDS = {name: kind for kind, name in CensusReport._KIND_NAMES.items()}
 
 
 def parse_census(text: str) -> CensusReport:
@@ -433,7 +428,7 @@ def parse_census(text: str) -> CensusReport:
             enumerated[key[len("enumerated."):]] = int(value)
         elif key.startswith("orbit_size."):
             _, name, hexval = key.split(".")
-            orbit_sizes[OrbitInvariant(_NAME_KINDS[name], int(hexval, 16))] = int(value)
+            orbit_sizes[OrbitInvariant(EdgeKind[name.upper()], int(hexval, 16))] = int(value)
         else:
             raise ValueError(f"unrecognized census key: {key}")
     return CensusReport(m=m, exhaustive=exhaustive, closed_form=closed_form,

@@ -51,7 +51,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .gf2m import FieldContext
+from .gf2m import MAX_M, MIN_M, FieldContext
 from .graph import (ORBIT_KEY_SPACE, EdgeKind, OrbitInvariant, PauliPair,
                     chain_mask, chain_states, determinant_keys,
                     orbit_invariant, orbit_invariant_vec, orbit_key,
@@ -459,8 +459,10 @@ def mixing_time_bound(m: int, eps: float) -> int:
 
     Delta = 1 - lambda_q0_bound(m); the ln argument folds the worst-case
     start through the minimum stationary mass 2/(N^2-4) at accuracy
-    eps/N^3.
+    eps/N^3.  Refuses an m that no ``FieldContext`` accepts.
     """
+    if not MIN_M <= m <= MAX_M:
+        raise ValueError(f"m={m} out of supported range [{MIN_M}, {MAX_M}]")
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
     n = 1 << m
@@ -474,7 +476,7 @@ def mixing_time_report(m: int, eps: float) -> Dict[str, float]:
     ``approx_variant`` replaces 1/Delta by 4/3 (the large-N limit of the
     analytic gap); it is reported for comparison, not used anywhere.
     """
-    bound = mixing_time_bound(m, eps)  # checks eps before the logarithm
+    bound = mixing_time_bound(m, eps)  # checks m and eps before the logarithm
     n = 1 << m
     log_term = math.log(n ** 3 * (n * n - 4) / (2 * eps))
     return {
@@ -499,8 +501,9 @@ def tv_curve(tm: TransitionMatrix, start, t_max: int) -> np.ndarray:
     q = tm.probs
     starts = np.ascontiguousarray(start, dtype=float)
     rows = np.atleast_2d(starts)
-    if starts.ndim > 2 or rows.shape[1] != len(tm.states) or rows.min() < 0 or \
-            (np.abs(rows.sum(axis=1) - 1.0) > 1e-12).any():
+    # a NaN compares False both ways, so finiteness is checked on its own
+    if starts.ndim > 2 or rows.shape[1] != len(tm.states) or not np.isfinite(rows).all() \
+            or rows.min() < 0 or (np.abs(rows.sum(axis=1) - 1.0) > 1e-12).any():
         raise ValueError("start must be probability vectors over the states")
     if t_max < 0:
         raise ValueError(f"t_max must be non-negative, got {t_max}")

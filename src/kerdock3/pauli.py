@@ -27,8 +27,8 @@ packed h and the column selector Omega h^T, and builds the 2m rows of
 Z_h when something reads them.  ``transvection_product`` computes
 F @ Z_{h_1} @ ... @ Z_{h_t} by walking each row of F once through every
 update (the tableau update of Aaronson-Gottesman): O(2m t) word
-operations and no matrix per step.  ``F @ Z_h`` is its one-step case;
-every other product is the full one.
+operations and no matrix per step; every other product, ``F @ Z_h``
+included, is the full one.
 """
 
 from __future__ import annotations
@@ -248,9 +248,7 @@ def partial_hadamard_matrix(m: int, t: int) -> SymplecticMatrix:
 
 class _TransvectionMatrix(SymplecticMatrix):
     """Z_h as its two defining words: ``hv``, the packed h, and ``sh``, the
-    column selector Omega h^T; ``rows`` is built each time it is read.
-    ``F @ Z_h`` is ``transvection_product`` with one step; Python tries
-    this reflected operator before ``SymplecticMatrix``'s own."""
+    column selector Omega h^T; ``rows`` is built each time it is read."""
 
     __slots__ = ("hv", "sh")
 
@@ -264,18 +262,13 @@ class _TransvectionMatrix(SymplecticMatrix):
         hv, sh = self.hv, self.sh
         return tuple([(1 << i) ^ hv if (sh >> i) & 1 else 1 << i for i in range(2 * self.m)])
 
-    def __rmatmul__(self, other: SymplecticMatrix) -> SymplecticMatrix:
-        if not isinstance(other, SymplecticMatrix):
-            return NotImplemented
-        return transvection_product(other, (self,))
-
 
 def transvection_matrix(ctx: FieldContext, h: PairLike) -> SymplecticMatrix:
     """Z_h = I + Omega h^T h; self-inverse, fixes exactly the centralizer of h.
 
     Refuses h = (0, 0) and an entry outside [0, N).  The result holds two
-    words and builds its rows only when they are read; ``F @ Z_h`` and
-    ``transvection_product`` use the words alone.
+    words and builds its rows only when they are read;
+    ``transvection_product`` uses the words alone.
     """
     h1, h2 = index(h[0]), index(h[1])
     # N is a power of two, so h1 | h2 lies in (0, N) iff both entries lie
@@ -307,11 +300,9 @@ def transvection_product(f: SymplecticMatrix,
 
 def apply_transvection(ctx: FieldContext, h: PairLike, p: PairLike) -> PauliIndex:
     """(a, b) + Tr(a h2 + b h1) (h1, h2): field form of the Z_h action."""
-    h1, h2 = h
-    a, b = p
-    if ctx.trace(ctx.mul(a, h2) ^ ctx.mul(b, h1)):
-        return PauliIndex(a ^ h1, b ^ h2)
-    return PauliIndex(a, b)
+    if symplectic_inner(ctx, p, h):
+        return PauliIndex(p[0] ^ h[0], p[1] ^ h[1])
+    return PauliIndex(*p)
 
 
 def conjugate_transvection(

@@ -22,15 +22,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import index
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ._workers import ordered_map
 from .gf2m import FieldContext
-from .graph import (EdgeKind, OrbitInvariant, PauliPair, chain_mask, classify_pair,
-                    closed_form_counts, orbit_counts, orbit_invariant_vec,
-                    pair_code, pair_split, state_name, state_obj)
+from .graph import (CENSUS_MAX_M, EdgeKind, OrbitInvariant, PauliPair, chain_mask,
+                    classify_pair, closed_form_counts, orbit_counts,
+                    orbit_invariant_vec, pair_code, pair_split, state_name, state_obj)
 from .kerdock import PslElement, psl_to_symplectic, sample_psl, sample_psl_vec
 from .markov import mixing_time_bound
 from .pauli import (PauliIndex, SymplecticMatrix, Transvection,
@@ -57,9 +58,6 @@ __all__ = [
 ]
 
 Probe = Union[PauliIndex, PauliPair]
-
-# a pair probe histograms N^4 image codes: 2^24 bins (128 MiB of int64) at m = 6
-MAX_PAIR_BINS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -91,8 +89,9 @@ class SamplerConfig:
 
 
 def steps_for_epsilon(m: int, eps: float) -> int:
-    """Walk length for a target accuracy: the mixing bound at eps/N^3."""
-    return mixing_time_bound(m, eps / (1 << m) ** 3)
+    """Walk length for a target accuracy: the mixing bound at eps/N^3,
+    with N^3 = 8^m, so that ``mixing_time_bound`` refuses a negative m."""
+    return mixing_time_bound(m, eps / 8 ** m)
 
 
 @dataclass(frozen=True)
@@ -214,16 +213,15 @@ def read_jsonl(fh, m: int) -> List[Tuple[int, DesignSample]]:
 
 
 def class_size(ctx: FieldContext, probe: Probe) -> Tuple[str, int]:
-    """(class name, class cardinality) for a probe vertex or pair; refuses an
-    element outside [0, N), a zero vertex, or (``classify_pair``) a pair
-    with a zero or repeated entry."""
+    """(class name, class cardinality) for a probe vertex or pair; refuses a
+    vertex that is zero or has an element outside [0, N), and
+    (``classify_pair``) a pair with a zero or repeated entry or one
+    outside [0, N)."""
     counts = closed_form_counts(ctx.m)
-    vertex = isinstance(probe, PauliIndex) or (len(probe) == 2 and isinstance(probe[0], int))
-    if not all(0 <= x < ctx.order for v in ([probe] if vertex else probe) for x in v):
-        raise ValueError(f"field elements must lie in [0, {ctx.order})")
-    if vertex:
-        if tuple(probe) == (0, 0):
-            raise ValueError("a vertex probe must be a nonzero Pauli index")
+    if isinstance(probe[0], (int, np.integer)):
+        if not 0 < index(probe[0]) | index(probe[1]) < ctx.order:
+            raise ValueError(f"a vertex probe must be a nonzero Pauli index of "
+                             f"field elements in [0, {ctx.order})")
         return "vertices", counts["vertices"]
     if classify_pair(ctx, probe) == EdgeKind.NON_EDGE:
         return "anticommuting_pairs", counts["non_edges"]
@@ -275,22 +273,24 @@ class PairStatistics:
 
 def _normalize_probes(ctx: FieldContext, probes: Sequence[Probe]) -> List[Probe]:
     """Probes as PauliIndex / PauliPair, each checked by ``class_size``; at
-    least one pair, and every pair histogram (N^4 bins) within MAX_PAIR_BINS."""
+    least one pair, and m <= CENSUS_MAX_M, the cap of ``chain_mask``: a
+    pair histogram has N^4 bins, 2^24 (128 MiB of int64) at m = 6."""
     out: List[Probe] = []
     for probe in probes:
-        if isinstance(probe[0], int):
-            out.append(PauliIndex(*probe))
+        # numpy integers are read as ints, as in pack_index
+        if isinstance(probe[0], (int, np.integer)):
+            out.append(PauliIndex(index(probe[0]), index(probe[1])))
         else:
-            out.append(PauliPair(PauliIndex(*probe[0]), PauliIndex(*probe[1])))
+            out.append(PauliPair(*(PauliIndex(index(x), index(y)) for x, y in probe)))
         try:
             class_size(ctx, out[-1])
         except ValueError as exc:
             raise ValueError(f"probe {state_name(out[-1])}: {exc}") from None
     if not any(isinstance(p, PauliPair) for p in out):
         raise ValueError("probes must include at least one pair")
-    if 1 << (4 * ctx.m) > MAX_PAIR_BINS:
+    if ctx.m > CENSUS_MAX_M:
         raise ValueError(f"a pair probe at m={ctx.m} needs 2^{4 * ctx.m} histogram bins; "
-                         f"the cap is {MAX_PAIR_BINS} (m <= 6)")
+                         f"pair probes are capped at m = {CENSUS_MAX_M}")
     return out
 
 

@@ -1,6 +1,9 @@
 """Command-line surface: exit codes, formats, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -185,6 +188,19 @@ def test_flags_a_subcommand_does_not_read_exit_2(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_negative_polynomial_exits_2_without_building_tables():
+    """A negative --poly passes the degree and low-bit checks, and the
+    factor search never ends on it, so it is refused before any table is
+    built.  The subprocess timeout turns a hang into a failure."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    for m, poly in (("2", "-5"), ("4", "-13")):
+        proc = subprocess.run([sys.executable, "-m", "kerdock3.cli", "field-info",
+                               "--m", m, "--poly", poly],
+                              capture_output=True, text=True, timeout=30, env=env)
+        assert proc.returncode == 2, proc.stderr
+        assert "negative" in proc.stderr and proc.stdout == ""
 
 
 def test_invalid_arguments_exit_2(capsys):

@@ -326,16 +326,19 @@ def test_orbit_invariant_vec_matches_scalar_any_m(case):
     assert "mul" not in ctx._np_cache and "div" not in ctx._np_cache
 
 
-def test_chain_masks_match_symplectic_inner():
-    ctx = FieldContext(3)
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_chain_masks_match_symplectic_inner(m):
+    ctx = FieldContext(m)
+    nsq = ctx.order ** 2
     masks = [chain_mask(ctx, chain) for chain in CHAINS]
     for inner, mask in enumerate(masks):
-        assert mask.shape == (64, 64) and mask.dtype == bool
+        assert mask.shape == (nsq, nsq) and mask.dtype == bool
         assert (mask == mask.T).all()
         assert not mask[0].any() and not mask[:, 0].any() and not mask.diagonal().any()
-        for v in range(1, 64):
-            for w in range(1, 64):
-                want = v != w and symplectic_inner(ctx, (v & 7, v >> 3), (w & 7, w >> 3)) == inner
+        for v in range(1, nsq):
+            for w in range(1, nsq):
+                want = v != w and symplectic_inner(ctx, vertex_split(m, v),
+                                                   vertex_split(m, w)) == inner
                 assert mask[v, w] == want
     assert not (masks[0] & masks[1]).any()
     assert "mul" not in ctx._np_cache

@@ -23,6 +23,7 @@ from kerdock3.markov import (EMPIRICAL_MAX_M, TransitionMatrix, extract_r,
                              transvection_counts, tv_curve, tv_curve_exact,
                              w2_eigenvector_check)
 from kerdock3.pauli import apply_transvection, vertex_split
+from kerdock3.sampler import SamplerConfig, steps_for_epsilon
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -212,6 +213,18 @@ def test_mixing_time_bounds_frozen():
         mixing_time_bound(3, 1.0)
 
 
+@pytest.mark.parametrize("m", [-1, 0, 1, 17])
+def test_mixing_time_bound_refuses_unsupported_degrees(m):
+    """m outside [2, 16], where no field exists, is refused with a message
+    naming m, before the logarithm (a math domain error at m = 1, a
+    ZeroDivisionError at m = 0) or a step count at m = 17."""
+    for call in (lambda: mixing_time_bound(m, 0.01), lambda: mixing_time_report(m, 0.01),
+                 lambda: steps_for_epsilon(m, 0.01),
+                 lambda: SamplerConfig(m=m, seed=0, count=1, epsilon=0.01).resolved_steps()):
+        with pytest.raises(ValueError, match=f"m={m} out of supported range"):
+            call()
+
+
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("chain", ["edges", "nonedges"])
 def test_full_chain_uniform_stationary_and_lumping(m, chain):
@@ -275,6 +288,11 @@ def test_tv_curve_rejects_bad_start():
         tv_curve(tm, [1.0], 3)
     with pytest.raises(ValueError):
         tv_curve(tm, [[1.0, 0.0], [0.5, 0.6]], 3)
+    # NaN passes both the sign and the sum test, so it is refused on its own
+    nonedges3 = q_empirical(FieldContext(3), "nonedges")
+    for bad in ([np.nan, 0.5, 0.25, 0.25], [[1.0, 0, 0, 0], [np.nan, 0.5, 0.25, 0.25]]):
+        with pytest.raises(ValueError, match="probability vectors"):
+            tv_curve(nonedges3, bad, 3)
 
 
 def test_transition_matrix_json_round_trip():

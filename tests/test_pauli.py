@@ -304,7 +304,6 @@ def test_right_product_by_a_transvection_refuses_other_operands():
     for left in (SymplecticMatrix.identity(2), z):
         with pytest.raises(TypeError):
             left @ 3
-    assert z.__rmatmul__(z.rows) is NotImplemented
 
 def test_transvection_apply_vec_matches_scalar():
     ctx = FieldContext(4)

@@ -425,6 +425,22 @@ def test_stream_statistics_requires_a_pair_probe():
         pair_statistics_stream(config, [(1, 0)])
 
 
+def test_statistics_read_numpy_integer_probes_as_ints():
+    """numpy integer entries, in a vertex or a pair probe, give the report
+    of the same probes as Python ints."""
+    u16 = np.uint16
+    config = SamplerConfig(m=2, seed=7, count=300, steps=3)
+    want = pair_statistics_stream(config, [(1, 0), COMMUTING_PROBE]).to_json()
+    probes = [(u16(1), u16(0)), ((np.int64(1), u16(0)), (u16(2), np.int8(0)))]
+    vertex, pair = _normalize_probes(FieldContext(2), probes)
+    assert (vertex, pair) == (PauliIndex(1, 0), PauliPair(PauliIndex(1, 0), PauliIndex(2, 0)))
+    assert {type(x) for x in (*vertex, *pair[0], *pair[1])} == {int}
+    assert pair_statistics_stream(config, probes).to_json() == want
+    samples = list(sample_stream(config))
+    assert pair_statistics(FieldContext(2), samples, probes).to_json() == \
+        pair_statistics(FieldContext(2), samples, [(1, 0), COMMUTING_PROBE]).to_json()
+
+
 def _refuse_batches(monkeypatch):
     import kerdock3.sampler as sampler_module
 
