@@ -128,16 +128,15 @@ def _find_factor(p: int) -> Optional[int]:
 
 
 def f2_mat_mul(rows_a: Tuple[int, ...], rows_b: Tuple[int, ...]) -> Tuple[int, ...]:
-    """Product A @ B of packed GF(2) matrices (rows of A select rows of B)."""
+    """Product A @ B of packed GF(2) matrices (rows of A select rows of B);
+    each row of A is walked by its set bits alone."""
     out = []
     for ra in rows_a:
         acc = 0
-        k = 0
         while ra:
-            if ra & 1:
-                acc ^= rows_b[k]
-            ra >>= 1
-            k += 1
+            low = ra & -ra
+            acc ^= rows_b[low.bit_length() - 1]
+            ra ^= low
         out.append(acc)
     return tuple(out)
 

@@ -427,8 +427,12 @@ def parse_census(text: str) -> CensusReport:
         elif key.startswith("enumerated."):
             enumerated[key[len("enumerated."):]] = int(value)
         elif key.startswith("orbit_size."):
-            _, name, hexval = key.split(".")
-            orbit_sizes[OrbitInvariant(EdgeKind[name.upper()], int(hexval, 16))] = int(value)
+            # orbit_size.<kind>.<hex value>, as to_text writes it
+            parts = key.split(".")
+            kind = EdgeKind.__members__.get(parts[1].upper())
+            if len(parts) != 3 or kind is None:
+                raise ValueError(f"unrecognized census key: {key}")
+            orbit_sizes[OrbitInvariant(kind, int(parts[2], 16))] = int(value)
         else:
             raise ValueError(f"unrecognized census key: {key}")
     return CensusReport(m=m, exhaustive=exhaustive, closed_form=closed_form,

@@ -25,14 +25,17 @@ Transvections ``Z_h = I + Omega h^T h`` are the self-inverse walk moves:
 Z_h to Z_{hF}.  ``transvection_matrix`` stores only two words, the
 packed h and the column selector Omega h^T, and builds the 2m rows of
 Z_h when something reads them.  ``transvection_product`` computes
-F @ Z_{h_1} @ ... @ Z_{h_t} by walking each row of F once through every
-update (the tableau update of Aaronson-Gottesman): O(2m t) word
-operations and no matrix per step; every other product, ``F @ Z_h``
-included, is the full one.
+F @ Z_{h_1} @ ... @ Z_{h_t} with the 2m rows of F packed as the lanes of
+one int, so each update r -> r + <r, h> h (the tableau update of
+Aaronson-Gottesman) moves all rows at once in a few big-int operations:
+a mask, log2 of the lane width shift-XOR folds for the row parities,
+and one multiply by h; no matrix per step.  Every other product,
+``F @ Z_h`` included, is the full one.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import index
 from typing import Iterable, NamedTuple, Sequence, Tuple, Union
 
@@ -248,14 +251,11 @@ def partial_hadamard_matrix(m: int, t: int) -> SymplecticMatrix:
 
 class _TransvectionMatrix(SymplecticMatrix):
     """Z_h as its two defining words: ``hv``, the packed h, and ``sh``, the
-    column selector Omega h^T; ``rows`` is built each time it is read."""
+    column selector Omega h^T; ``rows`` is built each time it is read.
+    ``transvection_matrix`` fills the three slots directly, with no
+    ``__init__`` call."""
 
     __slots__ = ("hv", "sh")
-
-    def __init__(self, m: int, hv: int, sh: int) -> None:
-        self.m = m
-        self.hv = hv
-        self.sh = sh
 
     @property
     def rows(self) -> Tuple[int, ...]:
@@ -278,24 +278,52 @@ def transvection_matrix(ctx: FieldContext, h: PairLike) -> SymplecticMatrix:
                          f"field elements in [0, {ctx.order})")
     m = ctx.m
     d2 = ctx.dual_coords(h2)
-    return _TransvectionMatrix(m, h1 | d2 << m, h1 << m | d2)
+    z = object.__new__(_TransvectionMatrix)
+    z.m = m
+    z.hv = h1 | d2 << m
+    z.sh = h1 << m | d2
+    return z
+
+
+@lru_cache(maxsize=None)
+def _lanes(m: int) -> Tuple[int, int, Tuple[int, ...]]:
+    """(L, LOW, folds) of the lane packing of 2m rows: the lane width L,
+    the smallest power of two >= 2m; LOW, bit 0 of every lane; and the
+    fold shifts L/2, ..., 1."""
+    width = 1 << (2 * m - 1).bit_length()
+    low = ((1 << 2 * m * width) - 1) // ((1 << width) - 1)
+    return width, low, tuple(width >> k for k in range(1, width.bit_length()))
 
 
 def transvection_product(f: SymplecticMatrix,
                          zs: Sequence[_TransvectionMatrix]) -> SymplecticMatrix:
-    """F @ Z_{h_1} @ ... @ Z_{h_t} for ``transvection_matrix`` results: each
-    row r of F walks every step r -> r + <r, h> h in turn, with no matrix
-    between steps.  Refuses a Z_h of another degree."""
-    if any(z.m != f.m for z in zs):
+    """F @ Z_{h_1} @ ... @ Z_{h_t} for ``transvection_matrix`` results.
+
+    The 2m rows of F are the L-bit lanes of one int x, L the smallest
+    power of two >= 2m, so one step r -> r + <r, h> h moves every row at
+    once: ``y = x & (sh * LOW)`` keeps each row's bits on Omega h^T;
+    the folds ``y ^= y >> s``, s = L/2, ..., 1, leave each lane's parity
+    in its bit 0 (bits shifted in from the lane above never reach it);
+    and ``x ^= (y & LOW) * hv`` adds h to the odd rows, with no carry
+    across lanes since h < 2^2m <= 2^L.  Refuses a Z_h of another degree,
+    and a row of F outside [0, 2^2m), which would spill into its neighbour.
+    """
+    m = f.m
+    if any(z.m != m for z in zs):
         raise ValueError("dimension mismatch")
-    steps = [(z.hv, z.sh) for z in zs]
-    rows = []
-    for r in f.rows:
-        for hv, sh in steps:
-            if (r & sh).bit_count() & 1:
-                r ^= hv
-        rows.append(r)
-    return SymplecticMatrix(f.m, rows)
+    if any(r >> 2 * m for r in f.rows):
+        raise ValueError(f"a row of F lies outside the {2 * m} columns")
+    width, low, folds = _lanes(m)
+    x = 0
+    for i, r in enumerate(f.rows):
+        x |= r << i * width
+    for z in zs:
+        y = x & z.sh * low
+        for s in folds:
+            y ^= y >> s
+        x ^= (y & low) * z.hv
+    mask = (1 << 2 * m) - 1
+    return SymplecticMatrix(m, [x >> i * width & mask for i in range(2 * m)])
 
 
 def apply_transvection(ctx: FieldContext, h: PairLike, p: PairLike) -> PauliIndex:

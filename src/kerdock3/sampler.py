@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from operator import index
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -32,7 +33,7 @@ from .gf2m import FieldContext
 from .graph import (CENSUS_MAX_M, EdgeKind, OrbitInvariant, PauliPair, chain_mask,
                     classify_pair, closed_form_counts, orbit_counts,
                     orbit_invariant_vec, pair_code, pair_split, state_name, state_obj)
-from .kerdock import PslElement, psl_to_symplectic, sample_psl, sample_psl_vec
+from .kerdock import PslElement, _check_det, psl_to_symplectic, sample_psl, sample_psl_vec
 from .markov import mixing_time_bound
 from .pauli import (PauliIndex, SymplecticMatrix, Transvection,
                     apply_symplectic, transvection_apply_vec,
@@ -90,8 +91,17 @@ class SamplerConfig:
 
 def steps_for_epsilon(m: int, eps: float) -> int:
     """Walk length for a target accuracy: the mixing bound at eps/N^3,
-    with N^3 = 8^m, so that ``mixing_time_bound`` refuses a negative m."""
+    with N^3 = 8^m, so that ``mixing_time_bound`` refuses a negative m.
+    Refuses eps outside (0, 1), which the bound cannot see: it is given
+    eps/N^3, inside (0, 1) for every eps up to N^3."""
+    if not 0 < eps < 1:
+        raise ValueError(f"eps = {eps!r} must be in (0, 1)")
     return mixing_time_bound(m, eps / 8 ** m)
+
+
+# Transvection of an (h1, h2) pair, built without the NamedTuple's
+# Python-level __new__, a large share of drawing or reading t steps
+_transvection = partial(tuple.__new__, Transvection)
 
 
 @dataclass(frozen=True)
@@ -102,21 +112,23 @@ class DesignSample:
     composed: SymplecticMatrix
 
     def to_json_line(self, index: int) -> str:
-        m = self.composed.m
-        width = (2 * m + 3) // 4
-        return json.dumps({
-            "index": index,
-            "transvections": [[hex(h.h1), hex(h.h2)] for h in self.transvections],
-            "psl": [hex(x) for x in self.psl],
-            "pauli": [hex(self.pauli.a), hex(self.pauli.b)],
-            "composed": [format(row, f"#0{width + 2}x") for row in self.composed.rows],
-        }, sort_keys=True)
+        """One JSONL record, formatted directly: the bytes of ``json.dumps``
+        with ``sort_keys=True`` (keys in sorted order, ", " and ": "
+        separators), since every value is an int or a list of hex strings."""
+        row = '"%%#0%dx"' % ((2 * self.composed.m + 3) // 4 + 2)
+        return ('{"composed": [%s], "index": %d, "pauli": ["%#x", "%#x"], '
+                '"psl": ["%#x", "%#x", "%#x", "%#x"], "transvections": [%s]}' % (
+                    ", ".join(map(row.__mod__, self.composed.rows)), index, *self.pauli,
+                    *self.psl, ", ".join(map('["%#x", "%#x"]'.__mod__, self.transvections))))
 
     @classmethod
     def from_json_line(cls, line: str, m: int) -> Tuple[int, "DesignSample"]:
         """(index, sample) of one line; refuses a ``composed`` row wider than
-        2m bits, a transvection, ``psl`` or ``pauli`` entry outside [0, N)
-        and a zero transvection, naming the field."""
+        2m bits, a transvection, ``psl`` or ``pauli`` entry outside [0, N),
+        a zero transvection, a ``psl`` of other than 4 entries or of
+        determinant other than 1 and a ``pauli`` of other than 2 entries,
+        naming the field.  The determinant is taken in the default field of
+        degree m, the field ``sample`` writes in."""
         obj = json.loads(line)
         rows = [int(r, 16) for r in obj["composed"]]
         for i, row in enumerate(rows):
@@ -125,20 +137,27 @@ class DesignSample:
         n = 1 << m
         # n is a power of two, so an OR of entries lies in [0, n) iff every
         # entry does (a negative entry makes it negative)
-        transvections = []
-        for i, (x, y) in enumerate(obj["transvections"]):
-            h = Transvection(int(x, 16), int(y, 16))
-            if not 0 < h.h1 | h.h2 < n:
+        transvections = tuple([_transvection((int(x, 16), int(y, 16)))
+                               for x, y in obj["transvections"]])
+        for i, (h1, h2) in enumerate(transvections):
+            if not 0 < h1 | h2 < n:
+                x, y = obj["transvections"][i]
                 raise ValueError(f"transvection {i} = [{x}, {y}] must be a nonzero "
                                  f"pair of field elements in [0, {n})")
-            transvections.append(h)
+        for name, size in (("psl", 4), ("pauli", 2)):
+            if not isinstance(obj[name], list) or len(obj[name]) != size:
+                raise ValueError(f"{name} = {obj[name]} must be a list of {size} entries")
         psl = PslElement(*(int(x, 16) for x in obj["psl"]))
         pauli = PauliIndex(*(int(x, 16) for x in obj["pauli"]))
         for name, joined in (("psl", psl.alpha | psl.beta | psl.gamma | psl.delta),
                              ("pauli", pauli.a | pauli.b)):
             if not 0 <= joined < n:
                 raise ValueError(f"{name} = {obj[name]} has an entry outside [0, {n})")
-        sample = cls(transvections=tuple(transvections), psl=psl, pauli=pauli,
+        try:
+            _check_det(_default_field(m), psl)
+        except ValueError as exc:
+            raise ValueError(f"psl = {obj['psl']}: {exc}") from None
+        sample = cls(transvections=transvections, psl=psl, pauli=pauli,
                      composed=SymplecticMatrix(m, rows))
         return int(obj["index"]), sample
 
@@ -157,7 +176,7 @@ def _draw(ctx: FieldContext, steps: int, rng: np.random.Generator
     """The frozen draw order: transvections, then PSL (two draws), then Pauli."""
     n = ctx.order
     h1, h2 = vertex_split(ctx.m, rng.integers(1, n * n, size=steps))
-    transvections = tuple(map(Transvection, h1.tolist(), h2.tolist()))
+    transvections = tuple(map(_transvection, zip(h1.tolist(), h2.tolist())))
     psl = sample_psl(ctx, rng)
     return transvections, psl, PauliIndex(*vertex_split(ctx.m, rng.integers(0, n * n)))
 
@@ -178,6 +197,13 @@ def _config_ctx(config: SamplerConfig, ctx: Optional[FieldContext]) -> FieldCont
     if ctx.m != config.m:
         raise ValueError(f"field context has m={ctx.m}, the config has m={config.m}")
     return ctx
+
+
+@lru_cache(maxsize=None)
+def _default_field(m: int) -> FieldContext:
+    """The default field of degree m, built once per process for the
+    determinant check of every line ``from_json_line`` reads."""
+    return FieldContext(m)
 
 
 def _substream(seed: int, index: int) -> np.random.Generator:

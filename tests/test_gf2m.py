@@ -169,6 +169,25 @@ def test_packed_row_helpers():
     assert polymod(clmul(0b111, 0b10), 0b1011) == (0b1110 ^ 0b1011)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 16), st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
+def test_f2_mat_mul_matches_bit_by_bit_product(m, width, seed):
+    """f2_mat_mul, which walks only the set bits of each row of A, equals
+    C[i][j] = XOR_k A[i][k] B[k][j] taken bit by bit, for a k x 2m matrix
+    A and a 2m x width matrix B (zero rows of A included)."""
+    rng = np.random.default_rng(seed)
+    n = 2 * m
+    a = [int(x) for x in rng.integers(0, 1 << n, size=int(rng.integers(1, 2 * n)))]
+    a[0] = 0
+    b = [int(x) for x in rng.integers(0, 1 << width, size=n)]
+    want = tuple(
+        sum((sum((ra >> k) & (b[k] >> j) & 1 for k in range(n)) & 1) << j
+            for j in range(width))
+        for ra in a)
+    assert f2_mat_mul(a, b) == want
+    assert f2_mat_mul(tuple(1 << k for k in range(n)), b) == tuple(b)
+
+
 def test_primitive_poly_table_all_valid():
     for m, poly in PRIMITIVE_POLYS.items():
         ctx = FieldContext(m, poly=poly)

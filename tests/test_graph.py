@@ -250,6 +250,18 @@ def test_census_text_and_json_round_trip():
     assert obj["enumerated"]["vertices"] == 63
 
 
+@pytest.mark.parametrize("key", ["orbit_size.type3.0x1", "orbit_size.edges",
+                                 "orbit_size.type1.0x1.0x2", "census.m"],
+                         ids=["unknown-kind", "two-parts", "four-parts", "unknown-prefix"])
+def test_parse_census_refuses_an_unrecognized_key(key):
+    """An orbit_size key of an unknown kind or with the wrong number of
+    dotted parts is refused by name, as any other unknown key is (they
+    used to end in a bare KeyError or a failed unpacking)."""
+    text = census(FieldContext(2)).to_text() + f"{key} = 5\n"
+    with pytest.raises(ValueError, match=re.escape(f"unrecognized census key: {key}")):
+        parse_census(text)
+
+
 def test_census_threads_equivalent():
     ctx = FieldContext(4)
     assert census(ctx, threads=1).to_text() == census(ctx, threads=4).to_text()

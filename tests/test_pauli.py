@@ -22,7 +22,7 @@ from kerdock3.pauli import (PauliIndex, SymplecticMatrix, Transvection,
                             symplectic_inner,
                             transvection_apply_vec, transvection_matrix,
                             transvection_product, unpack_index, vertex_split)
-from kerdock3.sampler import compose, steps_for_epsilon
+from kerdock3.sampler import compose
 
 
 def test_pack_unpack_round_trip():
@@ -247,21 +247,26 @@ def _z_from_definition(ctx, h):
                                        + omega @ hbits.T @ hbits).rows
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(2, 16), st.sampled_from([0, 1, None]), st.booleans(),
-       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 16), st.integers(0, 80), st.booleans(), st.integers(0, 2 ** 32 - 1))
 def test_transvection_product_is_a_fold_of_full_products(m, steps, arbitrary, seed):
-    """transvection_product(F, Z_1..Z_t) and compose equal the fold of full
-    f2_mat_mul products by I + Omega h^T h, for t = 0, 1 or a random t up
-    to the sampler's walk length, and for F a PSL image or arbitrary rows."""
+    """transvection_product(F, Z_1..Z_t), which walks the 2m rows of F as
+    lanes of one int, and compose equal the fold of full f2_mat_mul
+    products by I + Omega h^T h, for t in 0..80 and F arbitrary rows or a
+    random symplectic matrix: a PSL image times a partial Hadamard and
+    three transvections."""
     ctx = _field(m)
     n = ctx.order
     rng = np.random.default_rng(seed)
-    if steps is None:
-        steps = int(rng.integers(0, steps_for_epsilon(m, 0.01) + 1))
     hs = [Transvection(*vertex_split(m, int(k))) for k in rng.integers(1, n * n, size=steps)]
-    f = (SymplecticMatrix(m, rng.integers(0, 1 << 2 * m, size=2 * m).tolist()) if arbitrary
-         else psl_to_symplectic(ctx, sample_psl(ctx, rng)))
+    if arbitrary:
+        f = SymplecticMatrix(m, rng.integers(0, 1 << 2 * m, size=2 * m).tolist())
+    else:
+        f = (psl_to_symplectic(ctx, sample_psl(ctx, rng))
+             @ partial_hadamard_matrix(m, int(rng.integers(0, m + 1))))
+        for k in rng.integers(1, n * n, size=3):
+            f = f @ SymplecticMatrix(m, _z_from_definition(ctx, vertex_split(m, int(k))))
+        assert f.is_symplectic()
     walk, rows = SymplecticMatrix.identity(m).rows, f.rows
     for h in hs:
         z = _z_from_definition(ctx, h)
@@ -279,6 +284,16 @@ def test_transvection_product_refuses_another_degree():
                   (SymplecticMatrix.identity(2), [z2, z3])):
         with pytest.raises(ValueError, match="dimension mismatch"):
             transvection_product(f, zs)
+
+
+@pytest.mark.parametrize("row", [1 | 1 << 4, -1], ids=["bit-2m", "negative"])
+def test_transvection_product_refuses_a_row_outside_the_columns(row):
+    """At m = 2, a row of F with a bit at position >= 4, or a negative one,
+    is refused: in the lane walk it would spill into the next row (bit 4
+    of row 0 turned row 1 from 0xf into 0x3 and was lost)."""
+    z = transvection_matrix(FieldContext(2), (1, 2))
+    with pytest.raises(ValueError, match="a row of F lies outside the 4 columns"):
+        transvection_product(SymplecticMatrix(2, (row, 2, 4, 8)), [z])
 
 
 def test_compose_reads_no_transvection_rows(monkeypatch):

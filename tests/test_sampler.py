@@ -9,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kerdock3.gf2m import FieldContext, f2_mat_mul
 from kerdock3 import sampler
@@ -58,6 +60,14 @@ def test_resolved_steps_frozen_values():
     assert steps_for_epsilon(3, 0.1) == 48
     assert SamplerConfig(m=2, seed=0, count=1, epsilon=0.05).resolved_steps() == 56
     assert SamplerConfig(m=2, seed=0, count=1, steps=7).resolved_steps() == 7
+
+
+@pytest.mark.parametrize("eps", [0.0, 1.0, 1.5, 30.0, -0.01, float("nan")])
+def test_steps_for_epsilon_refuses_eps_outside_the_unit_interval(eps):
+    """eps outside (0, 1) is refused by name (eps = 1.5 used to give 42
+    steps and eps = 30 gave 29, since the bound only sees eps/N^3)."""
+    with pytest.raises(ValueError, match=re.escape(f"eps = {eps!r} must be in (0, 1)")):
+        steps_for_epsilon(2, eps)
 
 
 def test_compose_equals_sequential_product():
@@ -186,10 +196,22 @@ def test_json_line_refuses_a_row_wider_than_2m(rows, shown):
     ("psl", ["0x1", "0x0", "0x4", "0x1"], r"psl = \['0x1', '0x0', '0x4', '0x1'\] has an entry"),
     ("pauli", ["0x0", "0x4"], r"pauli = \['0x0', '0x4'\] has an entry outside \[0, 4\)"),
     ("pauli", ["-0x1", "0x0"], r"pauli = \['-0x1', '0x0'\] has an entry outside"),
-], ids=["h1-4", "h2-4", "h1-negative", "h-zero", "psl-4", "pauli-4", "pauli-negative"])
+    ("psl", ["0x1", "0x0", "0x1"], r"psl = \['0x1', '0x0', '0x1'\] must be a list of 4"),
+    ("psl", ["0x1"] * 5, r"psl = \['0x1', .*\] must be a list of 4 entries"),
+    ("psl", "0x1", r"psl = 0x1 must be a list of 4 entries"),
+    ("pauli", ["0x1"], r"pauli = \['0x1'\] must be a list of 2 entries"),
+    ("pauli", ["0x1", "0x0", "0x0"], r"pauli = \[.*\] must be a list of 2 entries"),
+    ("psl", ["0x1", "0x1", "0x0", "0x0"], r"psl = \[.*\]: determinant 0 != 1"),
+    ("psl", ["0x2", "0x0", "0x0", "0x2"], r"psl = \[.*\]: determinant 3 != 1"),
+], ids=["h1-4", "h2-4", "h1-negative", "h-zero", "psl-4", "pauli-4", "pauli-negative",
+        "psl-3-entries", "psl-5-entries", "psl-string", "pauli-1-entry",
+        "pauli-3-entries", "psl-det-0", "psl-det-3"])
 def test_json_line_refuses_entries_outside_the_field(field, entry, message):
-    """A transvection, psl or pauli entry outside [0, N), or a zero
-    transvection, is refused where it is read, naming the field."""
+    """A transvection, psl or pauli entry outside [0, N), a zero
+    transvection, a psl or pauli list of the wrong length, or a psl of
+    determinant other than 1 is refused where it is read, naming the
+    field (a wrong length used to raise TypeError, and a determinant
+    other than 1 went through)."""
     line = sample_at(SamplerConfig(m=2, seed=0, count=1, steps=1), 0).to_json_line(0)
     obj = json.loads(line)
     obj[field] = [entry] if field == "transvections" else entry
@@ -197,6 +219,32 @@ def test_json_line_refuses_entries_outside_the_field(field, entry, message):
         DesignSample.from_json_line(json.dumps(obj), 2)
     with pytest.raises(ValueError, match=message):
         read_jsonl(io.StringIO(line + "\n" + json.dumps(obj) + "\n"), 2)
+
+
+def _json_line_reference(s: DesignSample, index: int) -> str:
+    """The record as json.dumps(sort_keys=True) writes it."""
+    width = (2 * s.composed.m + 3) // 4
+    return json.dumps({
+        "index": index,
+        "transvections": [[hex(h.h1), hex(h.h2)] for h in s.transvections],
+        "psl": [hex(x) for x in s.psl],
+        "pauli": [hex(s.pauli.a), hex(s.pauli.b)],
+        "composed": [format(row, f"#0{width + 2}x") for row in s.composed.rows],
+    }, sort_keys=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 16), st.integers(0, 6), st.integers(0, 2 ** 64 - 1),
+       st.integers(0, 2 ** 40))
+def test_json_line_is_the_sorted_json_dumps_record(m, steps, seed, index):
+    """to_json_line, formatted directly, writes the bytes of json.dumps with
+    sort_keys=True, for random samples with zero steps included, and
+    reads back to the same sample."""
+    s = sample_at(SamplerConfig(m=m, seed=seed, count=1, steps=steps), index)
+    line = s.to_json_line(index)
+    assert line == _json_line_reference(s, index)
+    assert DesignSample.from_json_line(line, m) == (index, s)
+
 
 def test_draw_is_deterministic_nonzero_and_reaches_every_transvection():
     """The sampler's one transvection draw: the same substream repeats
