@@ -34,7 +34,9 @@ multiplicative order of x if it is irreducible but not primitive.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from functools import reduce
+from operator import index, or_
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -360,6 +362,35 @@ class FieldContext:
 
     def nonzero(self) -> range:
         return range(1, self.order)
+
+    # -- input checks: the one owner of "is this a field element?" --
+
+    def field_entries(self, label: str, entries: Sequence, shown=None) -> Tuple[int, ...]:
+        """``entries`` as Python ints (``operator.index``); refuses one outside [0, N)
+        as "<label> <shown> has an entry outside [0, N)", shown by default tuple(entries)."""
+        xs = tuple(map(index, entries))
+        # N is a power of two, so an OR of entries lies in [0, N) iff every
+        # entry does (a negative entry makes it negative), and in (0, N) iff
+        # moreover one is nonzero: the test of nonzero_pair(s)
+        if not 0 <= reduce(or_, xs, 0) < self.order:
+            raise ValueError(f"{label} {tuple(entries) if shown is None else shown} "
+                             f"has an entry outside [0, {self.order})")
+        return xs
+
+    def nonzero_pair(self, label: str, p: Sequence, shown=None) -> Tuple[int, int]:
+        """(x, y) of ``p`` as ``field_entries`` reads it, refusing also (0, 0):
+        "<label> <shown> must be a nonzero pair of field elements in [0, N)"."""
+        x, y = index(p[0]), index(p[1])
+        if not 0 < x | y < self.order:
+            raise ValueError(f"{label} {tuple(p) if shown is None else shown} must be "
+                             f"a nonzero pair of field elements in [0, {self.order})")
+        return x, y
+
+    def nonzero_pairs(self, label: str, pairs: Sequence, shown: Sequence) -> None:
+        """``nonzero_pair`` of every int pair, in one call: pair i as "<label> i = <shown[i]>"."""
+        for i, (x, y) in enumerate(pairs):
+            if not 0 < x | y < self.order:
+                self.nonzero_pair(f"{label} {i} =", (x, y), shown[i])
 
     # -- vectorized arithmetic and lookup tables (numpy) --
 

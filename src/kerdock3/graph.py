@@ -44,7 +44,6 @@ import enum
 import json
 from collections import Counter
 from dataclasses import dataclass
-from operator import index
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -152,8 +151,7 @@ def pair_determinant(ctx: FieldContext, pair: PauliPair) -> int:
     """det(a b; c d) = ad + bc, the field-valued commutation witness;
     refuses a pair with a zero or repeated entry or one outside [0, N)."""
     (a, b), (c, d) = pair
-    if not 0 <= index(a) | index(b) | index(c) | index(d) < ctx.order:
-        raise ValueError(f"pair (({a}, {b}), ({c}, {d})) has an entry outside [0, {ctx.order})")
+    a, b, c, d = ctx.field_entries("pair", (a, b, c, d), ((a, b), (c, d)))
     if (a == 0 and b == 0) or (c == 0 and d == 0):
         raise ValueError("pair entries must be nonzero Pauli indices")
     if (a, b) == (c, d):

@@ -25,7 +25,6 @@ Together with the Pauli group, the image of theta is an exact unitary
 
 from __future__ import annotations
 
-from operator import index
 from typing import Iterator, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -87,10 +86,8 @@ def psl_identity(ctx: FieldContext) -> PslElement:
 
 
 def _check_det(ctx: FieldContext, g: PslElement) -> None:
-    joined = index(g.alpha) | index(g.beta) | index(g.gamma) | index(g.delta)
-    if not 0 <= joined < ctx.order:
-        raise ValueError(f"{g} has an entry outside [0, {ctx.order})")
-    det = ctx.mul(g.alpha, g.delta) ^ ctx.mul(g.beta, g.gamma)
+    alpha, beta, gamma, delta = ctx.field_entries("PSL element", g)
+    det = ctx.mul(alpha, delta) ^ ctx.mul(beta, gamma)
     if det != 1:
         raise ValueError(f"determinant {det} != 1, not an SL(2) element: {g}")
 
@@ -109,10 +106,9 @@ def kerdock_matrix(ctx: FieldContext, z: int) -> np.ndarray:
 
 
 def classify_subgroup(ctx: FieldContext, p: PairLike) -> SubgroupLabel:
-    """Slope b/a of the commutative subgroup containing p; INFINITY if a = 0."""
-    a, b = p
-    if a == 0 and b == 0:
-        raise ValueError("the zero index belongs to every subgroup")
+    """Slope b/a of the subgroup containing p, INFINITY if a = 0; refuses
+    p = (0, 0), in every subgroup, and an entry outside [0, N)."""
+    a, b = ctx.nonzero_pair("Pauli index", p)
     if a == 0:
         return INFINITY
     return ctx.div(b, a)

@@ -11,8 +11,10 @@ pair is the vertex code ``v = a | b << m`` (``vertex_code`` and
 Symplectic matrices act on the right of packed row vectors; a matrix is
 stored as 2m row words, so applying it is a bit-select XOR of rows and
 composition is word-wise GF(2) row reduction, and the inverse is
-Omega F^T Omega.  The generators mirror the standard Clifford dictionary,
-with the m x m blocks Q and P given as m packed row words:
+Omega F^T Omega.  A packed word lies in [0, 2^2m): one width check
+refuses any other row where a matrix is made, and any other vector in
+``apply`` and ``unpack_index``.  The generators mirror the standard
+Clifford dictionary, with the m x m blocks Q and P as m packed row words:
 
     omega_matrix        block swap            <-> full Hadamard H_N
     basis_change_matrix [[Q,0],[0,Q^-T]]      <-> e_v -> e_{vQ}
@@ -27,16 +29,13 @@ packed h and the column selector Omega h^T, and builds the 2m rows of
 Z_h when something reads them.  ``transvection_product`` computes
 F @ Z_{h_1} @ ... @ Z_{h_t} with the 2m rows of F packed as the lanes of
 one int, so each update r -> r + <r, h> h (the tableau update of
-Aaronson-Gottesman) moves all rows at once in a few big-int operations:
-a mask, log2 of the lane width shift-XOR folds for the row parities,
-and one multiply by h; no matrix per step.  Every other product,
-``F @ Z_h`` included, is the full one.
+Aaronson-Gottesman) moves all rows at once, with no matrix per step.
+Every other product, ``F @ Z_h`` included, is the full one.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import index
 from typing import Iterable, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
@@ -48,7 +47,6 @@ from .gf2m import (
     f2_mat_transpose,
     f2_numpy_to_rows,
     f2_rows_to_numpy,
-    parity,
 )
 
 __all__ = [
@@ -94,8 +92,9 @@ PairLike = Union[PauliIndex, Tuple[int, int]]
 class SymplecticMatrix:
     """2m x 2m GF(2) matrix as packed row words, acting on the right.
 
-    Rows are ints whose bit j is column j.  ``F @ G`` composes in
-    right-action order: applying F then G equals applying F @ G.
+    Rows are ints in [0, 2^2m) whose bit j is column j; the constructor
+    refuses any other row.  ``F @ G`` composes in right-action order:
+    applying F then G equals applying F @ G.
     """
 
     __slots__ = ("m", "rows")
@@ -104,7 +103,8 @@ class SymplecticMatrix:
         self.m = m
         self.rows = tuple(rows)
         if len(self.rows) != 2 * m:
-            raise ValueError(f"expected {2 * m} rows, got {len(self.rows)}")
+            raise ValueError(f"row count {len(self.rows)} is not 2m = {2 * m}")
+        _check_width(m, self.rows, "row {}")
 
     @classmethod
     def identity(cls, m: int) -> "SymplecticMatrix":
@@ -129,6 +129,7 @@ class SymplecticMatrix:
 
     def apply(self, v: int) -> int:
         """Image of the packed row vector ``v`` under right action."""
+        _check_width(self.m, (v,), "vector")
         return f2_mat_mul((v,), self.rows)[0]
 
     def transpose(self) -> "SymplecticMatrix":
@@ -141,15 +142,8 @@ class SymplecticMatrix:
 
     def is_symplectic(self) -> bool:
         """Check F Omega F^T = Omega, i.e. the action preserves the inner product."""
-        m = self.m
-        mask = (1 << m) - 1
-        for i, ri in enumerate(self.rows):
-            si = ((ri & mask) << m) | (ri >> m)
-            for j, rj in enumerate(self.rows):
-                want = 1 if (j == i + m or j == i - m) else 0
-                if parity(si & rj) != want:
-                    return False
-        return True
+        omega = omega_matrix(self.m)
+        return self @ omega @ self.transpose() == omega
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -163,6 +157,14 @@ class SymplecticMatrix:
 
     def __repr__(self) -> str:
         return f"SymplecticMatrix(m={self.m}, rows={[f'{r:#x}' for r in self.rows]})"
+
+
+def _check_width(m: int, words: Sequence[int], name: str) -> None:
+    """Refuses a packed word outside [0, 2^2m) as "<name> = 0x... is wider
+    than 2m = ... bits", word i named ``name.format(i)``."""
+    if min(words, default=0) < 0 or max(words, default=0) >> 2 * m:
+        i = next(i for i, w in enumerate(words) if not 0 <= w < 1 << 2 * m)
+        raise ValueError(f"{name.format(i)} = {words[i]:#x} is wider than 2m = {2 * m} bits")
 
 
 # --- vertex codes, packing and the symplectic form ---
@@ -188,13 +190,13 @@ def vertex_split(m: int, v):
 def pack_index(ctx: FieldContext, p: PairLike) -> int:
     """Packed row vector [ [a] | |b| ] of a Pauli index, a Python int;
     refuses an entry outside [0, N)."""
-    a, b = index(p[0]), index(p[1])
-    if not 0 <= a | b < ctx.order:  # as in transvection_matrix
-        raise ValueError(f"Pauli index {tuple(p)} has an entry outside [0, {ctx.order})")
+    a, b = ctx.field_entries("Pauli index", p)
     return a | (ctx.dual_coords(b) << ctx.m)
 
 
 def unpack_index(ctx: FieldContext, v: int) -> PauliIndex:
+    """The Pauli index of a packed row vector; refuses one outside [0, 2^2m)."""
+    _check_width(ctx.m, (v,), "packed index")
     mask = ctx.order - 1
     return PauliIndex(v & mask, ctx.dual_decode(v >> ctx.m))
 
@@ -270,12 +272,7 @@ def transvection_matrix(ctx: FieldContext, h: PairLike) -> SymplecticMatrix:
     words and builds its rows only when they are read;
     ``transvection_product`` uses the words alone.
     """
-    h1, h2 = index(h[0]), index(h[1])
-    # N is a power of two, so h1 | h2 lies in (0, N) iff both entries lie
-    # in [0, N) and one is nonzero (a negative entry makes it negative)
-    if not 0 < h1 | h2 < ctx.order:
-        raise ValueError(f"transvection {tuple(h)} must be a nonzero pair of "
-                         f"field elements in [0, {ctx.order})")
+    h1, h2 = ctx.nonzero_pair("transvection", h)
     m = ctx.m
     d2 = ctx.dual_coords(h2)
     z = object.__new__(_TransvectionMatrix)
@@ -305,14 +302,12 @@ def transvection_product(f: SymplecticMatrix,
     the folds ``y ^= y >> s``, s = L/2, ..., 1, leave each lane's parity
     in its bit 0 (bits shifted in from the lane above never reach it);
     and ``x ^= (y & LOW) * hv`` adds h to the odd rows, with no carry
-    across lanes since h < 2^2m <= 2^L.  Refuses a Z_h of another degree,
-    and a row of F outside [0, 2^2m), which would spill into its neighbour.
+    across lanes: h and every row of F lie in [0, 2^2m), and 2m <= L.
+    Refuses a Z_h of another degree.
     """
     m = f.m
     if any(z.m != m for z in zs):
         raise ValueError("dimension mismatch")
-    if any(r >> 2 * m for r in f.rows):
-        raise ValueError(f"a row of F lies outside the {2 * m} columns")
     width, low, folds = _lanes(m)
     x = 0
     for i, r in enumerate(f.rows):

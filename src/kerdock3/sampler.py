@@ -123,42 +123,32 @@ class DesignSample:
 
     @classmethod
     def from_json_line(cls, line: str, m: int) -> Tuple[int, "DesignSample"]:
-        """(index, sample) of one line; refuses a ``composed`` row wider than
-        2m bits, a transvection, ``psl`` or ``pauli`` entry outside [0, N),
-        a zero transvection, a ``psl`` of other than 4 entries or of
-        determinant other than 1 and a ``pauli`` of other than 2 entries,
-        naming the field.  The determinant is taken in the default field of
-        degree m, the field ``sample`` writes in."""
+        """(index, sample) of one line; refuses, naming the field, a ``composed``
+        row wider than 2m bits, a transvection, ``psl`` or ``pauli`` entry
+        outside [0, N), a zero transvection, a ``psl`` or ``pauli`` list of
+        the wrong length and a ``psl`` of determinant other than 1 in the
+        default field of degree m, the field ``sample`` writes in."""
         obj = json.loads(line)
-        rows = [int(r, 16) for r in obj["composed"]]
-        for i, row in enumerate(rows):
-            if not 0 <= row < 1 << (2 * m):
-                raise ValueError(f"composed row {i} = {row:#x} is wider than 2m = {2 * m} bits")
-        n = 1 << m
-        # n is a power of two, so an OR of entries lies in [0, n) iff every
-        # entry does (a negative entry makes it negative)
-        transvections = tuple([_transvection((int(x, 16), int(y, 16)))
-                               for x, y in obj["transvections"]])
-        for i, (h1, h2) in enumerate(transvections):
-            if not 0 < h1 | h2 < n:
-                x, y = obj["transvections"][i]
-                raise ValueError(f"transvection {i} = [{x}, {y}] must be a nonzero "
-                                 f"pair of field elements in [0, {n})")
+        try:
+            composed = SymplecticMatrix(m, [int(r, 16) for r in obj["composed"]])
+        except ValueError as exc:
+            raise ValueError(f"composed {exc}") from None
+        ctx = _default_field(m)
+        raw = obj["transvections"]
+        transvections = tuple([_transvection((int(x, 16), int(y, 16))) for x, y in raw])
+        ctx.nonzero_pairs("transvection", transvections, raw)
         for name, size in (("psl", 4), ("pauli", 2)):
             if not isinstance(obj[name], list) or len(obj[name]) != size:
                 raise ValueError(f"{name} = {obj[name]} must be a list of {size} entries")
-        psl = PslElement(*(int(x, 16) for x in obj["psl"]))
-        pauli = PauliIndex(*(int(x, 16) for x in obj["pauli"]))
-        for name, joined in (("psl", psl.alpha | psl.beta | psl.gamma | psl.delta),
-                             ("pauli", pauli.a | pauli.b)):
-            if not 0 <= joined < n:
-                raise ValueError(f"{name} = {obj[name]} has an entry outside [0, {n})")
+        psl = PslElement(*ctx.field_entries("psl =", [int(x, 16) for x in obj["psl"]],
+                                            obj["psl"]))
+        pauli = PauliIndex(*ctx.field_entries("pauli =", [int(x, 16) for x in obj["pauli"]],
+                                              obj["pauli"]))
         try:
-            _check_det(_default_field(m), psl)
+            _check_det(ctx, psl)
         except ValueError as exc:
             raise ValueError(f"psl = {obj['psl']}: {exc}") from None
-        sample = cls(transvections=transvections, psl=psl, pauli=pauli,
-                     composed=SymplecticMatrix(m, rows))
+        sample = cls(transvections=transvections, psl=psl, pauli=pauli, composed=composed)
         return int(obj["index"]), sample
 
 
@@ -240,14 +230,11 @@ def read_jsonl(fh, m: int) -> List[Tuple[int, DesignSample]]:
 
 def class_size(ctx: FieldContext, probe: Probe) -> Tuple[str, int]:
     """(class name, class cardinality) for a probe vertex or pair; refuses a
-    vertex that is zero or has an element outside [0, N), and
-    (``classify_pair``) a pair with a zero or repeated entry or one
-    outside [0, N)."""
+    vertex that is no nonzero pair of field elements, and (``classify_pair``)
+    a pair with a zero or repeated entry or one outside [0, N)."""
     counts = closed_form_counts(ctx.m)
     if isinstance(probe[0], (int, np.integer)):
-        if not 0 < index(probe[0]) | index(probe[1]) < ctx.order:
-            raise ValueError(f"a vertex probe must be a nonzero Pauli index of "
-                             f"field elements in [0, {ctx.order})")
+        ctx.nonzero_pair("vertex probe", probe)
         return "vertices", counts["vertices"]
     if classify_pair(ctx, probe) == EdgeKind.NON_EDGE:
         return "anticommuting_pairs", counts["non_edges"]

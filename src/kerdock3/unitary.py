@@ -23,8 +23,8 @@ rows): field-independent, at most about 2N + 1 entries per m.  The caches
 hold up to about 2 N^4 complex entries per field, 33 MB at m = 5 and
 0.5 GB at m = 6, so every dense constructor refuses m > DENSE_MAX_M with a
 ValueError before it allocates anything.  A generator refuses what its
-symplectic twin in ``pauli`` refuses by building the twin when it is built
-itself, and D(a, b) an entry outside [0, N); cache hits check nothing.
+symplectic twin in ``pauli`` refuses, ``pack_index`` for D(a, b), by
+building the twin when it is built itself; cache hits check nothing.
 
 Frame potentials are computed by chunked Gram products on flattened
 unitaries; the Haar baseline is the number of standard Young tableaux
@@ -43,8 +43,8 @@ from .graph import CHAINS
 from .kerdock import PslElement, psl_elements, psl_factors
 from .markov import q_empirical, stationary_weights
 from .pauli import (PauliIndex, SymplecticMatrix, apply_symplectic,
-                    basis_change_matrix, partial_hadamard_matrix, phase_matrix,
-                    transvection_matrix, vertex_split)
+                    basis_change_matrix, pack_index, partial_hadamard_matrix,
+                    phase_matrix, transvection_matrix, vertex_split)
 from .sampler import DesignSample
 
 __all__ = [
@@ -99,11 +99,8 @@ def _cached(key: tuple, build: Callable[..., np.ndarray], *args) -> np.ndarray:
 
 
 def _build_pauli(ctx: FieldContext, a: int, b: int) -> np.ndarray:
+    db = pack_index(ctx, (a, b)) >> ctx.m  # |b|, the high half; refuses a bad (a, b)
     n = ctx.order
-    # n is a power of two, so a | b lies in [0, n) iff both entries do
-    if not 0 <= a | b < n:
-        raise ValueError(f"Pauli index {(a, b)} must be a pair of field elements in [0, {n})")
-    db = ctx.dual_coords(b)
     v = np.arange(n)
     signs = 1.0 - 2.0 * (np.bitwise_count(v & db) & 1)
     mat = np.zeros((n, n), dtype=np.complex128)

@@ -314,3 +314,27 @@ def test_log_exp_tables_are_read_by_mul_vec_and_div_vec_alone():
                  for n, line in enumerate(path.read_text().splitlines(), 1)
                  if read.search(line) and not (path.name == "gf2m.py" and n in allowed)]
     assert not offenders, offenders
+
+
+def test_field_range_check_lives_in_the_field_entry_owners_alone():
+    """"Is this a field element?" has one owner: under src/kerdock3, a range
+    comparison over an OR of entries (``0 <= a | b < N``, ``0 < h1 | h2 <
+    N``, ``0 <= reduce(or_, xs) < N``) and an OR of ``index`` coercions
+    appear only in the bodies of FieldContext.field_entries, nonzero_pair
+    and nonzero_pairs in gf2m.py.  A single-value check such as
+    ``orbit_representative``'s ``0 <= v < N`` is not an OR and may stay."""
+    src = Path(__file__).resolve().parents[1] / "src" / "kerdock3"
+    allowed = set()
+    for method in (FieldContext.field_entries, FieldContext.nonzero_pair,
+                   FieldContext.nonzero_pairs):
+        body, first = inspect.getsourcelines(method)
+        allowed |= set(range(first, first + len(body)))
+    idiom = re.compile(r"\b0 <=? [^<]*(\||\bor_\b)[^<]*<|\bindex\([^)]*\) \| ")
+    found = [(path.name, n, line.strip())
+             for path in sorted(src.glob("*.py"))
+             for n, line in enumerate(path.read_text().splitlines(), 1)
+             if idiom.search(line)]
+    offenders = [f"{name}:{n}: {line}" for name, n, line in found
+                 if not (name == "gf2m.py" and n in allowed)]
+    assert not offenders, offenders
+    assert len(found) == 3  # one check in each owner

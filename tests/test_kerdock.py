@@ -1,5 +1,6 @@
 """Kerdock matrix set, subgroup labels, PSL(2, 2^m) symplectic embedding."""
 
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -247,6 +248,14 @@ def test_invalid_psl_rejected():
         psl_to_symplectic(ctx, PslElement(1, 1, 1, 1))  # det = 0
     with pytest.raises(ValueError):
         psl_factors(ctx, PslElement(0, 0, 0, 1))
+
+
+@pytest.mark.parametrize("p", [(-1, 1), (1, -1), (0, 4), (5, 1), (0, 0)])
+def test_classify_subgroup_refuses_entries_outside_the_field(p):
+    """At m = 2 an entry outside [0, 4) or the zero index is refused
+    ((-1, 1) used to give slope 2, (0, 4) INFINITY and (5, 1) an IndexError)."""
+    with pytest.raises(ValueError, match=re.escape(f"Pauli index {p} must be a nonzero pair")):
+        classify_subgroup(FieldContext(2), p)
 
 
 @pytest.mark.parametrize("g", [PslElement(-3, 0, 0, 1), PslElement(5, 0, 0, 1),

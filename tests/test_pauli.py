@@ -1,6 +1,7 @@
 """Pauli index pairs, symplectic matrices, generators, transvections."""
 
 import inspect
+import json
 import re
 from functools import lru_cache
 from pathlib import Path
@@ -11,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kerdock3 import pauli
-from kerdock3.gf2m import FieldContext, f2_mat_mul
+from kerdock3.gf2m import FieldContext, f2_mat_mul, parity
 from kerdock3.graph import pair_determinant
-from kerdock3.kerdock import PslElement, psl_to_symplectic, sample_psl
+from kerdock3.kerdock import PslElement, classify_subgroup, psl_to_symplectic, sample_psl
 from kerdock3.pauli import (PauliIndex, SymplecticMatrix, Transvection,
                             apply_symplectic, apply_transvection,
                             basis_change_matrix, commutes,
@@ -22,7 +23,9 @@ from kerdock3.pauli import (PauliIndex, SymplecticMatrix, Transvection,
                             symplectic_inner,
                             transvection_apply_vec, transvection_matrix,
                             transvection_product, unpack_index, vertex_split)
-from kerdock3.sampler import compose
+from kerdock3.sampler import (DesignSample, SamplerConfig, class_size, compose,
+                              sample_at)
+from kerdock3.unitary import DENSE_MAX_M, pauli_unitary
 
 
 def test_pack_unpack_round_trip():
@@ -223,6 +226,79 @@ def test_pauli_index_entries_outside_the_field_are_refused(p):
             call()
 
 
+@lru_cache(maxsize=None)
+def _json_record(m):
+    """A valid one-step JSONL record of degree m, as a dict."""
+    return json.loads(sample_at(SamplerConfig(m=m, seed=0, count=1, steps=1), 0,
+                                _field(m)).to_json_line(0))
+
+
+def _refusal(call):
+    """The message of the ValueError ``call()`` raises, or None."""
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def _entries(draw):
+    """(m, four entries): m in 2..16, each entry in [-N, 2N), inside [0, N)
+    three times in four, and a Python int, numpy int64 or numpy uint32."""
+    m = draw(st.integers(2, 16))
+    n = 1 << m
+    out = []
+    for _ in range(4):
+        x = draw(st.integers(0, n - 1) if draw(st.integers(0, 3))
+                 else st.one_of(st.integers(-n, -1), st.integers(n, 2 * n - 1)))
+        kind = draw(st.sampled_from([int, np.int64, np.uint32]))
+        out.append(np.int64(x) if kind is np.uint32 and x < 0 else kind(x))
+    return m, tuple(out)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_entries())
+def test_field_entry_owners_refuse_exactly_the_entries_outside_the_field(case):
+    """Every entry point refuses an entry outside [0, N) with the message of
+    FieldContext.field_entries or nonzero_pair, and nothing else for that
+    reason: a Pauli index iff an entry is outside, a transvection or a
+    vertex probe iff moreover it is (0, 0), and a PSL element or a pair
+    otherwise only for its determinant or its zero or repeated entries."""
+    m, (a, b, c, d) = case
+    ctx = _field(m)
+    n = ctx.order
+    entry, pair = (f"has an entry outside [0, {n})",
+                   f"must be a nonzero pair of field elements in [0, {n})")
+    two_out = not (0 <= a < n and 0 <= b < n)
+    four_out = two_out or not (0 <= c < n and 0 <= d < n)
+    zero = a == 0 and b == 0
+
+    def json_line(field, value):
+        obj = dict(_json_record(m))
+        hexed = [hex(int(x)) for x in value]
+        obj[field] = [hexed] if field == "transvections" else hexed
+        return lambda: DesignSample.from_json_line(json.dumps(obj), m)
+
+    calls = [(lambda: pack_index(ctx, (a, b)), two_out, entry),
+             (json_line("pauli", (a, b)), two_out, entry),
+             (lambda: transvection_matrix(ctx, (a, b)), two_out or zero, pair),
+             (lambda: class_size(ctx, (a, b)), two_out or zero, pair),
+             (lambda: classify_subgroup(ctx, (a, b)), two_out or zero, pair),
+             (json_line("transvections", (a, b)), two_out or zero, pair)]
+    if m <= DENSE_MAX_M:
+        calls.append((lambda: pauli_unitary(ctx, (a, b)), two_out, entry))
+    for call, refused, message in calls:
+        got = _refusal(call)
+        assert (got is not None) == refused, got
+        assert got is None or message in got
+    for call in (lambda: psl_to_symplectic(ctx, PslElement(a, b, c, d)),
+                 lambda: pair_determinant(ctx, ((a, b), (c, d))),
+                 json_line("psl", (a, b, c, d))):
+        got = _refusal(call)
+        assert (got is not None and entry in got) == four_out, got
+
+
 @pytest.mark.parametrize("call", [
     lambda ctx: pack_index(ctx, (np.uint16(1), -1)),
     lambda ctx: transvection_matrix(ctx, (np.uint16(1), -1)),
@@ -286,14 +362,86 @@ def test_transvection_product_refuses_another_degree():
             transvection_product(f, zs)
 
 
-@pytest.mark.parametrize("row", [1 | 1 << 4, -1], ids=["bit-2m", "negative"])
-def test_transvection_product_refuses_a_row_outside_the_columns(row):
-    """At m = 2, a row of F with a bit at position >= 4, or a negative one,
-    is refused: in the lane walk it would spill into the next row (bit 4
-    of row 0 turned row 1 from 0xf into 0x3 and was lost)."""
-    z = transvection_matrix(FieldContext(2), (1, 2))
-    with pytest.raises(ValueError, match="a row of F lies outside the 4 columns"):
-        transvection_product(SymplecticMatrix(2, (row, 2, 4, 8)), [z])
+@pytest.mark.parametrize("row, shown", [(1 | 1 << 4, "0x11"), (-1, "-0x1")],
+                         ids=["bit-2m", "negative"])
+def test_symplectic_matrix_refuses_a_row_outside_the_columns(row, shown):
+    """At m = 2, a row with a bit at position >= 4, or a negative one, is
+    refused where the matrix is made, so no product sees it: in the lane
+    walk of transvection_product it would spill into the next row (bit 4
+    of row 0 turned row 1 from 0xf into 0x3 and was lost), ``F @ F`` ended
+    in an IndexError and ``is_symplectic`` returned True."""
+    with pytest.raises(ValueError, match=re.escape(f"row 0 = {shown} is wider than 2m = 4")):
+        SymplecticMatrix(2, (row, 2, 4, 8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 16), st.data())
+def test_symplectic_matrix_accepts_exactly_the_rows_of_2m_bits(m, data):
+    """Any row with a bit at position >= 2m, or a negative one, is refused,
+    naming its position and value; every row in [0, 2^2m) is accepted."""
+    top = 1 << 2 * m
+    rows = data.draw(st.lists(st.integers(0, top - 1), min_size=2 * m, max_size=2 * m))
+    assert SymplecticMatrix(m, rows).rows == tuple(rows)
+    i = data.draw(st.integers(0, 2 * m - 1))
+    rows[i] = data.draw(st.one_of(st.integers(top, 1 << 3 * m), st.integers(-top, -1)))
+    with pytest.raises(ValueError, match=re.escape(f"row {i} = {rows[i]:#x} is wider")):
+        SymplecticMatrix(m, rows)
+
+
+@pytest.mark.parametrize("call, shown", [
+    (lambda ctx: unpack_index(ctx, -1), "packed index = -0x1"),
+    (lambda ctx: unpack_index(ctx, 1 << 4), "packed index = 0x10"),
+    (lambda ctx: SymplecticMatrix.identity(2).apply(1 << 5), "vector = 0x20"),
+    (lambda ctx: SymplecticMatrix.identity(2).apply(-2), "vector = -0x2"),
+    (lambda ctx: transvection_matrix(ctx, (1, 2)).apply(1 << 4), "vector = 0x10"),
+], ids=["unpack-negative", "unpack-bit-2m", "apply-bit-2m", "apply-negative",
+        "apply-transvection"])
+def test_packed_vectors_outside_the_columns_are_refused(call, shown):
+    """At m = 2, a packed vector outside [0, 16) is refused by the width
+    check of the constructor (unpack_index of -1 used to return (3, 2) by
+    negative list indexing, and the others to end in an IndexError)."""
+    with pytest.raises(ValueError, match=re.escape(f"{shown} is wider than 2m = 4 bits")):
+        call(FieldContext(2))
+
+
+def _is_symplectic_by_rows(f):
+    """Reference for is_symplectic: F Omega F^T = Omega row pair by row
+    pair, the row-swapped row i of F meeting row j with odd parity iff
+    j = i +- m."""
+    m = f.m
+    mask = (1 << m) - 1
+    for i, ri in enumerate(f.rows):
+        si = ((ri & mask) << m) | (ri >> m)
+        for j, rj in enumerate(f.rows):
+            want = 1 if (j == i + m or j == i - m) else 0
+            if parity(si & rj) != want:
+                return False
+    return True
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1), st.sampled_from(["random", "walk", "flip"]))
+def test_is_symplectic_agrees_with_the_row_pair_check(m, seed, kind):
+    """is_symplectic, written as F Omega F^T == Omega, agrees with the
+    row-pair reference on random matrices (almost never symplectic), on
+    products of generators and transvections (always), and on such a
+    product with one bit flipped."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        f = SymplecticMatrix(m, rng.integers(0, 1 << 2 * m, size=2 * m).tolist())
+    else:
+        f = partial_hadamard_matrix(m, int(rng.integers(0, m + 1)))
+        if m >= 2:
+            ctx = _field(m)
+            f = f @ psl_to_symplectic(ctx, sample_psl(ctx, rng))
+            for k in rng.integers(1, ctx.order ** 2, size=3):
+                f = f @ transvection_matrix(ctx, vertex_split(m, int(k)))
+        if kind == "flip":
+            rows = list(f.rows)
+            rows[int(rng.integers(0, 2 * m))] ^= 1 << int(rng.integers(0, 2 * m))
+            f = SymplecticMatrix(m, rows)
+    assert f.is_symplectic() == _is_symplectic_by_rows(f)
+    assert kind != "walk" or f.is_symplectic()
 
 
 def test_compose_reads_no_transvection_rows(monkeypatch):

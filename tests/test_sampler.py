@@ -189,10 +189,10 @@ def test_json_line_refuses_a_row_wider_than_2m(rows, shown):
 
 
 @pytest.mark.parametrize("field, entry, message", [
-    ("transvections", ["0x4", "0x0"], r"transvection 0 = \[0x4, 0x0\] must be a nonzero"),
-    ("transvections", ["0x0", "0x4"], r"transvection 0 = \[0x0, 0x4\] must be a nonzero"),
-    ("transvections", ["-0x1", "0x1"], r"transvection 0 = \[-0x1, 0x1\] must be a nonzero"),
-    ("transvections", ["0x0", "0x0"], r"transvection 0 = \[0x0, 0x0\] must be a nonzero"),
+    ("transvections", ["0x4", "0x0"], r"transvection 0 = \['0x4', '0x0'\] must be a nonzero"),
+    ("transvections", ["0x0", "0x4"], r"transvection 0 = \['0x0', '0x4'\] must be a nonzero"),
+    ("transvections", ["-0x1", "0x1"], r"transvection 0 = \['-0x1', '0x1'\] must be a nonzero"),
+    ("transvections", ["0x0", "0x0"], r"transvection 0 = \['0x0', '0x0'\] must be a nonzero"),
     ("psl", ["0x1", "0x0", "0x4", "0x1"], r"psl = \['0x1', '0x0', '0x4', '0x1'\] has an entry"),
     ("pauli", ["0x0", "0x4"], r"pauli = \['0x0', '0x4'\] has an entry outside \[0, 4\)"),
     ("pauli", ["-0x1", "0x0"], r"pauli = \['-0x1', '0x0'\] has an entry outside"),

@@ -246,10 +246,13 @@ def test_phase_generators_refuse_bad_rows(build, p):
 ])
 def test_dense_paulis_and_transvections_refuse_entries_outside_the_field(kind, build, p):
     """At m = 2, (0, 0) as a transvection and an entry outside [0, 4) are
-    refused, and nothing is cached under their keys ((-1, 0) used to be
-    built as a copy of (3, 0), (0, 0) as (1 + i)/sqrt(2) I)."""
+    refused with the message of the symplectic twin, transvection_matrix
+    or pack_index, and nothing is cached under their keys ((-1, 0) used to
+    be built as a copy of (3, 0), (0, 0) as (1 + i)/sqrt(2) I)."""
     ctx = FieldContext(2)
-    with pytest.raises(ValueError, match=re.escape(f"{p} must be")):
+    message = (f"transvection {p} must be" if kind == "transvection"
+               else f"Pauli index {p} has an entry outside")
+    with pytest.raises(ValueError, match=re.escape(message)):
         build(ctx, p)
     assert (kind, 2, ctx.poly, *p) not in unitary._UNITARY_CACHE
 
