@@ -46,6 +46,7 @@ __all__ = [
     "MAX_M",
     "DENSE_TABLE_MAX_M",
     "FieldContext",
+    "element_dtype",
     "parity",
     "clmul",
     "polymod",
@@ -83,6 +84,14 @@ DENSE_TABLE_MAX_M = 12
 
 
 # --- polynomial helpers on bit-vector ints ---
+
+
+def element_dtype(m: int) -> np.dtype:
+    """The narrowest unsigned dtype holding every element of GF(2^m):
+    uint8 for m <= 8, uint16 for m = 9..16.  Arrays of field elements
+    use it: the 'dual' table, ``pauli.vertex_split`` and the statistics
+    walk."""
+    return np.min_scalar_type((1 << m) - 1)
 
 
 def parity(x: int) -> int:
@@ -408,9 +417,11 @@ class FieldContext:
 
     def np_table(self, name: str) -> np.ndarray:
         """Cached numpy tables: 'log' (N,) int32 and 'exp' (4N,), read by
-        ``mul_vec``/``div_vec`` alone; 'trace' and 'dual', both (N,); the
-        N x N 'mul' and 'div' (div[:, 0] = 0), refused above
-        DENSE_TABLE_MAX_M, read only by the benchmark and their own tests."""
+        ``mul_vec``/``div_vec`` alone; 'trace' (N,) uint8 and 'dual' (N,)
+        in ``element_dtype(m)``; the N x N 'mul' and 'div' (div[:, 0] = 0),
+        refused above DENSE_TABLE_MAX_M, read only by the benchmark and
+        their own tests.  'exp', 'mul' and 'div' are uint16 for m <= 8
+        and uint32 above."""
         if name in self._np_cache:
             return self._np_cache[name]
         n = self.order
@@ -430,7 +441,7 @@ class FieldContext:
         elif name == "trace":
             t = np.bitwise_count(np.arange(n) & self._trace_mask).astype(np.uint8) & 1
         elif name == "dual":
-            t = np.array(self._dual, dtype=dtype)
+            t = np.array(self._dual, dtype=element_dtype(self.m))
         else:
             raise ValueError(f"unknown table {name!r}")
         self._np_cache[name] = t

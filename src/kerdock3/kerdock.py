@@ -115,10 +115,12 @@ def classify_subgroup(ctx: FieldContext, p: PairLike) -> SubgroupLabel:
 
 
 def subgroup_members(ctx: FieldContext, label: SubgroupLabel) -> List[PauliIndex]:
-    """The N - 1 nonzero Pauli indices of one maximal commutative subgroup."""
+    """The N - 1 nonzero Pauli indices of one maximal commutative subgroup;
+    refuses a label that is neither INFINITY nor a field element."""
     if label is INFINITY:
         return [PauliIndex(0, b) for b in ctx.nonzero()]
-    return [PauliIndex(a, ctx.mul(a, label)) for a in ctx.nonzero()]
+    (z,) = ctx.field_entries("subgroup label", (label,), label)
+    return [PauliIndex(a, ctx.mul(a, z)) for a in ctx.nonzero()]
 
 
 def mobius_action(ctx: FieldContext, g: PslElement, z: SubgroupLabel) -> SubgroupLabel:

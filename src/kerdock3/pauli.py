@@ -42,6 +42,7 @@ import numpy as np
 
 from .gf2m import (
     FieldContext,
+    element_dtype,
     f2_mat_inv,
     f2_mat_mul,
     f2_mat_transpose,
@@ -173,7 +174,8 @@ def _check_width(m: int, words: Sequence[int], name: str) -> None:
 def vertex_code(m: int, a, b):
     """The vertex code a | b << m of the field pair (a, b): an int for
     ints; for arrays, dtype result_type(a, b, uint32), so uint32 for
-    uint16 fields (every m <= 16) and int64 when an operand is int64."""
+    ``element_dtype`` fields, uint8 or uint16 (every m <= 16), and int64
+    when an operand is int64."""
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         return np.left_shift(b, m, dtype=np.result_type(a, b, np.uint32)) | a
     return a | (b << m)
@@ -181,9 +183,11 @@ def vertex_code(m: int, a, b):
 
 def vertex_split(m: int, v):
     """The field pair (a, b) of the vertex code v = a | b << m: Python
-    ints for an integer, uint16 arrays for an array."""
+    ints for an integer; for an array, arrays in ``element_dtype(m)``,
+    uint8 for m <= 8 and uint16 for m = 9..16."""
     if isinstance(v, np.ndarray):
-        return (v & ((1 << m) - 1)).astype(np.uint16), (v >> m).astype(np.uint16)
+        dtype = element_dtype(m)
+        return (v & ((1 << m) - 1)).astype(dtype), (v >> m).astype(dtype)
     return int(v) & ((1 << m) - 1), int(v) >> m
 
 
@@ -202,9 +206,10 @@ def unpack_index(ctx: FieldContext, v: int) -> PauliIndex:
 
 
 def symplectic_inner(ctx: FieldContext, p: PairLike, q: PairLike) -> int:
-    """Tr(ad + bc) for p = (a, b), q = (c, d); 0 means the Paulis commute."""
-    a, b = p
-    c, d = q
+    """Tr(ad + bc) for p = (a, b), q = (c, d); 0 means the Paulis commute.
+    Refuses an entry outside [0, N)."""
+    a, b = ctx.field_entries("Pauli index", p)
+    c, d = ctx.field_entries("Pauli index", q)
     return ctx.trace(ctx.mul(a, d) ^ ctx.mul(b, c))
 
 
@@ -322,7 +327,8 @@ def transvection_product(f: SymplecticMatrix,
 
 
 def apply_transvection(ctx: FieldContext, h: PairLike, p: PairLike) -> PauliIndex:
-    """(a, b) + Tr(a h2 + b h1) (h1, h2): field form of the Z_h action."""
+    """(a, b) + Tr(a h2 + b h1) (h1, h2): field form of the Z_h action;
+    refuses an entry outside [0, N), through ``symplectic_inner``."""
     if symplectic_inner(ctx, p, h):
         return PauliIndex(p[0] ^ h[0], p[1] ^ h[1])
     return PauliIndex(*p)
@@ -338,15 +344,21 @@ def conjugate_transvection(
 def transvection_apply_vec(ctx, h1, h2, a, b):
     """Vectorized Z_h action on arrays of field pairs (a, b).
 
-    The arrays broadcast against each other.  The inner product uses the
-    dual-coordinate identity Tr(xy) = parity([x] & |y|):
+    The arrays broadcast against each other, and the results have dtype
+    result_type(h1, h2, a, b): lanes in ``element_dtype``, uint8 for
+    m <= 8, stay that narrow.  The inner product uses the dual-coordinate
+    identity Tr(xy) = parity([x] & |y|):
 
         Tr(a h2 + b h1) = parity((a & |h2|) ^ (b & |h1|)),
 
-    so the only table read is the O(N) ``dual`` table, gathered at the
-    transvection alone; a shared transvection costs one gather however
-    many vertices it acts on.
+    so the only table read is the O(N) ``dual`` table, gathered with
+    ``np.take`` at the transvection alone; a shared transvection costs
+    one gather however many vertices it acts on.
     """
     dual = ctx.np_table("dual")
-    t = np.bitwise_count((a & dual[h2]) ^ (b & dual[h1])) & 1
+    # t has the full broadcast shape and a dtype at least as wide as a and
+    # b, so the in-place steps below never truncate
+    t = (np.take(dual, h2) & a) ^ (np.take(dual, h1) & b)
+    np.bitwise_count(t, out=t)
+    t &= 1
     return a ^ (h1 * t), b ^ (h2 * t)

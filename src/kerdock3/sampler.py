@@ -29,7 +29,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ._workers import ordered_map
-from .gf2m import FieldContext
+from .gf2m import FieldContext, element_dtype
 from .graph import (CENSUS_MAX_M, EdgeKind, OrbitInvariant, PauliPair, chain_mask,
                     classify_pair, closed_form_counts, orbit_counts,
                     orbit_invariant_vec, pair_code, pair_split, state_name, state_obj)
@@ -374,8 +374,10 @@ def _stats_batch(ctx: FieldContext, config: SamplerConfig, probes: List[Probe],
 
     The distinct probe vertices walk together as rows of one (V, batch)
     array, so each step is a single kernel call with that step's
-    transvections broadcast across the rows; the PSL image (a, b) g is
-    four ``mul_vec`` products over the same broadcast.
+    transvections broadcast across the rows; the rows and the split
+    transvections are in ``element_dtype(m)``, so at m <= 8 the whole
+    walk runs in uint8.  The PSL image (a, b) g is four ``mul_vec``
+    products over the same broadcast.
     """
     n, m = ctx.order, ctx.m
     rng = _substream(config.seed, 2 ** 64 - 1 - batch_index)
@@ -384,8 +386,8 @@ def _stats_batch(ctx: FieldContext, config: SamplerConfig, probes: List[Probe],
     verts = list(dict.fromkeys(
         v for p in probes for v in ([p] if isinstance(p, PauliIndex) else p)))
     row = {v: i for i, v in enumerate(verts)}
-    a = np.array([[v.a] for v in verts], dtype=np.uint16)
-    b = np.array([[v.b] for v in verts], dtype=np.uint16)
+    a = np.array([[v.a] for v in verts], dtype=element_dtype(m))
+    b = np.array([[v.b] for v in verts], dtype=a.dtype)
     for k in ks:
         a, b = transvection_apply_vec(ctx, *vertex_split(m, k), a, b)
     images = vertex_code(m, (ctx.mul_vec(a, alpha) ^ ctx.mul_vec(b, gamma)).astype(np.int64),

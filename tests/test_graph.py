@@ -378,7 +378,8 @@ def test_state_name_and_obj():
                          min_size=1, max_size=8))))
 @example((16, [(0xFFFF,) * 4]))
 def test_vertex_and_pair_codes_round_trip(case):
-    """Ints stay Python ints, arrays decode to uint16, for m in 2..16."""
+    """Ints stay Python ints, arrays decode to uint8 at m <= 8 and to
+    uint16 at m = 9..16; vertex codes of either are uint32."""
     m, quads = case
     for a, b, c, d in quads:
         v, w = vertex_code(m, a, b), vertex_code(m, c, d)
@@ -388,12 +389,13 @@ def test_vertex_and_pair_codes_round_trip(case):
         code = pair_code(m, v, w)
         assert type(code) is int and code == v * 4 ** m + w
         assert pair_split(m, code) == (v, w)
-    a, b, c, d = (np.array(x, dtype=np.uint16) for x in zip(*quads))
+    field = np.uint8 if m <= 8 else np.uint16
+    a, b, c, d = (np.array(x, dtype=field) for x in zip(*quads))
     v, w = vertex_code(m, a, b), vertex_code(m, c, d)
-    assert v.dtype == np.uint32
+    assert v.dtype == vertex_code(m, a.astype(np.uint16), b).dtype == np.uint32
     assert v.tolist() == [vertex_code(m, *q[:2]) for q in quads]
     for x, want in zip(vertex_split(m, v), (a, b)):
-        assert x.dtype == np.uint16 and np.array_equal(x, want)
+        assert x.dtype == field and np.array_equal(x, want)
     code = pair_code(m, v, w)
     assert code.tolist() == [pair_code(m, x, y) for x, y in zip(v.tolist(), w.tolist())]
     assert [x.tolist() for x in pair_split(m, code)] == [v.tolist(), w.tolist()]

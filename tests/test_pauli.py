@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from kerdock3 import pauli
 from kerdock3.gf2m import FieldContext, f2_mat_mul, parity
 from kerdock3.graph import pair_determinant
-from kerdock3.kerdock import PslElement, classify_subgroup, psl_to_symplectic, sample_psl
+from kerdock3.kerdock import (PslElement, classify_subgroup, psl_to_symplectic, sample_psl,
+                              subgroup_members)
 from kerdock3.pauli import (PauliIndex, SymplecticMatrix, Transvection,
                             apply_symplectic, apply_transvection,
                             basis_change_matrix, commutes,
@@ -226,6 +227,23 @@ def test_pauli_index_entries_outside_the_field_are_refused(p):
             call()
 
 
+@pytest.mark.parametrize("call, shown", [
+    (lambda ctx: symplectic_inner(ctx, (-1, 0), (0, 1)), "Pauli index (-1, 0)"),
+    (lambda ctx: symplectic_inner(ctx, (5, 0), (0, 1)), "Pauli index (5, 0)"),
+    (lambda ctx: apply_transvection(ctx, (1, 0), (-1, 1)), "Pauli index (-1, 1)"),
+    (lambda ctx: subgroup_members(ctx, -1), "subgroup label -1"),
+    (lambda ctx: subgroup_members(ctx, 5), "subgroup label 5"),
+], ids=["inner-negative", "inner-wide", "transvection-negative", "label-negative",
+        "label-wide"])
+def test_scalar_helpers_refuse_entries_outside_the_field(call, shown):
+    """At m = 2 the scalar helpers refuse an entry outside [0, 4) (the
+    negative ones used to index lists from the end: the inner product
+    read 1, Z_(1, 0) left (-1, 1) as it was, slope -1 gave the members of
+    slope 3; the entry 5 ended in a bare IndexError)."""
+    with pytest.raises(ValueError, match=re.escape(f"{shown} has an entry outside [0, 4)")):
+        call(FieldContext(2))
+
+
 @lru_cache(maxsize=None)
 def _json_record(m):
     """A valid one-step JSONL record of degree m, as a dict."""
@@ -263,8 +281,10 @@ def test_field_entry_owners_refuse_exactly_the_entries_outside_the_field(case):
     """Every entry point refuses an entry outside [0, N) with the message of
     FieldContext.field_entries or nonzero_pair, and nothing else for that
     reason: a Pauli index iff an entry is outside, a transvection or a
-    vertex probe iff moreover it is (0, 0), and a PSL element or a pair
-    otherwise only for its determinant or its zero or repeated entries."""
+    vertex probe iff moreover it is (0, 0), a subgroup label iff it is
+    outside, and a PSL element or a pair otherwise only for its
+    determinant or its zero or repeated entries; the inner product and
+    the transvection action of two pairs only for an entry outside."""
     m, (a, b, c, d) = case
     ctx = _field(m)
     n = ctx.order
@@ -286,15 +306,19 @@ def test_field_entry_owners_refuse_exactly_the_entries_outside_the_field(case):
              (lambda: class_size(ctx, (a, b)), two_out or zero, pair),
              (lambda: classify_subgroup(ctx, (a, b)), two_out or zero, pair),
              (json_line("transvections", (a, b)), two_out or zero, pair)]
-    if m <= DENSE_MAX_M:
-        calls.append((lambda: pauli_unitary(ctx, (a, b)), two_out, entry))
+    if m <= DENSE_MAX_M:  # a dense unitary, and a list of N - 1 members, stay small
+        calls += [(lambda: pauli_unitary(ctx, (a, b)), two_out, entry),
+                  (lambda: subgroup_members(ctx, a), not 0 <= a < n, entry)]
     for call, refused, message in calls:
         got = _refusal(call)
         assert (got is not None) == refused, got
         assert got is None or message in got
     for call in (lambda: psl_to_symplectic(ctx, PslElement(a, b, c, d)),
                  lambda: pair_determinant(ctx, ((a, b), (c, d))),
-                 json_line("psl", (a, b, c, d))):
+                 json_line("psl", (a, b, c, d)),
+                 lambda: symplectic_inner(ctx, (a, b), (c, d)),
+                 lambda: commutes(ctx, (a, b), (c, d)),
+                 lambda: apply_transvection(ctx, (a, b), (c, d))):
         got = _refusal(call)
         assert (got is not None and entry in got) == four_out, got
 
@@ -490,20 +514,28 @@ def _field(m):
 
 @st.composite
 def _walk_case(draw):
-    """(ctx, V x B vertex fields a, b, and B transvection fields h1, h2)."""
+    """(ctx, V x B vertex fields a, b, and B transvection fields h1, h2),
+    m in 2..16; rows and transvections both uint16, both uint8 (m <= 8),
+    or uint8 rows against uint16 transvections (m <= 8)."""
     m = draw(st.integers(2, 16))
     verts, batch = draw(st.integers(1, 4)), draw(st.integers(1, 6))
     fields = st.integers(0, (1 << m) - 1)
+    dtypes = [(np.uint16, np.uint16)]
+    if m <= 8:
+        dtypes += [(np.uint8, np.uint8), (np.uint8, np.uint16)]
+    rows, halves = draw(st.sampled_from(dtypes))
 
-    def array(*shape):
+    def array(dtype, *shape):
         flat = draw(st.lists(fields, min_size=int(np.prod(shape)),
                              max_size=int(np.prod(shape))))
-        return np.array(flat, dtype=np.uint16).reshape(shape)
+        return np.array(flat, dtype=dtype).reshape(shape)
 
-    return _field(m), array(verts, batch), array(verts, batch), array(batch), array(batch)
+    return (_field(m), array(rows, verts, batch), array(rows, verts, batch),
+            array(halves, batch), array(halves, batch))
 
 
 def _assert_scalar_equal(ctx, h1, h2, a, b, va, vb):
+    assert va.dtype == vb.dtype == np.result_type(h1, h2, a, b)
     for (i, j), x in np.ndenumerate(va):
         want = apply_transvection(ctx, (int(h1[i, j]), int(h2[i, j])),
                                   (int(a[i, j]), int(b[i, j])))
@@ -518,7 +550,7 @@ def test_transvection_apply_vec_stacked_vertices(case):
     """(V, B) vertices against (B,) transvections, as in the statistics walk."""
     ctx, a, b, h1, h2 = case
     va, vb = transvection_apply_vec(ctx, h1, h2, a, b)
-    assert va.shape == vb.shape == a.shape and va.dtype == vb.dtype == np.uint16
+    assert va.shape == vb.shape == a.shape
     hh1, hh2 = np.broadcast_to(h1, a.shape), np.broadcast_to(h2, a.shape)
     _assert_scalar_equal(ctx, hh1, hh2, a, b, va, vb)
 

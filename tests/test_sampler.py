@@ -442,6 +442,32 @@ def test_kernels_build_no_dense_field_tables(monkeypatch):
     assert {"log", "exp", "dual"} <= requested
 
 
+class _WalkDone(Exception):
+    """Raised by the recorder below once the walk's last step is seen."""
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_stream_statistics_walk_runs_in_uint8_at_small_m(monkeypatch, m):
+    """At m = 2..6 every walk step of pair_statistics_stream hands the
+    kernel uint8 rows and uint8 transvection halves, so a change cannot
+    silently widen the walk back to uint16.  The recorder stops the run
+    after the last step: the pair histogram at m = 6 has 2^24 bins."""
+    steps, seen = 3, []
+    original = sampler.transvection_apply_vec
+
+    def recording(ctx, h1, h2, a, b):
+        seen.append(tuple(x.dtype for x in (h1, h2, a, b)))
+        if len(seen) == steps:
+            raise _WalkDone
+        return original(ctx, h1, h2, a, b)
+
+    monkeypatch.setattr(sampler, "transvection_apply_vec", recording)
+    with pytest.raises(_WalkDone):
+        pair_statistics_stream(SamplerConfig(m=m, seed=0, count=64, steps=steps),
+                               [(0x3, 0x1), COMMUTING_PROBE], batch_size=64)
+    assert seen == [(np.dtype(np.uint8),) * 4] * steps
+
+
 def test_stream_statistics_walk_in_the_given_field():
     """((1, 0), (0, 2)) anticommutes under poly 0xD (Tr(2) = 1) and
     commutes under the default 0xB (Tr(2) = 0)."""
