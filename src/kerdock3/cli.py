@@ -41,7 +41,7 @@ from .markov import (FULL_CHAIN_MAX_M, extract_r, full_chain, lump_chain,
 from .pauli import (omega_matrix, partial_hadamard_matrix, transvection_matrix,
                     vertex_split)
 from .sampler import (SamplerConfig, pair_statistics_stream, sample_at,
-                      sample_stream, steps_for_epsilon, write_jsonl)
+                      sample_stream, write_jsonl)
 
 __all__ = ["main", "build_parser"]
 
@@ -74,7 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--threads", type=int, default=1, help=threads_help)
         if walk:
             g = p.add_mutually_exclusive_group()
-            g.add_argument("--epsilon", type=float, default=None)
+            g.add_argument("--epsilon", type=float, default=None,
+                           help="walk the mixing bound t(eps/N^3), N = 2^m (default 0.01)")
             g.add_argument("--steps", type=int, default=None)
             p.add_argument("--seed", type=int, default=None,
                            help=f"default 0, or ${SEED_ENV}; flag wins")
@@ -82,15 +83,16 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     chains = dict(choices=CHAINS + ("both",), default="both")
+    bound_help = "mixing bound t(eps) (default %(default)s); sample and verify walk t(eps/N^3)"
     command("field-info", "field context tables")
     command("graph-census", "pair-class census", threads=True)
     command("chain", "transition matrices and checks",
             formats=("json", "csv", "text")).add_argument("--chain", **chains)
     p = command("spectra", "eigenvalues and mixing bounds")
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
+    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON, help=bound_help)
     p.add_argument("--chain", **chains)
     p = command("convergence", "TV decay curves (CSV)", formats=())
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
+    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON, help=bound_help)
     p.add_argument("--t-max", type=int, default=None)
     command("sample", "stream design samples (JSONL)", formats=(), poly=False,
             threads=True, walk=True,
@@ -106,6 +108,12 @@ def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
     return int(os.environ.get(SEED_ENV, "0"))
+
+
+def _walk_config(args, count: int) -> SamplerConfig:
+    """The walk of --epsilon | --steps, at DEFAULT_EPSILON when neither is given."""
+    eps = DEFAULT_EPSILON if args.epsilon is None and args.steps is None else args.epsilon
+    return SamplerConfig(args.m, _resolve_seed(args), count, eps, args.steps)
 
 
 def _ctx(args) -> FieldContext:
@@ -154,10 +162,7 @@ def _cmd_field_info(args) -> int:
 def _cmd_graph_census(args) -> int:
     ctx = _ctx(args)
     report = census(ctx, threads=args.threads)
-    if args.format == "json":
-        _emit(args, report.to_json())
-    else:
-        _emit(args, report.to_text())
+    _emit(args, report.to_json() if args.format == "json" else report.to_text())
     return 0 if report.matches_closed_form() else 1
 
 
@@ -243,11 +248,7 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    eps, steps = args.epsilon, args.steps
-    if eps is None and steps is None:
-        eps = DEFAULT_EPSILON
-    config = SamplerConfig(m=args.m, seed=_resolve_seed(args),
-                           count=args.count, epsilon=eps, steps=steps)
+    config = _walk_config(args, args.count)
     if args.out:
         with open(args.out, "w") as fh:
             write_jsonl(sample_stream(config, threads=args.threads), fh)
@@ -353,12 +354,8 @@ def _verify_checks(args):
     def _():
         d_anti = next(d for d in ctx.nonzero() if ctx.trace(d) == 1)
         probes = [((ctx.alpha_power(1), 0), (1, 0)), ((1, 0), (0, d_anti))]
-        eps = args.epsilon if args.epsilon is not None else DEFAULT_EPSILON
-        steps = args.steps if args.steps is not None \
-            else steps_for_epsilon(m, eps)
-        config = SamplerConfig(m=m, seed=seed, count=max(args.count, 200_000),
-                               steps=steps)
-        rep = pair_statistics_stream(config, probes, threads=args.threads, ctx=ctx)
+        rep = pair_statistics_stream(_walk_config(args, max(args.count, 200_000)), probes,
+                                     threads=args.threads, ctx=ctx)
         for p in rep.probes:
             if p.tv_to_uniform > 0.05 + p.four_sigma():
                 return (f"tv {p.tv_to_uniform:.4f} exceeds margin for "

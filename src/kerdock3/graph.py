@@ -175,20 +175,15 @@ def orbit_invariant(ctx: FieldContext, pair: PauliPair) -> OrbitInvariant:
 
 
 def orbit_invariant_vec(ctx: FieldContext, a, b, c, d):
-    """The uint32 orbit key kind * 2^16 + value of each pair, from its
-    components a, b, c, d, through ``mul_vec``/``div_vec``; a zero second
-    vertex gives (TYPE1, 0).  ``orbit_counts`` counts keys per orbit."""
+    """The uint32 orbit key kind * 2^16 + value of each pair (a, b), (c, d),
+    through ``mul_vec``/``div_vec``: ``determinant_keys`` at a nonzero det,
+    else (TYPE1, ratio), (TYPE1, 0) for a zero second vertex."""
     det = ctx.mul_vec(a, d) ^ ctx.mul_vec(b, c)
-    anti = ctx.np_table("trace")[det] == 1
-    type1 = (det == 0) & ~anti
-    kind = np.where(anti, int(EdgeKind.NON_EDGE),
-                    np.where(type1, int(EdgeKind.TYPE1), int(EdgeKind.TYPE2)))
     c_nz = c != 0
     ratio = ctx.div_vec(np.where(c_nz, a, b), np.where(c_nz, c, d))
-    # with c = d = 0 the ratio would be b/0; det is the 0 wanted there
-    value = np.where(type1 & (c_nz | (d != 0)), ratio, det)
-    del det, ratio  # so the key arrays do not raise the peak memory
-    return orbit_key(kind.astype(np.uint8), value.astype(np.uint16))
+    # with c = d = 0 the ratio would be b/0; the ratio wanted there is 0
+    type1 = orbit_key(EdgeKind.TYPE1, np.where(c_nz | (d != 0), ratio, 0))
+    return np.where(det != 0, determinant_keys(ctx)[det], type1)
 
 
 def determinant_keys(ctx: FieldContext) -> np.ndarray:
@@ -208,6 +203,13 @@ def xor_grid(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return (p[:, :, None] ^ q[:, None, :]).reshape(r, n * n)
 
 
+def _block_determinants(ctx: FieldContext, a, b) -> np.ndarray:
+    """The (R, N^2) determinants det(v, w) = ad + bc of R first vertices
+    v = (a, b) against every vertex w = c | d << m: ``xor_grid(a * F, b * F)``."""
+    field = np.arange(ctx.order)
+    return xor_grid(ctx.mul_vec(a[:, None], field), ctx.mul_vec(b[:, None], field))
+
+
 def srg_parameters(m: int) -> Tuple[int, int, int, int]:
     """(n, t, lambda, mu) = (N^2-1, N^2/2-2, N^2/4-3, N^2/4-1)."""
     if m < 2:
@@ -224,15 +226,13 @@ def _check_chain(chain: str) -> None:
 def chain_mask(ctx: FieldContext, chain: str) -> np.ndarray:
     """Boolean (N^2, N^2): [v, w] is True for distinct nonzero codes
     v = a | b << m, w = c | d << m whose pair is in ``chain`` (m <=
-    CENSUS_MAX_M).  det(v, w) = ad + bc is ``xor_grid(a * F, b * F)``,
-    as in the census, and the pair's class is CHAINS[Tr(det)]."""
+    CENSUS_MAX_M).  det(v, w) = ad + bc is the census's block grid,
+    and the pair's class is CHAINS[Tr(det)]."""
     _check_chain(chain)
     if ctx.m > CENSUS_MAX_M:
         raise ValueError(f"the chain mask is capped at m = {CENSUS_MAX_M}")
-    field = np.arange(ctx.order)
     a, b = vertex_split(ctx.m, np.arange(ctx.order ** 2, dtype=np.uint32))
-    det = xor_grid(ctx.mul_vec(a[:, None], field), ctx.mul_vec(b[:, None], field))
-    mask = ctx.np_table("trace")[det] == CHAINS.index(chain)
+    mask = ctx.np_table("trace")[_block_determinants(ctx, a, b)] == CHAINS.index(chain)
     mask[0, :] = mask[:, 0] = False
     np.fill_diagonal(mask, False)
     return mask
@@ -263,13 +263,13 @@ def srg_check(ctx: FieldContext) -> Tuple[int, int, int, int]:
 
 
 def orbit_states(ctx: FieldContext, kind: EdgeKind) -> List[OrbitInvariant]:
-    """Orbit invariants of one kind, ordered by discrete log of the value."""
-    if kind == EdgeKind.NON_EDGE:
-        vals = [x for x in ctx.nonzero() if ctx.trace(x) == 1]
-    elif kind == EdgeKind.TYPE2:
-        vals = [x for x in ctx.nonzero() if x != 0 and ctx.trace(x) == 0]
-    else:
+    """Orbit invariants of one kind (type-1 ratios, or the determinants
+    ``determinant_keys`` names with ``kind``), ordered by discrete log."""
+    if kind == EdgeKind.TYPE1:
         vals = [x for x in ctx.elements() if x not in (0, 1)]
+    else:
+        keys = determinant_keys(ctx).tolist()
+        vals = [x for x in ctx.nonzero() if keys[x] == orbit_key(kind, x)]
     vals.sort(key=ctx.log)
     return [OrbitInvariant(kind, v) for v in vals]
 
@@ -283,18 +283,20 @@ def chain_states(ctx: FieldContext, chain: str) -> List[OrbitInvariant]:
 
 
 def orbit_representative(ctx: FieldContext, inv: OrbitInvariant) -> PauliPair:
-    """One explicit pair with the given invariant."""
+    """One explicit pair with the given invariant; refuses a kind that is no
+    ``EdgeKind`` and a value outside the orbits of its kind."""
     kind, v = inv
+    if kind not in _KINDS:
+        raise ValueError(f"orbit kind {kind!r} is no EdgeKind")
     if not 0 <= v < ctx.order:
         raise ValueError(f"orbit value {v} is outside [0, {ctx.order})")
     if kind == EdgeKind.TYPE1:
         if v in (0, 1):
             raise ValueError("type-1 ratio must avoid 0 and 1")
         return PauliPair(PauliIndex(v, 0), PauliIndex(1, 0))
-    if kind == EdgeKind.NON_EDGE and ctx.trace(v) != 1:
-        raise ValueError("non-edge determinant must have trace 1")
-    if kind == EdgeKind.TYPE2 and (v == 0 or ctx.trace(v) != 0):
-        raise ValueError("type-2 determinant must be nonzero with trace 0")
+    if v == 0 or determinant_keys(ctx)[v] != orbit_key(kind, v):
+        raise ValueError(f"{EdgeKind(kind).name} determinant must be nonzero with "
+                         f"trace {int(kind == EdgeKind.NON_EDGE)}, got {v:#x}")
     return PauliPair(PauliIndex(1, 0), PauliIndex(0, v))
 
 
@@ -442,15 +444,14 @@ def _census_chunk(ctx: FieldContext, lo: int, hi: int) -> Dict[OrbitInvariant, i
     """Orbit sizes over the distinct pairs with first vertex in [lo, hi).
 
     For first vertices v = (a, b) and every second vertex w = c | d << m,
-    det(v, w) = ad + bc is ``xor_grid(a * F, b * F)``.  A cell with
+    det(v, w) = ad + bc is ``_block_determinants``.  A cell with
     det != 0 is in the orbit ``determinant_keys`` names, so those cells
     are counted per determinant; only the det = 0 cells, about 1 in N,
     go through ``orbit_invariant_vec`` for their type-1 ratio, after w = 0
     and w = v (both det = 0) are dropped."""
-    field = np.arange(ctx.order)
     v = np.arange(lo, hi, dtype=np.uint32)
     a, b = vertex_split(ctx.m, v)
-    det = xor_grid(ctx.mul_vec(a[:, None], field), ctx.mul_vec(b[:, None], field))
+    det = _block_determinants(ctx, a, b)
     per_det = np.bincount(det.ravel(), minlength=ctx.order)
     i, w = np.divmod(np.flatnonzero(det == 0), ctx.order ** 2)
     keep = (w != 0) & (w != v[i])

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from operator import index
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -102,6 +102,7 @@ def steps_for_epsilon(m: int, eps: float) -> int:
 # Transvection of an (h1, h2) pair, built without the NamedTuple's
 # Python-level __new__, a large share of drawing or reading t steps
 _transvection = partial(tuple.__new__, Transvection)
+_RECORD_FIELDS = frozenset(("composed", "index", "pauli", "psl", "transvections"))
 
 
 @dataclass(frozen=True)
@@ -123,33 +124,47 @@ class DesignSample:
 
     @classmethod
     def from_json_line(cls, line: str, m: int) -> Tuple[int, "DesignSample"]:
-        """(index, sample) of one line; refuses, naming the field, a ``composed``
-        row wider than 2m bits, a transvection, ``psl`` or ``pauli`` entry
-        outside [0, N), a zero transvection, a ``psl`` or ``pauli`` list of
-        the wrong length and a ``psl`` of determinant other than 1 in the
-        default field of degree m, the field ``sample`` writes in."""
+        """(index, sample) of one line, in the default field of degree m (the
+        field ``sample`` writes in); refuses, naming the field, a missing field,
+        an ``index`` other than an int >= 0, an entry other than a hex string,
+        a transvection other than a pair, a ``composed`` row over 2m bits, an
+        entry outside [0, N), a zero transvection, a ``psl`` or ``pauli`` list
+        of the wrong length and a ``psl`` of determinant other than 1."""
         obj = json.loads(line)
+        if missing := _RECORD_FIELDS.difference(obj):
+            raise ValueError(f"record has no {', '.join(sorted(missing))}")
+        if type(obj["index"]) is not int or obj["index"] < 0:  # refuses true and 5.0
+            raise ValueError(f"index = {obj['index']!r} must be a non-negative integer")
+        rows = _hex_entries(obj, "composed")
         try:
-            composed = SymplecticMatrix(m, [int(r, 16) for r in obj["composed"]])
+            composed = SymplecticMatrix(m, rows)
         except ValueError as exc:
             raise ValueError(f"composed {exc}") from None
         ctx = _default_field(m)
         raw = obj["transvections"]
-        transvections = tuple([_transvection((int(x, 16), int(y, 16))) for x, y in raw])
+        try:
+            transvections = tuple([_transvection((int(x, 16), int(y, 16))) for x, y in raw])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"transvections must be pairs of hex strings: {exc}") from None
         ctx.nonzero_pairs("transvection", transvections, raw)
         for name, size in (("psl", 4), ("pauli", 2)):
             if not isinstance(obj[name], list) or len(obj[name]) != size:
                 raise ValueError(f"{name} = {obj[name]} must be a list of {size} entries")
-        psl = PslElement(*ctx.field_entries("psl =", [int(x, 16) for x in obj["psl"]],
-                                            obj["psl"]))
-        pauli = PauliIndex(*ctx.field_entries("pauli =", [int(x, 16) for x in obj["pauli"]],
-                                              obj["pauli"]))
+        psl = PslElement(*ctx.field_entries("psl =", _hex_entries(obj, "psl"), obj["psl"]))
+        pauli = PauliIndex(*ctx.field_entries("pauli =", _hex_entries(obj, "pauli"), obj["pauli"]))
         try:
             _check_det(ctx, psl)
         except ValueError as exc:
             raise ValueError(f"psl = {obj['psl']}: {exc}") from None
-        sample = cls(transvections=transvections, psl=psl, pauli=pauli, composed=composed)
-        return int(obj["index"]), sample
+        return obj["index"], cls(transvections, psl, pauli, composed)
+
+
+def _hex_entries(obj: dict, name: str) -> List[int]:
+    """The ints of the hex strings in the list field ``name`` of a record."""
+    try:
+        return [int(x, 16) for x in obj[name]]
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} = {obj[name]} must be a list of hex strings") from None
 
 
 def compose(ctx: FieldContext, transvections: Sequence[Transvection],
@@ -183,7 +198,7 @@ def sample(config: SamplerConfig, rng: np.random.Generator,
 def _config_ctx(config: SamplerConfig, ctx: Optional[FieldContext]) -> FieldContext:
     """``ctx``, or the default field of degree ``config.m``; refuses another degree."""
     if ctx is None:
-        return FieldContext(config.m)
+        return _default_field(config.m)
     if ctx.m != config.m:
         raise ValueError(f"field context has m={ctx.m}, the config has m={config.m}")
     return ctx
@@ -191,8 +206,9 @@ def _config_ctx(config: SamplerConfig, ctx: Optional[FieldContext]) -> FieldCont
 
 @lru_cache(maxsize=None)
 def _default_field(m: int) -> FieldContext:
-    """The default field of degree m, built once per process for the
-    determinant check of every line ``from_json_line`` reads."""
+    """The default field of degree m, built once per process: the field of
+    ``sample``/``sample_at`` without a ``ctx``, of ``sample_stream`` and of
+    every line ``from_json_line`` reads."""
     return FieldContext(m)
 
 
@@ -209,7 +225,7 @@ def sample_at(config: SamplerConfig, index: int,
 
 def sample_stream(config: SamplerConfig, threads: int = 1) -> Iterator[DesignSample]:
     """The ``count`` samples, in index order, identical for any thread count."""
-    ctx = FieldContext(config.m)
+    ctx = _default_field(config.m)
     yield from ordered_map(lambda i: sample_at(config, i, ctx), range(config.count), threads)
 
 
@@ -318,26 +334,25 @@ def pair_statistics(ctx: FieldContext, samples: Sequence[DesignSample],
         if s.composed.m != m:
             raise ValueError(f"a sample of degree m = {s.composed.m} in the field of "
                              f"degree m = {m}")
-    counts = _zero_counts(ctx, probes)
-    for s in samples:
-        f = s.composed
-        for i, probe in enumerate(probes):
-            if isinstance(probe, PauliIndex):
-                counts[i][vertex_code(m, *apply_symplectic(ctx, f, probe)) - 1] += 1
-            else:
-                v, w = (vertex_code(m, *apply_symplectic(ctx, f, x)) for x in probe)
-                counts[i][pair_code(m, v, w)] += 1
+    counts = _probe_histograms(m, probes, lambda verts: np.array(
+        [[vertex_code(m, *apply_symplectic(ctx, s.composed, x)) for s in samples]
+         for x in verts]))
     lengths = {len(s.transvections) for s in samples}
     steps = lengths.pop() if len(lengths) == 1 else None
     return _statistics_from_counts(ctx, probes, counts, len(samples), steps=steps)
 
 
-def _zero_counts(ctx: FieldContext, probes: List[Probe]) -> List[np.ndarray]:
-    """Empty histograms: N^2 - 1 vertex codes per vertex probe, N^4 pair
-    codes v * N^2 + w per pair probe."""
-    n = ctx.order
-    return [np.zeros((n * n - 1) if isinstance(p, PauliIndex) else n ** 4, dtype=np.int64)
-            for p in probes]
+def _probe_histograms(m: int, probes: List[Probe], images) -> List[np.ndarray]:
+    """The histogram of each probe's image codes, a vertex probe being a
+    probe of one vertex: the vertex code v of its image (N^2 bins, bin 0
+    empty), and the pair code v * N^2 + w of a pair probe's images (N^4
+    bins).  ``images`` maps the list of distinct probe vertices to the
+    (V, S) int64 vertex codes of their images in S samples."""
+    parts = [(p,) if isinstance(p, PauliIndex) else p for p in probes]
+    verts = list(dict.fromkeys(x for part in parts for x in part))
+    image = dict(zip(verts, images(verts)))
+    return [np.bincount(reduce(partial(pair_code, m), map(image.get, part), 0),
+                        minlength=1 << (2 * m * len(part))) for part in parts]
 
 
 def _statistics_from_counts(ctx: FieldContext, probes: List[Probe],
@@ -347,7 +362,7 @@ def _statistics_from_counts(ctx: FieldContext, probes: List[Probe],
     masks = {}  # each chain's flat (N^4,) mask, built at most once per call
     for probe, hist in zip(probes, counts):
         name, k = class_size(ctx, probe)
-        member, orbit_hist = hist, None
+        member, orbit_hist = hist[1:], None  # a vertex probe's class: codes 1..N^2-1
         if isinstance(probe, PauliPair):
             chain = "nonedges" if name == "anticommuting_pairs" else "edges"
             if chain not in masks:
@@ -383,23 +398,16 @@ def _stats_batch(ctx: FieldContext, config: SamplerConfig, probes: List[Probe],
     rng = _substream(config.seed, 2 ** 64 - 1 - batch_index)
     ks = rng.integers(1, n * n, size=(steps, batch_size), dtype=np.uint32)
     alpha, beta, gamma, delta = sample_psl_vec(ctx, rng, batch_size)
-    verts = list(dict.fromkeys(
-        v for p in probes for v in ([p] if isinstance(p, PauliIndex) else p)))
-    row = {v: i for i, v in enumerate(verts)}
-    a = np.array([[v.a] for v in verts], dtype=element_dtype(m))
-    b = np.array([[v.b] for v in verts], dtype=a.dtype)
-    for k in ks:
-        a, b = transvection_apply_vec(ctx, *vertex_split(m, k), a, b)
-    images = vertex_code(m, (ctx.mul_vec(a, alpha) ^ ctx.mul_vec(b, gamma)).astype(np.int64),
-                         ctx.mul_vec(a, beta) ^ ctx.mul_vec(b, delta))
-    out = []
-    for probe in probes:
-        if isinstance(probe, PauliIndex):
-            out.append(np.bincount(images[row[probe]] - 1, minlength=n * n - 1))
-        else:
-            v, w = (images[row[x]] for x in probe)
-            out.append(np.bincount(pair_code(m, v, w), minlength=n ** 4))
-    return out
+
+    def walk(verts: List[PauliIndex]) -> np.ndarray:
+        a = np.array([[v.a] for v in verts], dtype=element_dtype(m))
+        b = np.array([[v.b] for v in verts], dtype=a.dtype)
+        for k in ks:
+            a, b = transvection_apply_vec(ctx, *vertex_split(m, k), a, b)
+        return vertex_code(m, (ctx.mul_vec(a, alpha) ^ ctx.mul_vec(b, gamma)).astype(np.int64),
+                           ctx.mul_vec(a, beta) ^ ctx.mul_vec(b, delta))
+
+    return _probe_histograms(m, probes, walk)
 
 
 def pair_statistics_stream(config: SamplerConfig, probes: Sequence[Probe],
@@ -422,13 +430,14 @@ def pair_statistics_stream(config: SamplerConfig, probes: Sequence[Probe],
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     steps = config.resolved_steps()
-    counts = _zero_counts(ctx, probes)
 
     def batch(lo: int) -> List[np.ndarray]:
         return _stats_batch(ctx, config, probes, lo // batch_size,
                             min(batch_size, config.count - lo), steps)
 
-    for part in ordered_map(batch, range(0, config.count, batch_size), threads):
+    parts = ordered_map(batch, range(0, config.count, batch_size), threads)
+    counts = next(parts)  # the running sum starts from the first batch
+    for part in parts:
         for total, hist in zip(counts, part):
             total += hist
     return _statistics_from_counts(ctx, probes, counts, config.count, steps)

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, formats, reproducibility."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -19,6 +20,27 @@ def run(tmp_path, *argv):
     return rc, (out.read_text() if out.exists() else "")
 
 
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of each report below, pinned before the orbit keys of graph.py
+# were routed through determinant_keys: a refactor keeps every byte
+PINS = {
+    "field-info-text": "93fe523a8655926d0fdc381bc436b44c90d862592a36954de32c9cfbc096f044",
+    "field-info-json": "5231928834a4beec94a32bce1657d3b7e395c4ad7f2f5aa3dff512e4bc617ac9",
+    "graph-census-json": "55ba01b14755cec3b12f56bc382898cedfe7a5a51d8b17ada3089e86c255945b",
+    "chain-text": "078ecef1fd0c74af9fffb8300fbb5a7ee821386c8a68cade10b6b80ec9c2a035",
+    "chain-json": "ce051c622b8c1f6a8edef622f4486faed6cd9909497c7ae0ba9562c3c26c897d",
+    "chain-csv": "ad8eeace5a15fe122928939fd0345fa940a57565829892f5d49f41fabf0f4ddd",
+    "spectra-text": "793a15223729f1005c0473424f76bec64e973ac82b9ae80e6450354544d80fcb",
+    "spectra-json": "7fad6c325c79f19674ad6379a833269e293f3bb4c1daea335546f8f8820b525a",
+    "convergence": "54623d1b37771f774644ff8592f62d25d6f3623570e2c53bbddd215eb762a968",
+    "verify-m2": "b7731c18399f86b8e15b0886c91eb1b68501a0fb4bc97c112f7a0f43470922fd",
+    "verify-m3": "23050a195f2c9340f12bd203ad1a9c539fc0d81a94ccb162d98f6eca85f9f8e5",
+}
+
+
 def test_defaults():
     assert DEFAULT_M == 3
     assert DEFAULT_EPSILON == 0.01
@@ -33,6 +55,7 @@ def test_field_info_text(tmp_path):
     assert "poly = 0xb" in text
     assert "trace = 01010101" in text  # elements 1,3,5,7 have trace 1
     assert "gram_rows = 0x1 0x4 0x2" in text
+    assert sha256(text) == PINS["field-info-text"]
 
 
 def test_field_info_json_and_poly_override(tmp_path):
@@ -43,6 +66,7 @@ def test_field_info_json_and_poly_override(tmp_path):
     assert obj["poly"] == "0xd"
     assert obj["order"] == 8
     assert len(obj["gram"]) == 3
+    assert sha256(text) == PINS["field-info-json"]
 
 
 def test_graph_census_text_and_round_trip(tmp_path):
@@ -59,6 +83,7 @@ def test_graph_census_json(tmp_path):
     assert rc == 0
     obj = json.loads(text)
     assert obj["srg"] == [63, 30, 13, 15]
+    assert sha256(text) == PINS["graph-census-json"]
 
 
 def test_chain_text_contains_r_block(tmp_path):
@@ -69,6 +94,7 @@ def test_chain_text_contains_r_block(tmp_path):
     assert "# R (4x transvection counts)" in text
     assert "8,8,8,8,8,8" in text
     assert text.rstrip().endswith("checks = ok")
+    assert sha256(text) == PINS["chain-text"]
 
 
 def test_chain_json_round_trip(tmp_path):
@@ -78,6 +104,7 @@ def test_chain_json_round_trip(tmp_path):
     tm = TransitionMatrix.from_json(text)
     assert len(tm.states) == 4
     assert tm.denominator == 252
+    assert sha256(text) == PINS["chain-json"]
 
 
 def test_chain_csv_round_trip(tmp_path):
@@ -89,6 +116,7 @@ def test_chain_csv_round_trip(tmp_path):
     names, probs = parse_csv_probs(body)
     assert names == ["TYPE1:0x2", "TYPE1:0x3", "TYPE2:0x1"]
     assert np.allclose(probs.sum(axis=1), 1.0)
+    assert sha256(text) == PINS["chain-csv"]
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
@@ -107,12 +135,14 @@ def test_spectra_text_and_json(tmp_path):
     assert rc == 0
     assert "bound = 46" in text
     assert "approx_variant = 15" in text
+    assert sha256(text) == PINS["spectra-text"]
     rc, text = run(tmp_path, "spectra", "--m", "3", "--chain", "edges",
                    "--format", "json")
     assert rc == 0
     first, second = text.strip().split("\n")
     assert "lambda2" in json.loads(first)
     assert json.loads(second)["bound"] == 38
+    assert sha256(text) == PINS["spectra-json"]
 
 
 def test_convergence_csv(tmp_path):
@@ -123,6 +153,7 @@ def test_convergence_csv(tmp_path):
     # 3 edge states + 2 non-edge states, 6 rows each (t = 0..5)
     assert len(lines) == 1 + 5 * 6
     assert lines[1].startswith("edges,TYPE1:0x2,0,")
+    assert sha256(text) == PINS["convergence"]
 
 
 def test_sample_byte_identity_across_runs_and_threads(tmp_path):
@@ -254,6 +285,7 @@ def test_verify_m2_passes(tmp_path):
     assert "census-closed-form" in names
     assert "unitary-generators" in names
     assert "kerdock-frame-potential" in names
+    assert sha256(text) == PINS["verify-m2"]
 
 
 def test_verify_m3_skips_m2_only_checks(tmp_path):
@@ -261,6 +293,7 @@ def test_verify_m3_skips_m2_only_checks(tmp_path):
                    "--steps", "6", "--seed", "1")
     assert rc == 0, text
     assert all(line.startswith("PASS ") for line in text.strip().split("\n"))
+    assert sha256(text) == PINS["verify-m3"]
 
 
 def test_verify_poly_override_passes(tmp_path):

@@ -182,6 +182,11 @@ def test_orbit_invariant_vec_zero_second_vertex(m):
     zero = np.zeros_like(a)
     keys = orbit_invariant_vec(ctx, a, b, zero, zero)
     assert (keys == int(EdgeKind.TYPE1) * 65536).all()
+    # a zero first vertex, and a repeated one: (TYPE1, 0) and (TYPE1, 1),
+    # keys of no chain state, which transvection_counts relies on
+    assert (orbit_invariant_vec(ctx, zero, zero, a, b) == orbit_key(EdgeKind.TYPE1, 0)).all()
+    assert (orbit_invariant_vec(ctx, a[1:], b[1:], a[1:], b[1:])
+            == orbit_key(EdgeKind.TYPE1, 1)).all()
 
 
 def test_orbit_invariant_scalar_vs_vector():
@@ -221,6 +226,23 @@ def test_orbit_representative_refuses_values_outside_the_field(inv):
     """At m = 2 an orbit value outside [0, 4) is refused (TYPE1 with
     value 9 used to return a pair holding the entry 9)."""
     with pytest.raises(ValueError, match=f"orbit value {inv.value} is outside"):
+        orbit_representative(FieldContext(2), inv)
+
+
+@pytest.mark.parametrize("inv, message", [
+    (OrbitInvariant(EdgeKind.NON_EDGE, 0x1), "NON_EDGE determinant must be nonzero with trace 1"),
+    (OrbitInvariant(EdgeKind.NON_EDGE, 0x0), "NON_EDGE determinant must be nonzero with trace 1"),
+    (OrbitInvariant(EdgeKind.TYPE2, 0x0), "TYPE2 determinant must be nonzero with trace 0"),
+    (OrbitInvariant(EdgeKind.TYPE2, 0x2), "TYPE2 determinant must be nonzero with trace 0"),
+    (OrbitInvariant(3, 0x1), "orbit kind 3 is no EdgeKind"),
+    (OrbitInvariant("TYPE1", 0x2), "orbit kind 'TYPE1' is no EdgeKind"),
+], ids=["non-edge-trace-0", "non-edge-0", "type2-0", "type2-trace-1", "kind-3",
+        "kind-name"])
+def test_orbit_representative_refuses_values_outside_their_kind(inv, message):
+    """At m = 2 (Tr 1 = 0, Tr 2 = 1) a determinant whose trace is not its
+    kind's, a zero determinant and a kind that is no EdgeKind are refused
+    (kind 3 used to return a pair)."""
+    with pytest.raises(ValueError, match=message):
         orbit_representative(FieldContext(2), inv)
 
 
@@ -324,7 +346,8 @@ def _pairs(draw):
 @given(_pairs())
 def test_orbit_invariant_vec_matches_scalar_any_m(case):
     """The log/exp kernel equals the scalar route for m in 2..16, builds no
-    N x N table, and gives (TYPE1, 0) for a zero second vertex."""
+    N x N table, and gives (TYPE1, 0) for a zero first or second vertex and
+    (TYPE1, 1) for a repeated vertex."""
     ctx, pairs = case
     a, b, c, d = (np.array(x, dtype=np.uint16)
                   for x in zip(*[(p[0].a, p[0].b, p[1].a, p[1].b) for p in pairs]))
@@ -335,6 +358,8 @@ def test_orbit_invariant_vec_matches_scalar_any_m(case):
     zero = np.zeros_like(c)
     keys = orbit_invariant_vec(ctx, a, b, zero, zero)
     assert (keys >> 16 == EdgeKind.TYPE1).all() and (keys & 0xFFFF == 0).all()
+    assert (orbit_invariant_vec(ctx, zero, zero, c, d) == orbit_key(EdgeKind.TYPE1, 0)).all()
+    assert (orbit_invariant_vec(ctx, a, b, a, b) == orbit_key(EdgeKind.TYPE1, 1)).all()
     assert "mul" not in ctx._np_cache and "div" not in ctx._np_cache
 
 
@@ -437,6 +462,24 @@ def test_determinant_keys_match_scalar_invariants(m):
         inv = orbit_invariant(ctx, PauliPair(PauliIndex(1, 0), PauliIndex(0, det)))
         assert inv.value == det
         assert int(keys[det]) == orbit_key(inv.kind, inv.value)
+
+
+def test_trace_readers_in_graph():
+    """In graph.py only determinant_keys (the orbit a nonzero determinant
+    names) and chain_mask (the chain of a pair) read the trace table, and
+    only the scalar reference orbit_invariant reads ctx.trace: every other
+    orbit rule goes through determinant_keys."""
+    path = Path(__file__).resolve().parents[1] / "src" / "kerdock3" / "graph.py"
+    owner, table, scalar = "<module>", set(), set()
+    for line in path.read_text().splitlines():
+        if line.startswith("def "):
+            owner = line[4:line.index("(")]
+        if 'np_table("trace")' in line:
+            table.add(owner)
+        if "ctx.trace(" in line:
+            scalar.add(owner)
+    assert table == {"determinant_keys", "chain_mask"}
+    assert scalar == {"orbit_invariant"}
 
 
 def test_orbit_key_encoding_has_one_owner():

@@ -221,6 +221,70 @@ def test_json_line_refuses_entries_outside_the_field(field, entry, message):
         read_jsonl(io.StringIO(line + "\n" + json.dumps(obj) + "\n"), 2)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("index", 5.7, r"index = 5\.7 must be a non-negative integer"),
+    ("index", 5.0, r"index = 5\.0 must be a non-negative integer"),
+    ("index", "5", r"index = '5' must be a non-negative integer"),
+    ("index", True, r"index = True must be a non-negative integer"),
+    ("index", -4, r"index = -4 must be a non-negative integer"),
+    ("index", None, r"record has no index$"),
+    ("psl", None, r"record has no psl$"),
+    ("composed", None, r"record has no composed$"),
+    ("transvections", None, r"record has no transvections$"),
+    ("composed", [1, 2, 4, 8], r"composed = \[1, 2, 4, 8\] must be a list of hex strings"),
+    ("composed", ["0x1", "0xz", "0x4", "0x8"], r"composed = .* must be a list of hex strings"),
+    ("transvections", [["0x1", "0x2", "0x3"]],
+     r"transvections must be pairs of hex strings: too many values"),
+    ("transvections", [["0x1"]], r"transvections must be pairs of hex strings"),
+    ("transvections", [[1, 2]], r"transvections must be pairs of hex strings"),
+    ("psl", [1, 0, 0, 1], r"psl = \[1, 0, 0, 1\] must be a list of hex strings"),
+    ("pauli", ["0x1", 3], r"pauli = \['0x1', 3\] must be a list of hex strings"),
+], ids=["index-float", "index-float-integral", "index-string", "index-bool",
+        "index-negative", "index-missing", "psl-missing", "composed-missing",
+        "transvections-missing", "composed-ints", "composed-bad-hex",
+        "transvection-3-entries", "transvection-1-entry", "transvection-ints", "psl-ints",
+        "pauli-int"])
+def test_json_line_refuses_malformed_fields(field, value, message):
+    """A missing field (``None`` here stands for deleting it), an index
+    other than a non-negative JSON integer, a list entry other than a hex
+    string and a transvection other than a pair are refused with a
+    ValueError naming the field (an index of 5.7 used to read as 5, a
+    missing field raised KeyError, ints raised TypeError and a 3-entry
+    transvection a bare unpacking error)."""
+    line = sample_at(SamplerConfig(m=2, seed=0, count=1, steps=1), 0).to_json_line(0)
+    obj = json.loads(line)
+    if value is None:
+        del obj[field]
+    else:
+        obj[field] = value
+    with pytest.raises(ValueError, match=message):
+        DesignSample.from_json_line(json.dumps(obj), 2)
+    with pytest.raises(ValueError, match=message):
+        read_jsonl(io.StringIO(line + "\n" + json.dumps(obj) + "\n"), 2)
+
+
+def test_sample_at_without_ctx_builds_the_field_once(monkeypatch):
+    """``sample_at`` without a ``ctx`` reads the cached default field, as
+    ``sample_stream`` does: 50 calls build at most one FieldContext (each
+    call used to build its own), and each sample equals the one drawn in
+    an explicit field."""
+    config = SamplerConfig(m=6, seed=11, count=50, steps=4)
+    ctx = FieldContext(6)
+    built = []
+    original = FieldContext.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(FieldContext, "__init__", counting)
+    drawn = [sample_at(config, i) for i in range(config.count)]
+    assert len(built) <= 1
+    assert drawn == [sample_at(config, i, ctx) for i in range(config.count)]
+    assert list(sample_stream(config)) == drawn
+    assert len(built) <= 1
+
+
 def _json_line_reference(s: DesignSample, index: int) -> str:
     """The record as json.dumps(sort_keys=True) writes it."""
     width = (2 * s.composed.m + 3) // 4
