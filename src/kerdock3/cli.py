@@ -31,15 +31,15 @@ from typing import List, Optional
 import numpy as np
 
 from .gf2m import FieldContext
-from .graph import CHAINS, census, state_name
+from .graph import CHAINS, EdgeKind, PauliPair, census, classify_pair, state_name
 from .kerdock import psl_elements, psl_to_symplectic
 from .markov import (FULL_CHAIN_MAX_M, extract_r, full_chain, lump_chain,
                      mixing_time_bound, mixing_time_report, q0_structure_check,
                      q1_closed_form, q_empirical, singular_check_R,
                      spectral_report, stationary_check, tv_curve,
                      w2_eigenvector_check)
-from .pauli import (omega_matrix, partial_hadamard_matrix, transvection_matrix,
-                    vertex_split)
+from .pauli import (PauliIndex, omega_matrix, partial_hadamard_matrix,
+                    transvection_matrix, vertex_split)
 from .sampler import (SamplerConfig, pair_statistics_stream, sample_at,
                       sample_stream, write_jsonl)
 
@@ -352,7 +352,9 @@ def _verify_checks(args):
 
     @check("pair-statistics")
     def _():
-        d_anti = next(d for d in ctx.nonzero() if ctx.trace(d) == 1)
+        # the first d whose pair ((1, 0), (0, d)) anticommutes
+        d_anti = next(d for d in ctx.nonzero() if classify_pair(
+            ctx, PauliPair(PauliIndex(1, 0), PauliIndex(0, d))) == EdgeKind.NON_EDGE)
         probes = [((ctx.alpha_power(1), 0), (1, 0)), ((1, 0), (0, d_anti))]
         rep = pair_statistics_stream(_walk_config(args, max(args.count, 200_000)), probes,
                                      threads=args.threads, ctx=ctx)

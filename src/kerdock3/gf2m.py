@@ -89,8 +89,8 @@ DENSE_TABLE_MAX_M = 12
 def element_dtype(m: int) -> np.dtype:
     """The narrowest unsigned dtype holding every element of GF(2^m):
     uint8 for m <= 8, uint16 for m = 9..16.  Arrays of field elements
-    use it: the 'dual' table, ``pauli.vertex_split`` and the statistics
-    walk."""
+    use it: the 'dual' and 'dual_inv' tables, ``pauli.vertex_split`` and
+    the statistics walk."""
     return np.min_scalar_type((1 << m) - 1)
 
 
@@ -417,8 +417,9 @@ class FieldContext:
 
     def np_table(self, name: str) -> np.ndarray:
         """Cached numpy tables: 'log' (N,) int32 and 'exp' (4N,), read by
-        ``mul_vec``/``div_vec`` alone; 'trace' (N,) uint8 and 'dual' (N,)
-        in ``element_dtype(m)``; the N x N 'mul' and 'div' (div[:, 0] = 0),
+        ``mul_vec``/``div_vec`` alone; 'trace' (N,) uint8; 'dual' (N,), the
+        dual coordinates |a|, and its inverse 'dual_inv' (N,), both in
+        ``element_dtype(m)``; the N x N 'mul' and 'div' (div[:, 0] = 0),
         refused above DENSE_TABLE_MAX_M, read only by the benchmark and
         their own tests.  'exp', 'mul' and 'div' are uint16 for m <= 8
         and uint32 above."""
@@ -442,6 +443,8 @@ class FieldContext:
             t = np.bitwise_count(np.arange(n) & self._trace_mask).astype(np.uint8) & 1
         elif name == "dual":
             t = np.array(self._dual, dtype=element_dtype(self.m))
+        elif name == "dual_inv":
+            t = np.array(self._dual_inv, dtype=element_dtype(self.m))
         else:
             raise ValueError(f"unknown table {name!r}")
         self._np_cache[name] = t

@@ -177,13 +177,17 @@ def orbit_invariant(ctx: FieldContext, pair: PauliPair) -> OrbitInvariant:
 def orbit_invariant_vec(ctx: FieldContext, a, b, c, d):
     """The uint32 orbit key kind * 2^16 + value of each pair (a, b), (c, d),
     through ``mul_vec``/``div_vec``: ``determinant_keys`` at a nonzero det,
-    else (TYPE1, ratio), (TYPE1, 0) for a zero second vertex."""
+    else (TYPE1, ratio), (TYPE1, 0) for a zero second vertex.  Only the
+    det = 0 lanes, about 1 in N, are divided."""
     det = ctx.mul_vec(a, d) ^ ctx.mul_vec(b, c)
+    keys = determinant_keys(ctx)[det]
+    zero = np.nonzero(det == 0)
+    a, b, c, d = (np.broadcast_to(x, det.shape)[zero] for x in (a, b, c, d))
     c_nz = c != 0
     ratio = ctx.div_vec(np.where(c_nz, a, b), np.where(c_nz, c, d))
     # with c = d = 0 the ratio would be b/0; the ratio wanted there is 0
-    type1 = orbit_key(EdgeKind.TYPE1, np.where(c_nz | (d != 0), ratio, 0))
-    return np.where(det != 0, determinant_keys(ctx)[det], type1)
+    keys[zero] = orbit_key(EdgeKind.TYPE1, np.where(c_nz | (d != 0), ratio, 0))
+    return keys
 
 
 def determinant_keys(ctx: FieldContext) -> np.ndarray:

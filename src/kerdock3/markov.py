@@ -57,7 +57,8 @@ from .graph import (ORBIT_KEY_SPACE, EdgeKind, OrbitInvariant, PauliPair,
                     orbit_invariant, orbit_invariant_vec, orbit_key,
                     orbit_representative, orbit_states, pair_code, state_name,
                     state_obj, xor_grid)
-from .pauli import PauliIndex, transvection_apply_vec, vertex_code, vertex_split
+from .pauli import (PauliIndex, pack_halves, transvection_apply_vec, unpack_halves,
+                    vertex_code, vertex_split)
 
 __all__ = [
     "TransitionMatrix",
@@ -239,6 +240,12 @@ def _determinant_images(ctx: FieldContext, a, b, c, d, det):
     return hist, np.concatenate(zero_pair), np.concatenate(zero_h)
 
 
+def _apply_to_pairs(ctx: FieldContext, h1, h2, a, b):
+    """The field pairs (a, b) under Z_h, h given as halves (h1, |h2|): the
+    walk kernel between ``pack_halves`` and ``unpack_halves``."""
+    return unpack_halves(ctx, *transvection_apply_vec(ctx, h1, h2, *pack_halves(ctx, a, b)))
+
+
 def transvection_counts(ctx: FieldContext, chain: str,
                         representatives: Optional[Sequence[PauliPair]] = None
                         ) -> Tuple[List[OrbitInvariant], np.ndarray]:
@@ -274,10 +281,10 @@ def transvection_counts(ctx: FieldContext, chain: str,
     own = col_of_key[orbit_invariant_vec(ctx, a, b, c, d)]
     counts[np.arange(len(a)), own] += np.where(det == 0, hist[:, 0], 0) - 1
     # the det' = 0 images of det != 0 pairs are moved: classify by ratio
-    h1, h2 = vertex_split(ctx.m, h)
+    h1, h2 = pack_halves(ctx, *vertex_split(ctx.m, h))
     keys = orbit_invariant_vec(
-        ctx, *transvection_apply_vec(ctx, h1, h2, a[moved], b[moved]),
-        *transvection_apply_vec(ctx, h1, h2, c[moved], d[moved]))
+        ctx, *_apply_to_pairs(ctx, h1, h2, a[moved], b[moved]),
+        *_apply_to_pairs(ctx, h1, h2, c[moved], d[moved]))
     np.add.at(counts, (moved, col_of_key[keys]), 1)
     outside = np.flatnonzero(counts[:, k])
     if len(outside):
@@ -555,14 +562,15 @@ def full_chain(ctx: FieldContext, chain: str) -> TransitionMatrix:
     code_to_idx = np.full(n ** 4, -1, dtype=np.int64)
     code_to_idx[pair_code(ctx.m, vs, ws)] = np.arange(k)
 
-    h1, h2 = vertex_split(ctx.m, np.arange(1, n * n, dtype=np.uint32)[None, :])
+    h = np.arange(1, n * n, dtype=np.uint32)[None, :]
+    h1, h2 = pack_halves(ctx, *vertex_split(ctx.m, h))
     a, b = vertex_split(ctx.m, vs[:, None])
     c, d = vertex_split(ctx.m, ws[:, None])
 
     counts = np.zeros((k, k), dtype=np.int64)
     rows = np.repeat(np.arange(k), n * n - 1)
-    ia, ib = transvection_apply_vec(ctx, h1, h2, a, b)
-    ic, id_ = transvection_apply_vec(ctx, h1, h2, c, d)
+    ia, ib = _apply_to_pairs(ctx, h1, h2, a, b)
+    ic, id_ = _apply_to_pairs(ctx, h1, h2, c, d)
     img_code = pair_code(ctx.m, vertex_code(ctx.m, ia, ib), vertex_code(ctx.m, ic, id_))
     cols = code_to_idx[img_code.ravel()]
     if (cols < 0).any():

@@ -7,6 +7,9 @@ coordinates of ``b`` in the high m bits.  Two Paulis commute iff the
 symplectic inner product ``Tr(ad + bc)`` vanishes.  As one integer, the
 pair is the vertex code ``v = a | b << m`` (``vertex_code`` and
 ``vertex_split``); every module that numbers vertices uses that code.
+Array code holds the same packed word as its two halves ``(a, |b|)``
+(``pack_halves`` and ``unpack_halves``); field pairs are needed only
+where PSL multiplies, at the orbit keys and at I/O.
 
 Symplectic matrices act on the right of packed row vectors; a matrix is
 stored as 2m row words, so applying it is a bit-select XOR of rows and
@@ -31,6 +34,8 @@ F @ Z_{h_1} @ ... @ Z_{h_t} with the 2m rows of F packed as the lanes of
 one int, so each update r -> r + <r, h> h (the tableau update of
 Aaronson-Gottesman) moves all rows at once, with no matrix per step.
 Every other product, ``F @ Z_h`` included, is the full one.
+``transvection_apply_vec`` is the same update on arrays of halves:
+``<x, h> = parity((a & |h2|) ^ (|b| & h1))``, with no table read.
 """
 
 from __future__ import annotations
@@ -56,6 +61,8 @@ __all__ = [
     "SymplecticMatrix",
     "vertex_code",
     "vertex_split",
+    "pack_halves",
+    "unpack_halves",
     "pack_index",
     "unpack_index",
     "symplectic_inner",
@@ -189,6 +196,19 @@ def vertex_split(m: int, v):
         dtype = element_dtype(m)
         return (v & ((1 << m) - 1)).astype(dtype), (v >> m).astype(dtype)
     return int(v) & ((1 << m) - 1), int(v) >> m
+
+
+def pack_halves(ctx: FieldContext, a, b):
+    """The halves (a, |b|) of the packed words [a | |b|] of arrays of field
+    pairs (a, b): |b| is one ``np.take`` of the 'dual' table, in
+    ``element_dtype(m)``."""
+    return a, np.take(ctx.np_table("dual"), b)
+
+
+def unpack_halves(ctx: FieldContext, a, d):
+    """The field pairs (a, b) of arrays of halves (a, |b| = d): b is one
+    ``np.take`` of the 'dual_inv' table, in ``element_dtype(m)``."""
+    return a, np.take(ctx.np_table("dual_inv"), d)
 
 
 def pack_index(ctx: FieldContext, p: PairLike) -> int:
@@ -342,23 +362,25 @@ def conjugate_transvection(
 
 
 def transvection_apply_vec(ctx, h1, h2, a, b):
-    """Vectorized Z_h action on arrays of field pairs (a, b).
+    """Vectorized Z_h action on arrays of packed halves: x -> x + <x, h> h.
 
+    A lane is the halves (a, |b|) of x = [a | |b|] and a step the halves
+    (h1, |h2|) of h, so ``h2`` and ``b`` are dual coordinates (see
+    ``pack_halves``), and the update is the tableau update of
+    ``transvection_product`` over GF(2):
+
+        t = parity((a & |h2|) ^ (|b| & h1)) = Tr(a h2 + b h1),
+        a ^= t h1,  |b| ^= t |h2|.
+
+    It reads no table.  ``ctx`` is not read; it stays in the signature
+    because the benchmark calls the kernel as (ctx, h1, h2, a, b).
     The arrays broadcast against each other, and the results have dtype
     result_type(h1, h2, a, b): lanes in ``element_dtype``, uint8 for
-    m <= 8, stay that narrow.  The inner product uses the dual-coordinate
-    identity Tr(xy) = parity([x] & |y|):
-
-        Tr(a h2 + b h1) = parity((a & |h2|) ^ (b & |h1|)),
-
-    so the only table read is the O(N) ``dual`` table, gathered with
-    ``np.take`` at the transvection alone; a shared transvection costs
-    one gather however many vertices it acts on.
+    m <= 8, stay that narrow.
     """
-    dual = ctx.np_table("dual")
     # t has the full broadcast shape and a dtype at least as wide as a and
     # b, so the in-place steps below never truncate
-    t = (np.take(dual, h2) & a) ^ (np.take(dual, h1) & b)
+    t = (a & h2) ^ (b & h1)
     np.bitwise_count(t, out=t)
     t &= 1
     return a ^ (h1 * t), b ^ (h2 * t)

@@ -36,9 +36,9 @@ from .graph import (CENSUS_MAX_M, EdgeKind, OrbitInvariant, PauliPair, chain_mas
 from .kerdock import PslElement, _check_det, psl_to_symplectic, sample_psl, sample_psl_vec
 from .markov import mixing_time_bound
 from .pauli import (PauliIndex, SymplecticMatrix, Transvection,
-                    apply_symplectic, transvection_apply_vec,
-                    transvection_matrix, transvection_product, vertex_code,
-                    vertex_split)
+                    apply_symplectic, pack_halves, transvection_apply_vec,
+                    transvection_matrix, transvection_product, unpack_halves,
+                    vertex_code, vertex_split)
 
 __all__ = [
     "SamplerConfig",
@@ -387,27 +387,42 @@ def _stats_batch(ctx: FieldContext, config: SamplerConfig, probes: List[Probe],
                  batch_index: int, batch_size: int, steps: int) -> List[np.ndarray]:
     """Histogram contribution of one statistics batch (own substream).
 
-    The distinct probe vertices walk together as rows of one (V, batch)
-    array, so each step is a single kernel call with that step's
-    transvections broadcast across the rows; the rows and the split
-    transvections are in ``element_dtype(m)``, so at m <= 8 the whole
-    walk runs in uint8.  The PSL image (a, b) g is four ``mul_vec``
-    products over the same broadcast.
+    The distinct probe vertices walk together as the packed halves
+    (a, |b|) of one (V, batch) array each (``pack_halves``), so each step
+    is a single kernel call with that step's transvection halves
+    broadcast across the rows: h1 is the step code k cast and masked,
+    |h2| one ``np.take`` of the (N^2,) table dual[k >> m], built once per
+    batch.  Everything is in ``element_dtype(m)``, so at m <= 8 the whole
+    walk runs in uint8.  After the last step ``unpack_halves`` turns |b|
+    back into b, and the PSL image (a, b) g is four ``mul_vec`` products
+    over the same broadcast.
     """
     n, m = ctx.order, ctx.m
+    dtype = element_dtype(m)
     rng = _substream(config.seed, 2 ** 64 - 1 - batch_index)
     ks = rng.integers(1, n * n, size=(steps, batch_size), dtype=np.uint32)
     alpha, beta, gamma, delta = sample_psl_vec(ctx, rng, batch_size)
+    # |h2| of every step code k = h1 | h2 << m; pair probes stop at
+    # m = CENSUS_MAX_M, so at most 4096 entries
+    duals = np.repeat(ctx.np_table("dual"), n)
 
-    def walk(verts: List[PauliIndex]) -> np.ndarray:
-        a = np.array([[v.a] for v in verts], dtype=element_dtype(m))
-        b = np.array([[v.b] for v in verts], dtype=a.dtype)
+    def walk(verts: List[PauliIndex]) -> Tuple[np.ndarray, np.ndarray]:
+        a, d = pack_halves(ctx, np.array([[v.a] for v in verts], dtype=dtype),
+                           np.array([[v.b] for v in verts], dtype=dtype))
         for k in ks:
-            a, b = transvection_apply_vec(ctx, *vertex_split(m, k), a, b)
+            h1 = k.astype(dtype)
+            h1 &= n - 1
+            a, d = transvection_apply_vec(ctx, h1, np.take(duals, k), a, d)
+        return unpack_halves(ctx, a, d)
+
+    def images(verts: List[PauliIndex]) -> np.ndarray:
+        # walk returns first, so its halves and step temporaries are freed
+        # before the PSL products and histograms allocate theirs
+        a, b = walk(verts)
         return vertex_code(m, (ctx.mul_vec(a, alpha) ^ ctx.mul_vec(b, gamma)).astype(np.int64),
                            ctx.mul_vec(a, beta) ^ ctx.mul_vec(b, delta))
 
-    return _probe_histograms(m, probes, walk)
+    return _probe_histograms(m, probes, images)
 
 
 def pair_statistics_stream(config: SamplerConfig, probes: Sequence[Probe],

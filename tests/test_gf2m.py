@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kerdock3.gf2m import (DENSE_TABLE_MAX_M, FieldContext, PRIMITIVE_POLYS,
-                           clmul, f2_mat_inv, f2_mat_mul, f2_rows_to_numpy,
-                           parity, polymod)
+from kerdock3.gf2m import (DENSE_TABLE_MAX_M, MAX_M, MIN_M, FieldContext,
+                           PRIMITIVE_POLYS, clmul, element_dtype, f2_mat_inv,
+                           f2_mat_mul, f2_rows_to_numpy, parity, polymod)
 
 # m=3, p(x) = x^3 + x + 1: frozen reference matrices for the degree-3 field
 A_ALPHA_M3 = [[0, 1, 0], [0, 0, 1], [1, 1, 0]]
@@ -281,6 +281,19 @@ def test_scalar_arithmetic_matches_polynomial_product(case):
             ctx.inv(b)
         with pytest.raises(ValueError):
             ctx.log(b)
+
+
+@pytest.mark.parametrize("m", range(MIN_M, MAX_M + 1))
+def test_dual_inv_table_inverts_dual(m):
+    """np_table("dual_inv") is the (N,) inverse of the 'dual' permutation,
+    in element_dtype(m), and agrees with scalar dual_decode."""
+    ctx = _field(m)
+    dual, dual_inv = ctx.np_table("dual"), ctx.np_table("dual_inv")
+    assert dual_inv.shape == (ctx.order,) and dual_inv.dtype == element_dtype(m)
+    field = np.arange(ctx.order)
+    assert np.array_equal(dual_inv[dual], field) and np.array_equal(dual[dual_inv], field)
+    for d in np.random.default_rng(m).integers(0, ctx.order, size=50).tolist():
+        assert int(dual_inv[d]) == ctx.dual_decode(d)
 
 
 @pytest.mark.parametrize("m", [13, 16])

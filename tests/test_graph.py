@@ -1,6 +1,7 @@
 """Commutation graph: pair classes, censuses, orbits, strong regularity."""
 
 import hashlib
+import inspect
 import json
 import re
 from collections import Counter
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kerdock3 import cli
 from kerdock3.gf2m import FieldContext
 from kerdock3.graph import (CENSUS_MAX_M, CHAINS, ORBIT_KEY_SPACE, CensusReport,
                             EdgeKind, OrbitInvariant, PauliPair,
@@ -468,7 +470,9 @@ def test_trace_readers_in_graph():
     """In graph.py only determinant_keys (the orbit a nonzero determinant
     names) and chain_mask (the chain of a pair) read the trace table, and
     only the scalar reference orbit_invariant reads ctx.trace: every other
-    orbit rule goes through determinant_keys."""
+    orbit rule goes through determinant_keys.  Among the checks of
+    ``kerdock3 verify`` (cli._verify_checks) only field-dual-bases, a
+    check of the field itself, reads ctx.trace; the others ask graph."""
     path = Path(__file__).resolve().parents[1] / "src" / "kerdock3" / "graph.py"
     owner, table, scalar = "<module>", set(), set()
     for line in path.read_text().splitlines():
@@ -480,6 +484,15 @@ def test_trace_readers_in_graph():
             scalar.add(owner)
     assert table == {"determinant_keys", "chain_mask"}
     assert scalar == {"orbit_invariant"}
+    body = inspect.getsource(cli._verify_checks)
+    check, readers = None, set()
+    for line in body.splitlines():
+        named = re.search(r'@check\("([^"]+)"\)', line)
+        check = named.group(1) if named else check
+        if "ctx.trace(" in line:
+            readers.add(check)
+    assert check == "kerdock-frame-potential"  # every check was seen
+    assert readers == {"field-dual-bases"}
 
 
 def test_orbit_key_encoding_has_one_owner():

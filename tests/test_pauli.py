@@ -12,18 +12,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kerdock3 import pauli
-from kerdock3.gf2m import FieldContext, f2_mat_mul, parity
+from kerdock3.gf2m import FieldContext, element_dtype, f2_mat_mul, parity
 from kerdock3.graph import pair_determinant
 from kerdock3.kerdock import (PslElement, classify_subgroup, psl_to_symplectic, sample_psl,
                               subgroup_members)
 from kerdock3.pauli import (PauliIndex, SymplecticMatrix, Transvection,
                             apply_symplectic, apply_transvection,
                             basis_change_matrix, commutes,
-                            conjugate_transvection, omega_matrix, pack_index,
-                            partial_hadamard_matrix, phase_matrix,
+                            conjugate_transvection, omega_matrix, pack_halves,
+                            pack_index, partial_hadamard_matrix, phase_matrix,
                             symplectic_inner,
                             transvection_apply_vec, transvection_matrix,
-                            transvection_product, unpack_index, vertex_split)
+                            transvection_product, unpack_halves, unpack_index,
+                            vertex_split)
 from kerdock3.sampler import (DesignSample, SamplerConfig, class_size, compose,
                               sample_at)
 from kerdock3.unitary import DENSE_MAX_M, pauli_unitary
@@ -492,6 +493,41 @@ def test_right_product_by_a_transvection_refuses_other_operands():
         with pytest.raises(TypeError):
             left @ 3
 
+def _kernel_on_halves(ctx, h1, h2, a, b):
+    """transvection_apply_vec on the halves of field pairs: h2 and b go in
+    as dual coordinates, each kept in its own dtype.  Asserts the result
+    dtype and that the call reads no table: with ``ctx``'s table cache
+    emptied for the call, the call leaves it empty."""
+    dual = ctx.np_table("dual")
+    h2, b = dual[h2].astype(h2.dtype), dual[b].astype(b.dtype)
+    cache, ctx._np_cache = ctx._np_cache, {}
+    try:
+        va, vd = transvection_apply_vec(ctx, h1, h2, a, b)
+        assert ctx._np_cache == {}
+    finally:
+        ctx._np_cache = cache
+    assert va.dtype == vd.dtype == np.result_type(h1, h2, a, b)
+    return va, vd
+
+
+def _assert_lanes_match(ctx, h1, h2, a, b, va, vd):
+    """Every lane of the halves (va, vd) the kernel gave for field pairs
+    (a, b) and transvections (h1, h2), all of one shape, equals scalar
+    ``apply_transvection`` once vd is turned back through the inverse of
+    dual, and equals the packed word of ``transvection_product``."""
+    m, dual_inv = ctx.m, ctx.np_table("dual_inv")
+    assert va.shape == vd.shape == a.shape
+    for i, x in np.ndenumerate(va):
+        h, p = (int(h1[i]), int(h2[i])), (int(a[i]), int(b[i]))
+        got = (int(x), int(dual_inv[vd[i]]))
+        assert got == tuple(apply_transvection(ctx, h, p))
+        word, packed = pack_index(ctx, p), int(x) | int(vd[i]) << m
+        if h != (0, 0):
+            f = SymplecticMatrix(m, [word] + [0] * (2 * m - 1))
+            word = transvection_product(f, [transvection_matrix(ctx, h)]).rows[0]
+        assert packed == word
+
+
 def test_transvection_apply_vec_matches_scalar():
     ctx = FieldContext(4)
     n = ctx.order
@@ -500,11 +536,8 @@ def test_transvection_apply_vec_matches_scalar():
     b = rng.integers(0, n, size=500).astype(np.uint16)
     h1 = rng.integers(0, n, size=500).astype(np.uint16)
     h2 = rng.integers(0, n, size=500).astype(np.uint16)
-    va, vb = transvection_apply_vec(ctx, h1, h2, a, b)
-    for i in range(500):
-        want = apply_transvection(ctx, (int(h1[i]), int(h2[i])),
-                                  (int(a[i]), int(b[i])))
-        assert (int(va[i]), int(vb[i])) == tuple(want)
+    va, vd = _kernel_on_halves(ctx, h1, h2, a, b)
+    _assert_lanes_match(ctx, h1, h2, a, b, va, vd)
 
 
 @lru_cache(maxsize=None)
@@ -534,25 +567,14 @@ def _walk_case(draw):
             array(halves, batch), array(halves, batch))
 
 
-def _assert_scalar_equal(ctx, h1, h2, a, b, va, vb):
-    assert va.dtype == vb.dtype == np.result_type(h1, h2, a, b)
-    for (i, j), x in np.ndenumerate(va):
-        want = apply_transvection(ctx, (int(h1[i, j]), int(h2[i, j])),
-                                  (int(a[i, j]), int(b[i, j])))
-        assert (int(x), int(vb[i, j])) == tuple(want)
-    # the kernel reads only the O(N) dual table, never an N x N one
-    assert "mul" not in ctx._np_cache and "trace" not in ctx._np_cache
-
-
 @settings(max_examples=60, deadline=None)
 @given(_walk_case())
 def test_transvection_apply_vec_stacked_vertices(case):
     """(V, B) vertices against (B,) transvections, as in the statistics walk."""
     ctx, a, b, h1, h2 = case
-    va, vb = transvection_apply_vec(ctx, h1, h2, a, b)
-    assert va.shape == vb.shape == a.shape
-    hh1, hh2 = np.broadcast_to(h1, a.shape), np.broadcast_to(h2, a.shape)
-    _assert_scalar_equal(ctx, hh1, hh2, a, b, va, vb)
+    va, vd = _kernel_on_halves(ctx, h1, h2, a, b)
+    _assert_lanes_match(ctx, np.broadcast_to(h1, a.shape), np.broadcast_to(h2, a.shape),
+                        a, b, va, vd)
 
 
 @settings(max_examples=60, deadline=None)
@@ -562,12 +584,28 @@ def test_transvection_apply_vec_outer_broadcast(case):
     as in the full chain."""
     ctx, a, b, h1, h2 = case
     a, b = a[:, 0], b[:, 0]
-    va, vb = transvection_apply_vec(ctx, h1[None, :], h2[None, :], a[:, None], b[:, None])
+    va, vd = _kernel_on_halves(ctx, h1[None, :], h2[None, :], a[:, None], b[:, None])
     shape = (len(a), len(h1))
-    assert va.shape == vb.shape == shape
-    _assert_scalar_equal(ctx, np.broadcast_to(h1, shape), np.broadcast_to(h2, shape),
-                         np.broadcast_to(a[:, None], shape),
-                         np.broadcast_to(b[:, None], shape), va, vb)
+    _assert_lanes_match(ctx, np.broadcast_to(h1, shape), np.broadcast_to(h2, shape),
+                        np.broadcast_to(a[:, None], shape),
+                        np.broadcast_to(b[:, None], shape), va, vd)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 16), st.integers(0, 2 ** 32 - 1))
+def test_pack_halves_are_the_halves_of_pack_index(m, seed):
+    """pack_halves gives the two halves of pack_index's word, in
+    element_dtype(m), and unpack_halves inverts it."""
+    ctx = _field(m)
+    rng = np.random.default_rng(seed)
+    a, b = rng.integers(0, ctx.order, size=(2, 3, 5), dtype=element_dtype(m))
+    ha, hd = pack_halves(ctx, a, b)
+    assert hd.dtype == element_dtype(m) and hd.shape == b.shape
+    for i, x in np.ndenumerate(a):
+        assert int(ha[i]) | int(hd[i]) << m == pack_index(ctx, (int(x), int(b[i])))
+    ua, ub = unpack_halves(ctx, ha, hd)
+    assert ub.dtype == element_dtype(m)
+    assert np.array_equal(ua, a) and np.array_equal(ub, b)
 
 
 def test_conjugate_transvection():

@@ -532,6 +532,43 @@ def test_stream_statistics_walk_runs_in_uint8_at_small_m(monkeypatch, m):
     assert seen == [(np.dtype(np.uint8),) * 4] * steps
 
 
+@pytest.mark.parametrize("m", range(2, 7))
+def test_halves_walk_equals_a_field_pair_walk(monkeypatch, m):
+    """The walk of _stats_batch on halves (a, |b|) ends at the same field
+    images as a reference walk on field pairs (a, b), which draws the same
+    step codes and applies Z_h through products and the trace:
+    (a, b) += Tr(a h2 + b h1) (h1, h2).  The images are recorded where
+    unpack_halves returns them, and the run stops there."""
+    ctx, steps, batch = FieldContext(m), 7, 256
+    n = ctx.order
+    config = SamplerConfig(m=m, seed=31 + m, count=batch, steps=steps)
+    probes = _normalize_probes(ctx, [(0x3, 0x1), COMMUTING_PROBE, ((0x1, 0x0), (0x0, 0x1))])
+    seen = []
+
+    def recording(ctx, a, d):
+        seen.append(original(ctx, a, d))
+        raise _WalkDone
+
+    original = sampler.unpack_halves
+    monkeypatch.setattr(sampler, "unpack_halves", recording)
+    with pytest.raises(_WalkDone):
+        _stats_batch(ctx, config, probes, 0, batch, steps)
+    (got_a, got_b), = seen
+
+    ks = _substream(config.seed, 2 ** 64 - 1).integers(1, n * n, size=(steps, batch),
+                                                       dtype=np.uint32)
+    verts = [PauliIndex(3, 1), PauliIndex(1, 0), PauliIndex(2, 0), PauliIndex(0, 1)]
+    a = np.array([[v.a] for v in verts], dtype=np.int64)
+    b = np.array([[v.b] for v in verts], dtype=np.int64)
+    trace = np.array([ctx.trace(x) for x in range(n)])
+    for k in ks.astype(np.int64):
+        h1, h2 = k & (n - 1), k >> m
+        t = trace[ctx.mul_vec(a, h2) ^ ctx.mul_vec(b, h1)] == 1
+        a, b = np.where(t, a ^ h1, a), np.where(t, b ^ h2, b)
+    assert got_a.shape == got_b.shape == (len(verts), batch)
+    assert np.array_equal(got_a, a) and np.array_equal(got_b, b)
+
+
 def test_stream_statistics_walk_in_the_given_field():
     """((1, 0), (0, 2)) anticommutes under poly 0xD (Tr(2) = 1) and
     commutes under the default 0xB (Tr(2) = 0)."""
