@@ -51,14 +51,13 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .gf2m import MAX_M, MIN_M, FieldContext
+from .gf2m import MAX_M, MIN_M, FieldContext, element_dtype
 from .graph import (ORBIT_KEY_SPACE, EdgeKind, OrbitInvariant, PauliPair,
                     chain_mask, chain_states, determinant_keys,
                     orbit_invariant, orbit_invariant_vec, orbit_key,
                     orbit_representative, orbit_states, pair_code, state_name,
                     state_obj, xor_grid)
-from .pauli import (PauliIndex, pack_halves, transvection_apply_vec, unpack_halves,
-                    vertex_code, vertex_split)
+from .pauli import PauliIndex, vertex_code, vertex_split, walk_pairs
 
 __all__ = [
     "TransitionMatrix",
@@ -240,12 +239,6 @@ def _determinant_images(ctx: FieldContext, a, b, c, d, det):
     return hist, np.concatenate(zero_pair), np.concatenate(zero_h)
 
 
-def _apply_to_pairs(ctx: FieldContext, h1, h2, a, b):
-    """The field pairs (a, b) under Z_h, h given as halves (h1, |h2|): the
-    walk kernel between ``pack_halves`` and ``unpack_halves``."""
-    return unpack_halves(ctx, *transvection_apply_vec(ctx, h1, h2, *pack_halves(ctx, a, b)))
-
-
 def transvection_counts(ctx: FieldContext, chain: str,
                         representatives: Optional[Sequence[PauliPair]] = None
                         ) -> Tuple[List[OrbitInvariant], np.ndarray]:
@@ -255,8 +248,8 @@ def transvection_counts(ctx: FieldContext, chain: str,
     pair per state, in state order) under the N^2 - 1 transvections, by
     the state of the image.  ``representatives`` overrides the defaults
     (used to verify that the reduction to orbits is
-    representative-independent); one whose images leave the chain
-    raises ValueError.
+    representative-independent); one with an entry outside [0, N), or
+    whose images leave the chain, raises ValueError.
     """
     if ctx.m > EMPIRICAL_MAX_M:
         raise ValueError(f"orbit chain enumeration capped at m = {EMPIRICAL_MAX_M}")
@@ -267,7 +260,10 @@ def transvection_counts(ctx: FieldContext, chain: str,
     # the state column of every orbit key; column k catches the rest
     col_of_key = np.full(ORBIT_KEY_SPACE, k, dtype=np.intp)
     col_of_key[[orbit_key(s.kind, s.value) for s in states]] = np.arange(k)
-    a, b, c, d = np.array(representatives, dtype=np.uint16).reshape(-1, 4).T
+    a, b, c, d = np.array(
+        [ctx.field_entries("representative", (*p, *q), f"{state_name((p, q))} (row {i})")
+         for i, (p, q) in enumerate(representatives)],
+        dtype=element_dtype(ctx.m)).reshape(-1, 4).T
     det = ctx.mul_vec(a, d) ^ ctx.mul_vec(b, c)
     hist, moved, h = _determinant_images(ctx, a, b, c, d, det)
     counts = np.zeros((len(a), k + 1), dtype=np.int64)
@@ -281,10 +277,8 @@ def transvection_counts(ctx: FieldContext, chain: str,
     own = col_of_key[orbit_invariant_vec(ctx, a, b, c, d)]
     counts[np.arange(len(a)), own] += np.where(det == 0, hist[:, 0], 0) - 1
     # the det' = 0 images of det != 0 pairs are moved: classify by ratio
-    h1, h2 = pack_halves(ctx, *vertex_split(ctx.m, h))
-    keys = orbit_invariant_vec(
-        ctx, *_apply_to_pairs(ctx, h1, h2, a[moved], b[moved]),
-        *_apply_to_pairs(ctx, h1, h2, c[moved], d[moved]))
+    keys = orbit_invariant_vec(ctx, *walk_pairs(ctx, [h], a[moved], b[moved]),
+                               *walk_pairs(ctx, [h], c[moved], d[moved]))
     np.add.at(counts, (moved, col_of_key[keys]), 1)
     outside = np.flatnonzero(counts[:, k])
     if len(outside):
@@ -563,14 +557,13 @@ def full_chain(ctx: FieldContext, chain: str) -> TransitionMatrix:
     code_to_idx[pair_code(ctx.m, vs, ws)] = np.arange(k)
 
     h = np.arange(1, n * n, dtype=np.uint32)[None, :]
-    h1, h2 = pack_halves(ctx, *vertex_split(ctx.m, h))
     a, b = vertex_split(ctx.m, vs[:, None])
     c, d = vertex_split(ctx.m, ws[:, None])
 
     counts = np.zeros((k, k), dtype=np.int64)
     rows = np.repeat(np.arange(k), n * n - 1)
-    ia, ib = _apply_to_pairs(ctx, h1, h2, a, b)
-    ic, id_ = _apply_to_pairs(ctx, h1, h2, c, d)
+    ia, ib = walk_pairs(ctx, [h], a, b)
+    ic, id_ = walk_pairs(ctx, [h], c, d)
     img_code = pair_code(ctx.m, vertex_code(ctx.m, ia, ib), vertex_code(ctx.m, ic, id_))
     cols = code_to_idx[img_code.ravel()]
     if (cols < 0).any():

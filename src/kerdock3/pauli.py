@@ -6,10 +6,11 @@ sign) by a pair of field elements ``(a, b)``; its binary row vector is
 coordinates of ``b`` in the high m bits.  Two Paulis commute iff the
 symplectic inner product ``Tr(ad + bc)`` vanishes.  As one integer, the
 pair is the vertex code ``v = a | b << m`` (``vertex_code`` and
-``vertex_split``); every module that numbers vertices uses that code.
-Array code holds the same packed word as its two halves ``(a, |b|)``
-(``pack_halves`` and ``unpack_halves``); field pairs are needed only
-where PSL multiplies, at the orbit keys and at I/O.
+``vertex_split``); every module that numbers vertices uses that code,
+transvections ``h = (h1, h2)`` included.  ``walk_pairs`` walks arrays
+of field pairs through transvections given as such codes: inside it,
+and only there, a lane is the two halves ``(a, |b|)`` of the packed
+word; field pairs are what every caller sees.
 
 Symplectic matrices act on the right of packed row vectors; a matrix is
 stored as 2m row words, so applying it is a bit-select XOR of rows and
@@ -35,7 +36,8 @@ one int, so each update r -> r + <r, h> h (the tableau update of
 Aaronson-Gottesman) moves all rows at once, with no matrix per step.
 Every other product, ``F @ Z_h`` included, is the full one.
 ``transvection_apply_vec`` is the same update on arrays of halves:
-``<x, h> = parity((a & |h2|) ^ (|b| & h1))``, with no table read.
+``<x, h> = parity((a & |h2|) ^ (|b| & h1))``, with no table read;
+``walk_pairs`` makes one call of it per step.
 """
 
 from __future__ import annotations
@@ -61,8 +63,6 @@ __all__ = [
     "SymplecticMatrix",
     "vertex_code",
     "vertex_split",
-    "pack_halves",
-    "unpack_halves",
     "pack_index",
     "unpack_index",
     "symplectic_inner",
@@ -77,6 +77,7 @@ __all__ = [
     "apply_transvection",
     "conjugate_transvection",
     "transvection_apply_vec",
+    "walk_pairs",
 ]
 
 
@@ -196,19 +197,6 @@ def vertex_split(m: int, v):
         dtype = element_dtype(m)
         return (v & ((1 << m) - 1)).astype(dtype), (v >> m).astype(dtype)
     return int(v) & ((1 << m) - 1), int(v) >> m
-
-
-def pack_halves(ctx: FieldContext, a, b):
-    """The halves (a, |b|) of the packed words [a | |b|] of arrays of field
-    pairs (a, b): |b| is one ``np.take`` of the 'dual' table, in
-    ``element_dtype(m)``."""
-    return a, np.take(ctx.np_table("dual"), b)
-
-
-def unpack_halves(ctx: FieldContext, a, d):
-    """The field pairs (a, b) of arrays of halves (a, |b| = d): b is one
-    ``np.take`` of the 'dual_inv' table, in ``element_dtype(m)``."""
-    return a, np.take(ctx.np_table("dual_inv"), d)
 
 
 def pack_index(ctx: FieldContext, p: PairLike) -> int:
@@ -366,8 +354,8 @@ def transvection_apply_vec(ctx, h1, h2, a, b):
 
     A lane is the halves (a, |b|) of x = [a | |b|] and a step the halves
     (h1, |h2|) of h, so ``h2`` and ``b`` are dual coordinates (see
-    ``pack_halves``), and the update is the tableau update of
-    ``transvection_product`` over GF(2):
+    ``walk_pairs``, which makes them), and the update is the tableau
+    update of ``transvection_product`` over GF(2):
 
         t = parity((a & |h2|) ^ (|b| & h1)) = Tr(a h2 + b h1),
         a ^= t h1,  |b| ^= t |h2|.
@@ -384,3 +372,27 @@ def transvection_apply_vec(ctx, h1, h2, a, b):
     np.bitwise_count(t, out=t)
     t &= 1
     return a ^ (h1 * t), b ^ (h2 * t)
+
+
+def walk_pairs(ctx: FieldContext, codes: Iterable[np.ndarray], a, b):
+    """The field pairs (a, b) after Z_{h_1}, ..., Z_{h_t}, in that order.
+
+    ``codes`` yields one int array of vertex codes k = h1 | h2 << m per
+    step (k = 0 is the identity), broadcast against a and b: one
+    transvection per lane, or every transvection against every lane.  It
+    is read one step at a time, so a generator can draw each step's codes
+    when the walk takes that step.  Inside, a lane is the halves
+    (a, |b|): one 'dual' gather before the first step; per step h1 = k
+    cast and masked, |h2| one ``np.take`` of 'dual' at k >> m, and one
+    ``transvection_apply_vec`` call; one 'dual_inv' gather after the
+    last.  Returns field pairs in ``element_dtype(m)``, zero steps
+    included.
+    """
+    m, dtype = ctx.m, element_dtype(ctx.m)
+    dual = ctx.np_table("dual")
+    a, d = np.asarray(a, dtype=dtype), np.take(dual, b)
+    for k in codes:
+        h1 = k.astype(dtype)
+        h1 &= (1 << m) - 1
+        a, d = transvection_apply_vec(ctx, h1, np.take(dual, k >> m), a, d)
+    return a, np.take(ctx.np_table("dual_inv"), d)

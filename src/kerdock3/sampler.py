@@ -29,16 +29,15 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ._workers import ordered_map
-from .gf2m import FieldContext, element_dtype
+from .gf2m import FieldContext
 from .graph import (CENSUS_MAX_M, EdgeKind, OrbitInvariant, PauliPair, chain_mask,
                     classify_pair, closed_form_counts, orbit_counts,
                     orbit_invariant_vec, pair_code, pair_split, state_name, state_obj)
 from .kerdock import PslElement, _check_det, psl_to_symplectic, sample_psl, sample_psl_vec
 from .markov import mixing_time_bound
 from .pauli import (PauliIndex, SymplecticMatrix, Transvection,
-                    apply_symplectic, pack_halves, transvection_apply_vec,
-                    transvection_matrix, transvection_product, unpack_halves,
-                    vertex_code, vertex_split)
+                    apply_symplectic, transvection_matrix, transvection_product,
+                    vertex_code, vertex_split, walk_pairs)
 
 __all__ = [
     "SamplerConfig",
@@ -387,38 +386,22 @@ def _stats_batch(ctx: FieldContext, config: SamplerConfig, probes: List[Probe],
                  batch_index: int, batch_size: int, steps: int) -> List[np.ndarray]:
     """Histogram contribution of one statistics batch (own substream).
 
-    The distinct probe vertices walk together as the packed halves
-    (a, |b|) of one (V, batch) array each (``pack_halves``), so each step
-    is a single kernel call with that step's transvection halves
-    broadcast across the rows: h1 is the step code k cast and masked,
-    |h2| one ``np.take`` of the (N^2,) table dual[k >> m], built once per
-    batch.  Everything is in ``element_dtype(m)``, so at m <= 8 the whole
-    walk runs in uint8.  After the last step ``unpack_halves`` turns |b|
-    back into b, and the PSL image (a, b) g is four ``mul_vec`` products
-    over the same broadcast.
+    The distinct probe vertices walk together as one (V, batch) array of
+    field pairs through ``walk_pairs``, with each step's transvection
+    codes k = h1 | h2 << m, one per lane, drawn when the walk takes that
+    step, so the batch holds one step's codes at a time.  Row by row the
+    draws consume the substream as one (steps, batch) draw would.  After
+    the last step ``sample_psl_vec`` draws the PSL elements, and the
+    image (a, b) g is four ``mul_vec`` products over the same broadcast.
     """
     n, m = ctx.order, ctx.m
-    dtype = element_dtype(m)
     rng = _substream(config.seed, 2 ** 64 - 1 - batch_index)
-    ks = rng.integers(1, n * n, size=(steps, batch_size), dtype=np.uint32)
-    alpha, beta, gamma, delta = sample_psl_vec(ctx, rng, batch_size)
-    # |h2| of every step code k = h1 | h2 << m; pair probes stop at
-    # m = CENSUS_MAX_M, so at most 4096 entries
-    duals = np.repeat(ctx.np_table("dual"), n)
-
-    def walk(verts: List[PauliIndex]) -> Tuple[np.ndarray, np.ndarray]:
-        a, d = pack_halves(ctx, np.array([[v.a] for v in verts], dtype=dtype),
-                           np.array([[v.b] for v in verts], dtype=dtype))
-        for k in ks:
-            h1 = k.astype(dtype)
-            h1 &= n - 1
-            a, d = transvection_apply_vec(ctx, h1, np.take(duals, k), a, d)
-        return unpack_halves(ctx, a, d)
 
     def images(verts: List[PauliIndex]) -> np.ndarray:
-        # walk returns first, so its halves and step temporaries are freed
-        # before the PSL products and histograms allocate theirs
-        a, b = walk(verts)
+        codes = (rng.integers(1, n * n, size=batch_size, dtype=np.uint32)
+                 for _ in range(steps))
+        a, b = walk_pairs(ctx, codes, [[v.a] for v in verts], [[v.b] for v in verts])
+        alpha, beta, gamma, delta = sample_psl_vec(ctx, rng, batch_size)
         return vertex_code(m, (ctx.mul_vec(a, alpha) ^ ctx.mul_vec(b, gamma)).astype(np.int64),
                            ctx.mul_vec(a, beta) ^ ctx.mul_vec(b, delta))
 

@@ -140,6 +140,14 @@ def test_counts_refuse_a_representative_of_another_chain():
     for rep in (((1, 0), (0, 0)), ((0, 0), (1, 0)), ((3, 1), (3, 1))):
         with pytest.raises(ValueError, match="is not in the 'edges' chain"):
             transvection_counts(ctx, "edges", representatives=[rep])
+    # an entry outside the field is refused by the field's own check, by
+    # representative and row, before any table read
+    reps = [orbit_representative(ctx, s) for s in transvection_counts(ctx, "edges")[0]]
+    for rep in (((1, 0), (9, 0)), ((1, -1), (2, 0))):
+        reps[2] = rep
+        with pytest.raises(ValueError, match=rf"representative {re.escape(state_name(rep))} "
+                                             rf"\(row 2\) has an entry outside \[0, 8\)"):
+            transvection_counts(ctx, "edges", representatives=reps)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])

@@ -19,11 +19,11 @@ from kerdock3.kerdock import (PslElement, classify_subgroup, psl_to_symplectic, 
 from kerdock3.pauli import (PauliIndex, SymplecticMatrix, Transvection,
                             apply_symplectic, apply_transvection,
                             basis_change_matrix, commutes,
-                            conjugate_transvection, omega_matrix, pack_halves,
+                            conjugate_transvection, omega_matrix,
                             pack_index, partial_hadamard_matrix, phase_matrix,
                             symplectic_inner,
                             transvection_apply_vec, transvection_matrix,
-                            transvection_product, unpack_halves, unpack_index,
+                            transvection_product, unpack_index,
                             vertex_split)
 from kerdock3.sampler import (DesignSample, SamplerConfig, class_size, compose,
                               sample_at)
@@ -591,21 +591,90 @@ def test_transvection_apply_vec_outer_broadcast(case):
                         np.broadcast_to(b[:, None], shape), va, vd)
 
 
+def _walked_by_scalar(ctx, steps, p, j):
+    """Scalar ``apply_transvection`` of the field pair p through lane j of
+    each step's codes."""
+    for k in steps:
+        p = apply_transvection(ctx, vertex_split(ctx.m, int(k.flat[j])), p)
+    return tuple(p)
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.integers(2, 16), st.integers(0, 2 ** 32 - 1))
-def test_pack_halves_are_the_halves_of_pack_index(m, seed):
-    """pack_halves gives the two halves of pack_index's word, in
-    element_dtype(m), and unpack_halves inverts it."""
+@given(st.integers(2, 16), st.integers(0, 3), st.integers(0, 2 ** 32 - 1))
+def test_walk_pairs_matches_scalar_apply_transvection(m, steps, seed):
+    """walk_pairs takes field pairs and vertex codes and gives field pairs
+    in element_dtype(m); zero steps give back (a, b).  Lane by lane it
+    equals scalar apply_transvection applied step by step, with one kernel
+    call per step, in both broadcasts of its callers: (V, B) lanes against
+    (B,) codes, as in the statistics walk, and (K, 1) lanes against
+    (1, L) codes, as in the exact chains, where L = N^2 - 1 (every
+    transvection) at m <= 3."""
     ctx = _field(m)
+    n, dtype = ctx.order, element_dtype(m)
     rng = np.random.default_rng(seed)
-    a, b = rng.integers(0, ctx.order, size=(2, 3, 5), dtype=element_dtype(m))
-    ha, hd = pack_halves(ctx, a, b)
-    assert hd.dtype == element_dtype(m) and hd.shape == b.shape
-    for i, x in np.ndenumerate(a):
-        assert int(ha[i]) | int(hd[i]) << m == pack_index(ctx, (int(x), int(b[i])))
-    ua, ub = unpack_halves(ctx, ha, hd)
-    assert ub.dtype == element_dtype(m)
-    assert np.array_equal(ua, a) and np.array_equal(ub, b)
+    calls = []
+    original = pauli.transvection_apply_vec
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    def walk(codes, a, b):
+        calls.clear()
+        pauli.transvection_apply_vec = counting
+        try:
+            wa, wb = pauli.walk_pairs(ctx, iter(codes), a, b)
+        finally:
+            pauli.transvection_apply_vec = original
+        assert len(calls) == len(codes)
+        assert wa.dtype == wb.dtype == dtype
+        return wa, wb
+
+    # (V, B) against (B,), the rows given as lists of [x], as _stats_batch does
+    verts = rng.integers(0, n, size=(3, 2)).tolist()
+    codes = [rng.integers(0, n * n, size=5, dtype=np.uint32) for _ in range(steps)]
+    wa, wb = walk(codes, [[x] for x, _ in verts], [[y] for _, y in verts])
+    assert wa.shape == wb.shape == ((3, 5) if steps else (3, 1))
+    for (i, j), x in np.ndenumerate(wa):
+        assert (int(x), int(wb[i, j])) == _walked_by_scalar(ctx, codes, tuple(verts[i]), j)
+
+    # (K, 1) against (1, L), the rows in element_dtype(m), as the chains do
+    a, b = rng.integers(0, n, size=(2, 4, 1), dtype=dtype)
+    every = np.arange(1, n * n, dtype=np.uint32) if m <= 3 else \
+        rng.integers(1, n * n, size=7, dtype=np.uint32)
+    codes = [every[None, :]] + [rng.permutation(every)[None, :] for _ in range(steps - 1)]
+    wa, wb = walk(codes[:steps], a, b)
+    if not steps:
+        assert np.array_equal(wa, a) and np.array_equal(wb, b)
+        return
+    assert wa.shape == wb.shape == (4, len(every))
+    for (i, j), x in np.ndenumerate(wa):
+        p = (int(a[i, 0]), int(b[i, 0]))
+        assert (int(x), int(wb[i, j])) == _walked_by_scalar(ctx, codes[:steps], p, j)
+
+
+def test_walk_pairs_owns_the_halves():
+    """The halves (a, |b|) live inside walk_pairs alone: in src/kerdock3
+    only pauli.py reads np_table("dual_inv"), only walk_pairs calls
+    transvection_apply_vec, and no module converts field pairs to halves
+    by hand (pack_halves, unpack_halves and markov's _apply_to_pairs are
+    gone)."""
+    src = Path(__file__).resolve().parents[1] / "src" / "kerdock3"
+    dual_inv, kernel, gone = set(), set(), set()
+    for path in sorted(src.glob("*.py")):
+        owner = "<module>"
+        for line in path.read_text().splitlines():
+            if line.startswith("def "):
+                owner = line[4:line.index("(")]
+            if 'np_table("dual_inv")' in line:
+                dual_inv.add(path.name)
+            if "transvection_apply_vec(" in line and not line.startswith("def "):
+                kernel.add((path.name, owner))
+            gone |= {name for name in ("pack_halves", "unpack_halves", "_apply_to_pairs")
+                     if name in line}
+    assert dual_inv == {"pauli.py"}
+    assert kernel == {("pauli.py", "walk_pairs")}
+    assert not gone
 
 
 def test_conjugate_transvection():

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kerdock3.gf2m import FieldContext, f2_mat_mul
-from kerdock3 import sampler
+from kerdock3 import pauli, sampler
 from kerdock3.graph import (EdgeKind, PauliPair, census, chain_mask, orbit_invariant,
                             srg_check)
 from kerdock3.kerdock import PslElement, psl_identity, psl_to_symplectic, sample_psl_vec
@@ -514,10 +514,11 @@ class _WalkDone(Exception):
 def test_stream_statistics_walk_runs_in_uint8_at_small_m(monkeypatch, m):
     """At m = 2..6 every walk step of pair_statistics_stream hands the
     kernel uint8 rows and uint8 transvection halves, so a change cannot
-    silently widen the walk back to uint16.  The recorder stops the run
-    after the last step: the pair histogram at m = 6 has 2^24 bins."""
+    silently widen the walk back to uint16.  The kernel is recorded where
+    walk_pairs calls it, in pauli; the recorder stops the run after the
+    last step: the pair histogram at m = 6 has 2^24 bins."""
     steps, seen = 3, []
-    original = sampler.transvection_apply_vec
+    original = pauli.transvection_apply_vec
 
     def recording(ctx, h1, h2, a, b):
         seen.append(tuple(x.dtype for x in (h1, h2, a, b)))
@@ -525,7 +526,7 @@ def test_stream_statistics_walk_runs_in_uint8_at_small_m(monkeypatch, m):
             raise _WalkDone
         return original(ctx, h1, h2, a, b)
 
-    monkeypatch.setattr(sampler, "transvection_apply_vec", recording)
+    monkeypatch.setattr(pauli, "transvection_apply_vec", recording)
     with pytest.raises(_WalkDone):
         pair_statistics_stream(SamplerConfig(m=m, seed=0, count=64, steps=steps),
                                [(0x3, 0x1), COMMUTING_PROBE], batch_size=64)
@@ -537,20 +538,22 @@ def test_halves_walk_equals_a_field_pair_walk(monkeypatch, m):
     """The walk of _stats_batch on halves (a, |b|) ends at the same field
     images as a reference walk on field pairs (a, b), which draws the same
     step codes and applies Z_h through products and the trace:
-    (a, b) += Tr(a h2 + b h1) (h1, h2).  The images are recorded where
-    unpack_halves returns them, and the run stops there."""
+    (a, b) += Tr(a h2 + b h1) (h1, h2).  The reference draws all codes as
+    one (steps, batch) array, so this also pins that the walk's row-by-row
+    draws consume the substream as that one draw does.  The images are
+    recorded where walk_pairs returns them, and the run stops there."""
     ctx, steps, batch = FieldContext(m), 7, 256
     n = ctx.order
     config = SamplerConfig(m=m, seed=31 + m, count=batch, steps=steps)
     probes = _normalize_probes(ctx, [(0x3, 0x1), COMMUTING_PROBE, ((0x1, 0x0), (0x0, 0x1))])
     seen = []
 
-    def recording(ctx, a, d):
-        seen.append(original(ctx, a, d))
+    def recording(ctx, codes, a, b):
+        seen.append(original(ctx, codes, a, b))
         raise _WalkDone
 
-    original = sampler.unpack_halves
-    monkeypatch.setattr(sampler, "unpack_halves", recording)
+    original = sampler.walk_pairs
+    monkeypatch.setattr(sampler, "walk_pairs", recording)
     with pytest.raises(_WalkDone):
         _stats_batch(ctx, config, probes, 0, batch, steps)
     (got_a, got_b), = seen
@@ -567,6 +570,23 @@ def test_halves_walk_equals_a_field_pair_walk(monkeypatch, m):
         a, b = np.where(t, a ^ h1, a), np.where(t, b ^ h2, b)
     assert got_a.shape == got_b.shape == (len(verts), batch)
     assert np.array_equal(got_a, a) and np.array_equal(got_b, b)
+
+
+def test_stats_batch_holds_one_step_of_codes():
+    """One statistics batch at the criterion 10c shape (m = 2, 56 steps,
+    2^17 lanes) stays under 12 MiB of traced memory: the walk draws each
+    step's codes when it takes that step.  Holding all (56, 2^17) uint32
+    codes at once peaked at 36.75 MiB."""
+    ctx = FieldContext(2)
+    config = SamplerConfig(m=2, seed=0, count=1 << 17, steps=56)
+    probes = _normalize_probes(ctx, [COMMUTING_PROBE, ANTI_PROBE_M2])
+    tracemalloc.start()
+    try:
+        _stats_batch(ctx, config, probes, 0, 1 << 17, 56)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 << 20
 
 
 def test_stream_statistics_walk_in_the_given_field():
