@@ -232,7 +232,9 @@ def _determinant_images(ctx: FieldContext, a, b, c, d, det):
         offset = det[part].astype(np.intp) + np.arange(len(xc)) * n
         hist[part] = np.bincount((offset[:, None] ^ shift).ravel(),
                                  minlength=len(xc) * n).reshape(-1, n)
-        moved = np.flatnonzero(det[part])
+        # search only rows with det != 0 whose histogram counts a det' = 0
+        # image; no non-edge row has one
+        moved = np.flatnonzero((det[part] != 0) & (hist[part][:, 0] > 0))
         i, h = np.nonzero(shift[moved] == det[part][moved, None])
         zero_pair.append(lo + moved[i])
         zero_h.append(h)

@@ -211,9 +211,33 @@ def _default_field(m: int) -> FieldContext:
     return FieldContext(m)
 
 
+@lru_cache(maxsize=None)
+def _philox_key_type() -> type:
+    """The seed sequence ``_substream`` hands to Philox: the key [seed, index]
+    itself, since ``Philox(key=...)`` first builds ``SeedSequence(None)``,
+    which reads OS entropy only to be overwritten by the key.  Defined on
+    first use, because numpy imports ``numpy.random`` lazily and that import
+    costs about 5 ms of start-up."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PhiloxKey(ISeedSequence):
+        __slots__ = ("seed", "index")
+
+        def __init__(self, seed: int, index: int):
+            self.seed, self.index = seed, index
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            if n_words != 2 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"a Philox key is 2 uint64 words; {n_words} words "
+                                 f"of {np.dtype(dtype)} were asked for")
+            return np.array([self.seed, self.index], dtype=np.uint64)
+
+    return PhiloxKey
+
+
 def _substream(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.array([seed, index],
-                                                             dtype=np.uint64)))
+    """The generator of ``Philox(key=[seed, index])``, in the same state."""
+    return np.random.Generator(np.random.Philox(_philox_key_type()(seed, index)))
 
 
 def sample_at(config: SamplerConfig, index: int,

@@ -26,14 +26,18 @@ ValueError before it allocates anything.  A generator refuses what its
 symplectic twin in ``pauli`` refuses, ``pack_index`` for D(a, b), by
 building the twin when it is built itself; cache hits check nothing.
 
-Frame potentials are computed by chunked Gram products on flattened
-unitaries; the Haar baseline is the number of standard Young tableaux
-pairs with at most ``dim`` rows.
+Frame potentials are computed by Gram products on flattened unitaries,
+in blocks of max(1, 2^17 // S) rows for S unitaries: each block's
+temporaries hold about 2^17 cells (a complex Gram block, then its real
+powers, about 3 MB), so the memory beyond the S N^2 flattened unitaries
+and their conjugates stays fixed at every S.  The Haar baseline is the
+number of standard Young tableaux pairs with at most ``dim`` rows.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -199,17 +203,26 @@ def psl_unitary(ctx: FieldContext, g: PslElement) -> np.ndarray:
     _check_dense(ctx.m)
     out = np.eye(ctx.order, dtype=np.complex128)
     for factor in reversed(psl_factors(ctx, g)):
-        out = out @ _GENERATORS[factor[0]](ctx.m, *factor[1:])
+        out = out.dot(_GENERATORS[factor[0]](ctx.m, *factor[1:]))
     return out
 
 
 def sample_unitary(ctx: FieldContext, s: DesignSample) -> np.ndarray:
     """E(pauli) . U(psl) . U(h_t) ... U(h_1): conjugation acts h_1 first,
-    matching the sample's ``composed`` symplectic matrix."""
+    matching the sample's ``composed`` symplectic matrix.
+
+    Each step is one ``ndarray.dot`` (one zgemm, as ``@``) and one cache
+    lookup under the key of ``transvection_unitary``, which runs only to
+    build a missing generator.
+    """
     out = psl_unitary(ctx, s.psl)
+    m, poly = ctx.m, ctx.poly
     for h in reversed(s.transvections):
-        out = out @ transvection_unitary(ctx, h)
-    return hermitian_pauli(ctx, s.pauli) @ out
+        u = _UNITARY_CACHE.get(("transvection", m, poly, *h))
+        if u is None:
+            u = transvection_unitary(ctx, h)
+        out = out.dot(u)
+    return hermitian_pauli(ctx, s.pauli).dot(out)
 
 
 class ConjugationFailure(Exception):
@@ -250,8 +263,9 @@ def frame_potential(unitaries: Sequence[np.ndarray], k: int) -> float:
     return frame_potential_estimate(unitaries, k)[0]
 
 
-# Gram rows per block of frame_potential_estimate
-_GRAM_CHUNK = 1024
+# Gram cells per block of frame_potential_estimate, the budget of
+# markov._GRID_CELLS: a block of max(1, _GRAM_CELLS // S) rows
+_GRAM_CELLS = 1 << 17
 
 
 def frame_potential_estimate(unitaries: Sequence[np.ndarray], k: int) -> Tuple[float, float]:
@@ -259,16 +273,28 @@ def frame_potential_estimate(unitaries: Sequence[np.ndarray], k: int) -> Tuple[f
 
     sigma_hat is the first-order (projection) standard error of the
     pair average: with h_i the mean of |tr(U_i+ U_j)|^(2k) over j,
-    sigma^2 = 4 Var(h) / S.
+    sigma^2 = 4 Var(h) / S.  Refuses a ``k`` that is not an int >= 1 and
+    an empty ensemble with ValueError.
     """
-    vecs = np.stack([np.asarray(u, dtype=np.complex128).ravel() for u in unitaries])
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(f"k = {k!r} must be an int >= 1") from None
+    if k < 1:
+        raise ValueError(f"k = {k} must be an int >= 1")
+    vecs = [np.asarray(u, dtype=np.complex128).ravel() for u in unitaries]
+    if not vecs:
+        raise ValueError("unitaries is empty; the frame potential needs at least one")
+    vecs = np.stack(vecs)
+    vecs_h = vecs.conj().T
     s = vecs.shape[0]
+    rows = max(1, _GRAM_CELLS // s)
     row_means = np.empty(s)
     total = 0.0
-    for lo in range(0, s, _GRAM_CHUNK):
-        hi = min(lo + _GRAM_CHUNK, s)
-        g = np.abs(vecs[lo:hi] @ vecs.conj().T) ** (2 * k)
-        row_means[lo:hi] = g.mean(axis=1)
+    for lo in range(0, s, rows):
+        g = np.abs(vecs[lo:lo + rows] @ vecs_h)
+        g **= 2 * k
+        row_means[lo:lo + rows] = g.mean(axis=1)
         total += float(g.sum())
     fhat = total / (s * s)
     var_h = float(((row_means - fhat) ** 2).sum()) / max(s - 1, 1)

@@ -322,6 +322,28 @@ def test_draw_is_deterministic_nonzero_and_reaches_every_transvection():
     assert len(set(hs)) == 63
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 64 - 1])
+@pytest.mark.parametrize("index", [0, 2 ** 64 - 1])
+def test_substream_is_the_philox_of_its_key(seed, index):
+    """_substream(seed, index), built without reading OS entropy, is in the
+    state of Philox(key=[seed, index]) and draws the same numbers."""
+    rng = _substream(seed, index)
+    ref = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+    state = rng.bit_generator.state
+    assert state["state"]["key"].tolist() == [seed, index]
+    assert repr(state) == repr(ref.bit_generator.state)
+    assert np.array_equal(rng.integers(0, 2 ** 63, size=64), ref.integers(0, 2 ** 63, size=64))
+
+
+@pytest.mark.parametrize("n_words, dtype", [(1, np.uint64), (4, np.uint64), (2, np.uint32),
+                                            (4, np.uint32)])
+def test_substream_key_refuses_any_other_state_request(n_words, dtype):
+    key = _substream(3, 5).bit_generator.seed_seq
+    assert key.generate_state(2, np.uint64).tolist() == [3, 5]
+    with pytest.raises(ValueError, match="2 uint64 words"):
+        key.generate_state(n_words, dtype)
+
+
 def test_json_line_schema():
     config = SamplerConfig(m=3, seed=4, count=1, steps=3)
     line = sample_at(config, 0).to_json_line(0)

@@ -310,6 +310,9 @@ GOLDEN_SAMPLE_UNITARIES = [
      "84337066a84c66d29e58f7e33e969082b7070f5853b7eef9f725a6f45488692a"),
     (3, 5, 15, 1,
      "7228db7225f4cc94c5da9ef3deb539e9e4ef9a290b24467705d4bfe1d99919d4"),
+    # the shape of the dense-oracle benchmark: m = 2, 56 steps, seed 0
+    (2, 0, 16, 56,
+     "5635883c1c1fb76e78ec26525f89eb6ae69f7ca1d22be4ff00fabdbe1f9c551a"),
 ]
 
 
@@ -321,6 +324,29 @@ def test_sample_unitary_golden_bytes(m, seed, count, steps, digest):
     for i in range(count):
         h.update(sample_unitary(ctx, sample_at(config, i, ctx)).tobytes())
     assert h.hexdigest() == digest
+
+
+def test_sample_unitary_reads_the_transvection_cache(monkeypatch):
+    """sample_unitary looks each step up under transvection_unitary's key:
+    from an empty cache it calls transvection_unitary once per distinct
+    step, and on the same sample again not at all, with equal bytes."""
+    ctx = FieldContext(2)
+    s = sample_at(SamplerConfig(m=2, seed=9, count=1, steps=12), 0, ctx)
+    monkeypatch.setattr(unitary, "_UNITARY_CACHE", {})
+    calls = []
+
+    def counting(ctx, h, build=unitary.transvection_unitary):
+        calls.append(h)
+        return build(ctx, h)
+
+    monkeypatch.setattr(unitary, "transvection_unitary", counting)
+    first = sample_unitary(ctx, s)
+    assert len(set(s.transvections)) < len(s.transvections)  # a repeat is a hit
+    assert sorted(calls) == sorted(set(s.transvections))
+    calls.clear()
+    again = sample_unitary(ctx, s)
+    assert calls == []
+    assert again.tobytes() == first.tobytes()
 
 
 def test_cached_generators_are_read_only():
@@ -504,6 +530,81 @@ def test_frame_potential_estimate_consistency():
     fhat, sigma = frame_potential_estimate(ens, 2)
     assert fhat == pytest.approx(frame_potential(ens, 2), abs=1e-10)
     assert sigma >= 0.0
+
+
+def _random_unitaries(count, n, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    return list(np.linalg.qr(z)[0])
+
+
+def _one_block_estimate(unitaries, k):
+    """frame_potential_estimate with the whole S x S Gram matrix at once."""
+    vecs = np.stack([np.asarray(u, dtype=np.complex128).ravel() for u in unitaries])
+    s = len(vecs)
+    g = np.abs(vecs @ vecs.conj().T) ** (2 * k)
+    fhat = float(g.sum()) / (s * s)
+    var_h = float(((g.mean(axis=1) - fhat) ** 2).sum()) / max(s - 1, 1)
+    return fhat, 2.0 * math.sqrt(var_h / s)
+
+
+@pytest.mark.parametrize("s", [1, 2, 362, 363, 2000])
+def test_blocked_estimate_matches_one_gram_block(s):
+    """Gram blocks of _GRAM_CELLS // S rows give the one-block F_hat and
+    sigma_hat: bit for bit while one block holds every row (S <= 362),
+    within 1e-12 relative from S = 363, the first size with two blocks."""
+    cells = unitary._GRAM_CELLS
+    assert cells // 362 >= 362 and cells // 363 < 363
+    us = _random_unitaries(s, 4, seed=s)
+    for k in (1, 2, 3):
+        got, want = frame_potential_estimate(us, k), _one_block_estimate(us, k)
+        if s <= 362:
+            assert got == want
+        else:
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_frame_potential_estimate_memory_is_bounded():
+    """8000 unitaries of 4 x 4 take 2 MB flattened; the Gram blocks add a
+    fixed budget of about 3 MB instead of 1024 rows of 8000 columns (the
+    fixed-row blocks peaked at 253 MiB)."""
+    us = _random_unitaries(8000, 4, seed=1)
+    tracemalloc.start()
+    try:
+        frame_potential_estimate(us, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+
+
+@pytest.mark.parametrize("call", [frame_potential, frame_potential_estimate])
+@pytest.mark.parametrize("k, match", [
+    (0, "k = 0 must be an int >= 1"),
+    (-1, "k = -1 must be an int >= 1"),
+    (1.5, "k = 1.5 must be an int >= 1"),
+    (3.0, "k = 3.0 must be an int >= 1"),
+    ("3", "k = '3' must be an int >= 1"),
+])
+def test_frame_potentials_refuse_a_bad_moment(call, k, match):
+    """Unchecked, k = -1 on [X, Z] gave (inf, nan) with RuntimeWarnings
+    and k = 1.5 gave 4.0."""
+    with pytest.raises(ValueError, match=re.escape(match)):
+        call([X, Z], k)
+
+
+@pytest.mark.parametrize("call", [frame_potential, frame_potential_estimate])
+def test_frame_potentials_refuse_an_empty_ensemble(call):
+    with pytest.raises(ValueError, match="unitaries is empty"):
+        call([], 3)
+    with pytest.raises(ValueError, match="unitaries is empty"):
+        call(iter([]), 3)
+
+
+def test_frame_potentials_read_numpy_integer_moments():
+    group = single_qubit_clifford_group()
+    assert frame_potential_estimate(group, np.int64(3)) == frame_potential_estimate(group, 3)
+    assert frame_potential(iter(group), np.uint8(2)) == frame_potential(group, 2)
 
 
 def test_estimator_margin_composition():
