@@ -32,8 +32,8 @@ from .graph import (CensusReport, EdgeKind, OrbitInvariant, PauliPair, census,
                     classify_pair, closed_form_counts, orbit_invariant,
                     orbit_representative, orbit_states, srg_check,
                     srg_parameters)
-from .markov import (TransitionMatrix, extract_r, full_chain,
-                     lambda_q0_bound, lambda_q1_closed, lump_chain,
+from .markov import (TransitionMatrix, closed_form_failures, extract_r,
+                     full_chain, lambda_q0_bound, lambda_q1_closed, lump_chain,
                      mixing_time_bound, mixing_time_report,
                      q0_structure_check, q1_closed_form, q_empirical,
                      singular_check_R, spectral_report, stationary_check,

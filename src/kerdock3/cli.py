@@ -13,8 +13,8 @@ verify        run the small-m oracle suite, one pass/fail line per check
 One format per artifact class: JSON lines for samples, CSV for curves
 and matrices, plain key-value text for censuses and reports.  Identical
 arguments and seed give byte-identical artifacts for any --threads.
-Exit codes: 0 success, 1 failed checks (with a machine-readable failure
-list), 2 invalid arguments.
+Exit codes: 0 success, 1 failed checks (chain and verify add a
+machine-readable failure list), 2 invalid arguments.
 
 The default seed is 0, overridable by the KERDOCK3_SEED environment
 variable; an explicit --seed flag wins over the environment.
@@ -33,11 +33,10 @@ import numpy as np
 from .gf2m import FieldContext
 from .graph import CHAINS, EdgeKind, PauliPair, census, classify_pair, state_name
 from .kerdock import psl_elements, psl_to_symplectic
-from .markov import (FULL_CHAIN_MAX_M, extract_r, full_chain, lump_chain,
-                     mixing_time_bound, mixing_time_report, q0_structure_check,
-                     q1_closed_form, q_empirical, singular_check_R,
-                     spectral_report, stationary_check, tv_curve,
-                     w2_eigenvector_check)
+from .markov import (FULL_CHAIN_MAX_M, closed_form_failures, extract_r,
+                     full_chain, lump_chain, mixing_time_bound,
+                     mixing_time_report, q_empirical, spectral_report,
+                     stationary_check, tv_curve)
 from .pauli import (PauliIndex, omega_matrix, partial_hadamard_matrix,
                     transvection_matrix, vertex_split)
 from .sampler import (SamplerConfig, pair_statistics_stream, sample_at,
@@ -60,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, help, *, formats=("json", "text"), poly=True,
                 threads=False, threads_help=None, walk=False):
         """A subcommand with only the flags it reads; ``walk`` adds
-        --epsilon | --steps, --seed and --count."""
+        --epsilon | --steps and --seed."""
         p = sub.add_parser(name, help=help)
         p.add_argument("--m", type=int, default=DEFAULT_M,
                        help=f"field degree (default {DEFAULT_M})")
@@ -79,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
             g.add_argument("--steps", type=int, default=None)
             p.add_argument("--seed", type=int, default=None,
                            help=f"default 0, or ${SEED_ENV}; flag wins")
-            p.add_argument("--count", type=int, default=1)
         return p
 
     chains = dict(choices=CHAINS + ("both",), default="both")
@@ -98,9 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
             threads=True, walk=True,
             threads_help="worker threads (default 1); each sample holds the GIL, so "
                          "more threads do not speed sampling up; the output is the "
-                         "same for any count")
+                         "same for any count"
+            ).add_argument("--count", type=int, default=1, help="samples to stream (default 1)")
     command("verify", "oracle suite, pass/fail per check", formats=(),
-            threads=True, walk=True)
+            threads=True, walk=True
+            ).add_argument("--count", type=int, default=200_000,
+                           help="walks of the pair-statistics check (default 200000)")
     return parser
 
 
@@ -110,10 +111,10 @@ def _resolve_seed(args) -> int:
     return int(os.environ.get(SEED_ENV, "0"))
 
 
-def _walk_config(args, count: int) -> SamplerConfig:
-    """The walk of --epsilon | --steps, at DEFAULT_EPSILON when neither is given."""
+def _walk_config(args) -> SamplerConfig:
+    """--count walks of --epsilon | --steps, at DEFAULT_EPSILON when neither is given."""
     eps = DEFAULT_EPSILON if args.epsilon is None and args.steps is None else args.epsilon
-    return SamplerConfig(args.m, _resolve_seed(args), count, eps, args.steps)
+    return SamplerConfig(args.m, _resolve_seed(args), args.count, eps, args.steps)
 
 
 def _ctx(args) -> FieldContext:
@@ -182,23 +183,11 @@ def _cmd_chain(args) -> int:
                           f"states = {len(tm.states)}\n"
                           f"denominator = {tm.denominator}\n")
             chunks.append(_mat_csv(f"numerators ({chain})", tm.numerators))
+            if chain == "edges":
+                chunks.append(_mat_csv("R (4x transvection counts)", extract_r(tm)))
         if not stationary_check(tm):
             failures.append(f"{chain}:stationary")
-        if chain == "nonedges":
-            if q1_closed_form(ctx) != tm:
-                failures.append("nonedges:closed-form")
-        else:
-            struct = q0_structure_check(tm)
-            if not struct.ok:
-                failures.append("edges:structure:" + ";".join(struct.failures))
-            if not w2_eigenvector_check(tm):
-                failures.append("edges:w2-eigenvector")
-            r = extract_r(tm)
-            if args.format == "text":
-                chunks.append(_mat_csv("R (4x transvection counts)", r))
-            sing = singular_check_R(r, ctx.m)
-            if not sing.ok:
-                failures.append("edges:singular-bound")
+        failures += [f"{chain}:{f}" for f in closed_form_failures(ctx, tm)]
     _emit(args, "".join(chunks) +
           ("" if args.format == "json" else
            f"checks = {'ok' if not failures else 'FAILED'}\n"))
@@ -248,7 +237,7 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    config = _walk_config(args, args.count)
+    config = _walk_config(args)
     if args.out:
         with open(args.out, "w") as fh:
             write_jsonl(sample_stream(config, threads=args.threads), fh)
@@ -288,10 +277,9 @@ def _verify_checks(args):
 
     @check("chain-closed-forms")
     def _():
-        if q1_closed_form(ctx) != q_empirical(ctx, "nonedges"):
-            return "nonedges closed form mismatch"
-        rep = q0_structure_check(q_empirical(ctx, "edges"))
-        return None if rep.ok else "; ".join(rep.failures)
+        failures = [f"{chain}:{f}" for chain in CHAINS
+                    for f in closed_form_failures(ctx, q_empirical(ctx, chain))]
+        return "; ".join(failures) or None
 
     @check("chain-stationary-exact")
     def _():
@@ -356,7 +344,7 @@ def _verify_checks(args):
         d_anti = next(d for d in ctx.nonzero() if classify_pair(
             ctx, PauliPair(PauliIndex(1, 0), PauliIndex(0, d))) == EdgeKind.NON_EDGE)
         probes = [((ctx.alpha_power(1), 0), (1, 0)), ((1, 0), (0, d_anti))]
-        rep = pair_statistics_stream(_walk_config(args, max(args.count, 200_000)), probes,
+        rep = pair_statistics_stream(_walk_config(args), probes,
                                      threads=args.threads, ctx=ctx)
         for p in rep.probes:
             if p.tv_to_uniform > 0.05 + p.four_sigma():

@@ -35,7 +35,8 @@ This module owns the pair code ``v * N^2 + w`` of two vertex codes and
 the orbit key ``kind * 2^16 + value`` made by ``orbit_key`` (for whole
 pairs ``orbit_invariant_vec``, for nonzero determinants
 ``determinant_keys``), which ``orbit_counts`` turns back into per-orbit
-counts.
+counts, and the JSON form of a chain state, written by ``state_obj`` and
+read by ``state_from_obj``.
 """
 
 from __future__ import annotations
@@ -76,6 +77,7 @@ __all__ = [
     "orbit_representative",
     "state_name",
     "state_obj",
+    "state_from_obj",
     "closed_form_counts",
     "CensusReport",
     "census",
@@ -323,6 +325,13 @@ def state_obj(state):
     if isinstance(state[0], int):
         return [format(x, "#x") for x in state]
     return [state_obj(v) for v in state]
+
+
+def state_from_obj(obj):
+    """Inverse of ``state_obj`` on chain states: an orbit invariant or a pair."""
+    if isinstance(obj, dict):
+        return OrbitInvariant(EdgeKind[obj["kind"]], int(obj["value"], 16))
+    return PauliPair(*(PauliIndex(int(a, 16), int(b, 16)) for a, b in obj))
 
 
 # --- census ---

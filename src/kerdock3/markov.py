@@ -35,8 +35,9 @@ images Z_h fixes.  ``full_chain`` and ``lump_chain`` (m <= 3), which
 apply every transvection to every pair, and the brute-force test over
 scalar ``apply_transvection`` remain the independent routes to the same
 matrices.
-Chain names, states and pair masks are ``graph``'s: ``CHAINS``,
-``chain_states`` and ``chain_mask``.
+``closed_form_failures`` is the one list of closed forms an orbit chain
+must satisfy.  Chain names, states, pair masks and state JSON are ``graph``'s:
+``CHAINS``, ``chain_states``, ``chain_mask`` and ``state_obj``/``state_from_obj``.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ from .gf2m import MAX_M, MIN_M, FieldContext, element_dtype
 from .graph import (ORBIT_KEY_SPACE, EdgeKind, OrbitInvariant, PauliPair,
                     chain_mask, chain_states, determinant_keys,
                     orbit_invariant, orbit_invariant_vec, orbit_key,
-                    orbit_representative, orbit_states, pair_code, state_name,
-                    state_obj, xor_grid)
+                    orbit_representative, orbit_states, pair_code,
+                    state_from_obj, state_name, state_obj, xor_grid)
 from .pauli import PauliIndex, vertex_code, vertex_split, walk_pairs
 
 __all__ = [
@@ -77,6 +78,7 @@ __all__ = [
     "lambda_q0_bound",
     "spectral_report",
     "singular_check_R",
+    "closed_form_failures",
     "mixing_time_bound",
     "mixing_time_report",
     "tv_curve",
@@ -126,15 +128,6 @@ class TransitionMatrix:
 
     # -- serialization --
 
-    @staticmethod
-    def _state_from_obj(obj) -> State:
-        """Inverse of ``graph.state_obj`` on chain states."""
-        if isinstance(obj, dict):
-            return OrbitInvariant(EdgeKind[obj["kind"]], int(obj["value"], 16))
-        (a, b), (c, d) = obj
-        return PauliPair(PauliIndex(int(a, 16), int(b, 16)),
-                         PauliIndex(int(c, 16), int(d, 16)))
-
     def to_json(self) -> str:
         return json.dumps({
             "denominator": self.denominator,
@@ -145,7 +138,7 @@ class TransitionMatrix:
     @classmethod
     def from_json(cls, text: str) -> "TransitionMatrix":
         obj = json.loads(text)
-        return cls(states=[cls._state_from_obj(s) for s in obj["states"]],
+        return cls(states=[state_from_obj(s) for s in obj["states"]],
                    numerators=np.asarray(obj["numerators"], dtype=np.int64),
                    denominator=int(obj["denominator"]))
 
@@ -452,6 +445,18 @@ def singular_check_R(r: np.ndarray, m: int) -> SingularReport:
     bound = 3 * math.sqrt(2) * n
     return SingularReport(sigma_max=sigma, bound=bound,
                           equality=abs(sigma - bound) <= 1e-9)
+
+
+def closed_form_failures(ctx: FieldContext, tm: TransitionMatrix) -> List[str]:
+    """Tokens of the closed forms an orbit chain fails, the chain read off its
+    first state: Q1 for non-edges; Q0's blocks, W2 and sigma_max(R) for edges."""
+    if tm.states[0].kind == EdgeKind.NON_EDGE:
+        return [] if q1_closed_form(ctx) == tm else ["closed-form"]
+    struct = q0_structure_check(tm)
+    holds = {"structure:" + ";".join(struct.failures): struct.ok,
+             "w2-eigenvector": w2_eigenvector_check(tm),
+             "singular-bound": singular_check_R(extract_r(tm), ctx.m).ok}
+    return [token for token, ok in holds.items() if not ok]
 
 
 # --- mixing time ---

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,9 +10,11 @@ import sys
 import numpy as np
 import pytest
 
+from kerdock3 import cli, markov
 from kerdock3.cli import DEFAULT_EPSILON, DEFAULT_M, build_parser, main
 from kerdock3.graph import parse_census
-from kerdock3.markov import FULL_CHAIN_MAX_M, TransitionMatrix, parse_csv_probs
+from kerdock3.markov import (FULL_CHAIN_MAX_M, Q0StructureReport, SingularReport,
+                             TransitionMatrix, parse_csv_probs)
 
 
 def run(tmp_path, *argv):
@@ -128,6 +131,45 @@ def test_chain_failed_check_exits_1_in_every_format(fmt, tmp_path, monkeypatch, 
     assert rc == 1
     assert json.loads(capsys.readouterr().err) == \
         {"failures": ["edges:stationary", "nonedges:stationary"]}
+
+
+# each closed form of markov.closed_form_failures forced to fail, with the
+# token ``kerdock3 chain`` then reports
+FORCED = {
+    "q1_closed_form": (lambda ctx: None, "nonedges:closed-form"),
+    "q0_structure_check": (lambda tm: Q0StructureReport(2, None, None, ["a", "b"]),
+                           "edges:structure:a;b"),
+    "w2_eigenvector_check": (lambda tm: False, "edges:w2-eigenvector"),
+    "singular_check_R": (lambda r, m: SingularReport(math.inf, 0.0, False),
+                         "edges:singular-bound"),
+}
+
+
+@pytest.mark.parametrize("check", FORCED)
+def test_each_failed_closed_form_fails_chain_and_verify(check, tmp_path, monkeypatch,
+                                                        capsys):
+    """A failed closed form is one token on chain's stderr list, with
+    exit 1, and fails verify's chain-closed-forms with the same token."""
+    fake, token = FORCED[check]
+    monkeypatch.setattr(markov, check, fake)
+    rc, text = run(tmp_path, "chain", "--m", "2")
+    assert rc == 1
+    assert text.endswith("checks = FAILED\n")
+    assert json.loads(capsys.readouterr().err) == {"failures": [token]}
+    checks = dict(cli._verify_checks(build_parser().parse_args(["verify", "--m", "2"])))
+    assert checks["chain-closed-forms"]() == token
+
+
+def test_chain_failure_tokens_keep_their_order(tmp_path, monkeypatch, capsys):
+    """Per chain in CHAINS order: stationary, then the closed forms."""
+    for check, (fake, _) in FORCED.items():
+        monkeypatch.setattr(markov, check, fake)
+    monkeypatch.setattr(cli, "stationary_check", lambda tm: False)
+    rc, _ = run(tmp_path, "chain", "--m", "2", "--format", "json")
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err)["failures"] == [
+        "edges:stationary", "edges:structure:a;b", "edges:w2-eigenvector",
+        "edges:singular-bound", "nonedges:stationary", "nonedges:closed-form"]
 
 
 def test_spectra_text_and_json(tmp_path):
@@ -321,6 +363,37 @@ def test_verify_poly_walks_pair_statistics_in_chosen_field(tmp_path, monkeypatch
     assert rc == 0, text
     assert "PASS pair-statistics" in text
     assert fields == [0xD]
+
+
+def test_verify_walks_the_count_it_is_given(tmp_path, monkeypatch):
+    """--count is the number of pair-statistics walks, walked as given,
+    not raised to the default of 200 000."""
+    counts = []
+    original = cli.pair_statistics_stream
+
+    def recording(config, probes, threads=1, batch_size=1 << 17, ctx=None):
+        counts.append(config.count)
+        return original(config, probes, threads, batch_size, ctx)
+
+    monkeypatch.setattr(cli, "pair_statistics_stream", recording)
+    rc, text = run(tmp_path, "verify", "--m", "2", "--count", "20000",
+                   "--steps", "8", "--seed", "1")
+    assert rc == 0, text
+    assert counts == [20000]
+    assert build_parser().parse_args(["verify"]).count == 200_000
+    assert build_parser().parse_args(["sample"]).count == 1
+
+
+def test_verify_failure_is_a_fail_line_and_a_json_list_with_exit_1(tmp_path, monkeypatch):
+    monkeypatch.setattr(markov, "w2_eigenvector_check", lambda tm: False)
+    rc, text = run(tmp_path, "verify", "--m", "2", "--count", "20000",
+                   "--steps", "8", "--seed", "1")
+    assert rc == 1
+    *lines, last = text.splitlines()
+    assert lines[2] == "FAIL chain-closed-forms: edges:w2-eigenvector"
+    assert all(line.startswith("PASS ") for line in lines[:2] + lines[3:])
+    assert json.loads(last) == {"failures": [
+        {"check": "chain-closed-forms", "detail": "edges:w2-eigenvector"}]}
 
 
 def test_verify_caps_m(capsys):

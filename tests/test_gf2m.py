@@ -157,6 +157,16 @@ def test_invalid_polynomials_rejected():
     assert sorted(alt.alpha_power(i) for i in range(7)) == list(range(1, 8))
 
 
+def test_even_polynomial_is_refused_for_its_factor_x():
+    with pytest.raises(ValueError, match=re.escape("0xa is reducible: factor x (0x2)")):
+        FieldContext(3, poly=0xA)       # x^3 + x = x (x + 1)^2
+
+
+def test_np_table_refuses_an_unknown_name():
+    with pytest.raises(ValueError, match=re.escape("unknown table 'sqrt'")):
+        FieldContext(2).np_table("sqrt")
+
+
 def test_packed_row_helpers():
     rows = (0b011, 0b110, 0b100)
     mat = f2_rows_to_numpy(rows, 3)

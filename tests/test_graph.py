@@ -5,6 +5,7 @@ import inspect
 import json
 import re
 from collections import Counter
+from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -284,6 +285,24 @@ def test_parse_census_refuses_an_unrecognized_key(key):
     text = census(FieldContext(2)).to_text() + f"{key} = 5\n"
     with pytest.raises(ValueError, match=re.escape(f"unrecognized census key: {key}")):
         parse_census(text)
+
+
+NON_EDGE_2 = OrbitInvariant(EdgeKind.NON_EDGE, 2)
+
+
+@pytest.mark.parametrize("off", [
+    lambda r: replace(r, enumerated={**r.enumerated, "non_edges": 121}),
+    lambda r: replace(r, orbit_sizes={k: v for k, v in r.orbit_sizes.items()
+                                      if k != NON_EDGE_2}),
+    lambda r: replace(r, orbit_sizes={**r.orbit_sizes, NON_EDGE_2: 61}),
+], ids=["count", "orbit-number", "orbit-size"])
+def test_census_report_off_its_closed_form_does_not_match(off):
+    """An enumerated count, the number of orbits of one kind (one of the two
+    m = 2 non-edge orbits dropped) or one orbit's size off its closed
+    form each make matches_closed_form False."""
+    report = census(FieldContext(2))
+    assert report.matches_closed_form()
+    assert not off(report).matches_closed_form()
 
 
 def test_census_threads_equivalent():

@@ -1,20 +1,23 @@
 """Orbit chains: closed forms, block structure, spectra, exact lumping."""
 
+import inspect
 import json
 import math
 import re
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kerdock3 import markov
 from kerdock3.gf2m import FieldContext
-from kerdock3.graph import (EdgeKind, PauliPair, orbit_invariant,
+from kerdock3.graph import (CHAINS, EdgeKind, PauliPair, orbit_invariant,
                             orbit_representative, orbit_states, state_name)
 from kerdock3.kerdock import pair_action, sample_psl
-from kerdock3.markov import (EMPIRICAL_MAX_M, TransitionMatrix, extract_r,
-                             full_chain, lambda_q0_bound, lambda_q1_closed,
+from kerdock3.markov import (EMPIRICAL_MAX_M, TransitionMatrix,
+                             closed_form_failures, extract_r, full_chain, lambda_q0_bound, lambda_q1_closed,
                              lump_chain, mixing_time_bound,
                              mixing_time_report, parse_csv_probs,
                              q0_structure_check, q1_closed_form, q_empirical,
@@ -58,6 +61,47 @@ def test_edge_chain_checks_refuse_states_of_another_field():
     report = q0_structure_check(tm)
     assert "state counts (6, 3) do not fit any field size" in report.failures
     assert not w2_eigenvector_check(tm)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_enumerated_chains_fail_no_closed_form(m):
+    ctx = FieldContext(m)
+    for chain in CHAINS:
+        assert closed_form_failures(ctx, q_empirical(ctx, chain)) == []
+
+
+def test_closed_form_failures_name_every_failed_form_in_order():
+    """An m = 2 edge chain whose type-2 state jumps to one type-1 state
+    fails all three Q0 forms: sigma_max(R) = 60 > 12 sqrt(2).  A lazy
+    non-edge chain fails Q1.  The chain is read off the first state."""
+    ctx = FieldContext(2)
+    edges = TransitionMatrix(states=q_empirical(ctx, "edges").states,
+                             numerators=[[60, 0, 0], [0, 60, 0], [60, 0, 0]],
+                             denominator=60)
+    failures = closed_form_failures(ctx, edges)
+    assert [f.split(":")[0] for f in failures] == \
+        ["structure", "w2-eigenvector", "singular-bound"]
+    assert failures[0] == "structure:" + ";".join(q0_structure_check(edges).failures)
+    lazy = TransitionMatrix(states=q1_closed_form(ctx).states,
+                            numerators=60 * np.eye(2, dtype=np.int64), denominator=60)
+    assert closed_form_failures(ctx, lazy) == ["closed-form"]
+
+
+def test_chain_checks_and_state_json_have_one_owner():
+    """cli.py names none of the four closed-form checks: ``kerdock3 chain``
+    and ``verify`` reach them through closed_form_failures alone, so both
+    check the same forms.  markov.py parses no chain state: from_json
+    reads each through graph.state_from_obj, beside the state_obj that
+    writes it."""
+    src = Path(markov.__file__).parent
+    cli_text = (src / "cli.py").read_text()
+    checks = ("q1_closed_form", "q0_structure_check", "w2_eigenvector_check",
+              "singular_check_R")
+    assert [name for name in checks if name in cli_text] == []
+    assert "closed_form_failures(" in cli_text
+    markov_text = (src / "markov.py").read_text()
+    assert re.findall(r"EdgeKind\[|int\([^()]*, 16\)", markov_text) == []
+    assert "state_from_obj(" in inspect.getsource(TransitionMatrix.from_json)
 
 
 def test_r_anchor_m2():
@@ -247,6 +291,29 @@ def test_full_chain_uniform_stationary_and_lumping(m, chain):
     a = lumped.numerators * emp.denominator
     b = emp.numerators * lumped.denominator
     assert np.array_equal(a, b)
+
+
+def test_lump_chain_refuses_a_chain_that_is_not_lumpable():
+    """One pair that leaves its orbit while the rest of the orbit stays
+    put sends unequal mass out of one orbit: no orbit chain exists."""
+    ctx = FieldContext(2)
+    full = full_chain(ctx, "edges")
+    orbits = [orbit_invariant(ctx, pair) for pair in full.states]
+    away = next(j for j, inv in enumerate(orbits) if inv != orbits[0])
+    numerators = full.denominator * np.eye(len(orbits), dtype=np.int64)
+    numerators[0] = 0
+    numerators[0, away] = full.denominator
+    with pytest.raises(ValueError, match=re.escape(f"not lumpable over orbit {orbits[0]}")):
+        lump_chain(ctx, TransitionMatrix(full.states, numerators, full.denominator))
+
+
+@pytest.mark.parametrize("chain", CHAINS)
+def test_full_chain_json_round_trip(chain):
+    """Pair states read back through graph.state_from_obj."""
+    tm = full_chain(FieldContext(2), chain)
+    back = TransitionMatrix.from_json(tm.to_json())
+    assert back == tm
+    assert isinstance(back.states[0], PauliPair)
 
 
 def test_tv_curve_float_matches_exact():

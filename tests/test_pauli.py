@@ -413,6 +413,21 @@ def test_symplectic_matrix_accepts_exactly_the_rows_of_2m_bits(m, data):
         SymplecticMatrix(m, rows)
 
 
+def test_symplectic_matrix_refuses_a_shape_other_than_2m_by_2m():
+    with pytest.raises(ValueError, match=re.escape("row count 3 is not 2m = 4")):
+        SymplecticMatrix(2, (1, 2, 4))
+    for mat in (np.eye(4, 3, dtype=np.int64), np.eye(3, dtype=np.int64),
+                np.ones(4, dtype=np.int64)):
+        with pytest.raises(ValueError, match="expected a square 2m x 2m matrix"):
+            SymplecticMatrix.from_numpy(mat)
+
+
+@pytest.mark.parametrize("t", [-1, 3])
+def test_partial_hadamard_refuses_t_outside_0_to_m(t):
+    with pytest.raises(ValueError, match=re.escape(f"t={t} out of range [0, 2]")):
+        partial_hadamard_matrix(2, t)
+
+
 @pytest.mark.parametrize("call, shown", [
     (lambda ctx: unpack_index(ctx, -1), "packed index = -0x1"),
     (lambda ctx: unpack_index(ctx, 1 << 4), "packed index = 0x10"),
