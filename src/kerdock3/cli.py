@@ -23,6 +23,7 @@ variable; an explicit --seed flag wins over the environment.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -30,6 +31,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from . import unitary as un
 from .gf2m import FieldContext
 from .graph import CHAINS, EdgeKind, PauliPair, census, classify_pair, state_name
 from .kerdock import psl_elements, psl_to_symplectic
@@ -56,11 +58,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "3-designs at the binary-symplectic level.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def command(name, help, *, formats=("json", "text"), poly=True,
+    def command(name, help, run, *, formats=("json", "text"), poly=True,
                 threads=False, threads_help=None, walk=False):
-        """A subcommand with only the flags it reads; ``walk`` adds
-        --epsilon | --steps and --seed."""
+        """A subcommand run by ``run(args)``, with only the flags it reads;
+        ``walk`` adds --epsilon | --steps and --seed."""
         p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("--m", type=int, default=DEFAULT_M,
                        help=f"field degree (default {DEFAULT_M})")
         if poly:
@@ -82,23 +85,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     chains = dict(choices=CHAINS + ("both",), default="both")
     bound_help = "mixing bound t(eps) (default %(default)s); sample and verify walk t(eps/N^3)"
-    command("field-info", "field context tables")
-    command("graph-census", "pair-class census", threads=True)
-    command("chain", "transition matrices and checks",
+    command("field-info", "field context tables", _cmd_field_info)
+    command("graph-census", "pair-class census", _cmd_graph_census, threads=True)
+    command("chain", "transition matrices and checks", _cmd_chain,
             formats=("json", "csv", "text")).add_argument("--chain", **chains)
-    p = command("spectra", "eigenvalues and mixing bounds")
+    p = command("spectra", "eigenvalues and mixing bounds", _cmd_spectra)
     p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON, help=bound_help)
     p.add_argument("--chain", **chains)
-    p = command("convergence", "TV decay curves (CSV)", formats=())
+    p = command("convergence", "TV decay curves (CSV)", _cmd_convergence, formats=())
     p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON, help=bound_help)
     p.add_argument("--t-max", type=int, default=None)
-    command("sample", "stream design samples (JSONL)", formats=(), poly=False,
-            threads=True, walk=True,
+    command("sample", "stream design samples (JSONL)", _cmd_sample, formats=(),
+            poly=False, threads=True, walk=True,
             threads_help="worker threads (default 1); each sample holds the GIL, so "
                          "more threads do not speed sampling up; the output is the "
                          "same for any count"
             ).add_argument("--count", type=int, default=1, help="samples to stream (default 1)")
-    command("verify", "oracle suite, pass/fail per check", formats=(),
+    command("verify", "oracle suite, pass/fail per check", _cmd_verify, formats=(),
             threads=True, walk=True
             ).add_argument("--count", type=int, default=200_000,
                            help="walks of the pair-statistics check (default 200000)")
@@ -121,12 +124,14 @@ def _ctx(args) -> FieldContext:
     return FieldContext(args.m, poly=args.poly)
 
 
+def _output(args):
+    """--out opened for writing, or stdout, which stays open."""
+    return open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+
+
 def _emit(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(args) as fh:
+        fh.write(text)
 
 
 def _mat_csv(name: str, mat: np.ndarray) -> str:
@@ -238,20 +243,19 @@ def _cmd_convergence(args) -> int:
 
 def _cmd_sample(args) -> int:
     config = _walk_config(args)
-    if args.out:
-        with open(args.out, "w") as fh:
-            write_jsonl(sample_stream(config, threads=args.threads), fh)
-    else:
-        write_jsonl(sample_stream(config, threads=args.threads), sys.stdout)
+    with _output(args) as fh:
+        write_jsonl(sample_stream(config, threads=args.threads), fh)
     return 0
 
 
 def _verify_checks(args):
-    """(name, thunk) pairs; a thunk returns None (pass) or a failure string."""
-    from . import unitary as un
+    """(name, thunk) pairs; a thunk returns None (pass) or a failure string,
+    or raises ``unitary.ConjugationFailure``, whose text is the failure.
+    Both orbit chains are built here, once, for the checks that read them."""
     ctx = _ctx(args)
     m = ctx.m
     seed = _resolve_seed(args)
+    chains = {chain: q_empirical(ctx, chain) for chain in CHAINS}
     checks = []
 
     def check(name):
@@ -277,38 +281,34 @@ def _verify_checks(args):
 
     @check("chain-closed-forms")
     def _():
-        failures = [f"{chain}:{f}" for chain in CHAINS
-                    for f in closed_form_failures(ctx, q_empirical(ctx, chain))]
-        return "; ".join(failures) or None
+        return "; ".join(f"{chain}:{f}" for chain, tm in chains.items()
+                         for f in closed_form_failures(ctx, tm)) or None
 
     @check("chain-stationary-exact")
     def _():
-        for chain in CHAINS:
-            if not stationary_check(q_empirical(ctx, chain)):
+        for chain, tm in chains.items():
+            if not stationary_check(tm):
                 return f"{chain} stationary check failed"
         return None
 
     @check("full-chain-lumping")
     def _():
-        for chain in CHAINS:
-            if lump_chain(ctx, full_chain(ctx, chain)) != q_empirical(ctx, chain):
+        for chain, tm in chains.items():
+            if lump_chain(ctx, full_chain(ctx, chain)) != tm:
                 return f"{chain} lumping mismatch"
         return None
 
     @check("unitary-generators")
     def _():
-        try:
-            un.conjugation_check(ctx, un.hadamard_unitary(m), omega_matrix(m))
-            for t in range(m + 1):
-                un.conjugation_check(ctx, un.partial_hadamard_unitary(m, t),
-                                     partial_hadamard_matrix(m, t))
-            n = ctx.order
-            for k in range(1, n * n):
-                h = vertex_split(m, k)
-                un.conjugation_check(ctx, un.transvection_unitary(ctx, h),
-                                     transvection_matrix(ctx, h))
-        except un.ConjugationFailure as exc:
-            return str(exc)
+        un.conjugation_check(ctx, un.hadamard_unitary(m), omega_matrix(m))
+        for t in range(m + 1):
+            un.conjugation_check(ctx, un.partial_hadamard_unitary(m, t),
+                                 partial_hadamard_matrix(m, t))
+        n = ctx.order
+        for k in range(1, n * n):
+            h = vertex_split(m, k)
+            un.conjugation_check(ctx, un.transvection_unitary(ctx, h),
+                                 transvection_matrix(ctx, h))
         return None
 
     @check("unitary-psl")
@@ -330,12 +330,9 @@ def _verify_checks(args):
     @check("unitary-samples")
     def _():
         config = SamplerConfig(m=m, seed=seed, count=5, steps=8)
-        try:
-            for i in range(config.count):
-                s = sample_at(config, i, ctx)
-                un.conjugation_check(ctx, un.sample_unitary(ctx, s), s.composed)
-        except un.ConjugationFailure as exc:
-            return str(exc)
+        for i in range(config.count):
+            s = sample_at(config, i, ctx)
+            un.conjugation_check(ctx, un.sample_unitary(ctx, s), s.composed)
         return None
 
     @check("pair-statistics")
@@ -369,13 +366,15 @@ def _verify_checks(args):
 
 def _cmd_verify(args) -> int:
     if args.m > FULL_CHAIN_MAX_M:
-        sys.stderr.write(f"verify requires m <= {FULL_CHAIN_MAX_M} "
-                         f"(markov.FULL_CHAIN_MAX_M, the full-chain-lumping cap)\n")
-        return 2
+        raise ValueError(f"verify requires m <= {FULL_CHAIN_MAX_M} "
+                         f"(markov.FULL_CHAIN_MAX_M, the full-chain-lumping cap)")
     failures = []
     lines = []
     for name, fn in _verify_checks(args):
-        msg = fn()
+        try:
+            msg = fn()
+        except un.ConjugationFailure as exc:
+            msg = str(exc)
         if msg is None:
             lines.append(f"PASS {name}")
         else:
@@ -388,21 +387,10 @@ def _cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
-_COMMANDS = {
-    "field-info": _cmd_field_info,
-    "graph-census": _cmd_graph_census,
-    "chain": _cmd_chain,
-    "spectra": _cmd_spectra,
-    "convergence": _cmd_convergence,
-    "sample": _cmd_sample,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.subcommand](args)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

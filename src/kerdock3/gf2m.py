@@ -89,8 +89,8 @@ DENSE_TABLE_MAX_M = 12
 def element_dtype(m: int) -> np.dtype:
     """The narrowest unsigned dtype holding every element of GF(2^m):
     uint8 for m <= 8, uint16 for m = 9..16.  Arrays of field elements
-    use it: the 'dual' and 'dual_inv' tables, ``pauli.vertex_split`` and
-    the statistics walk."""
+    use it: the 'exp', 'dual' and 'dual_inv' tables (so ``mul_vec`` and
+    ``div_vec``), ``pauli.vertex_split`` and the statistics walk."""
     return np.min_scalar_type((1 << m) - 1)
 
 
@@ -417,12 +417,13 @@ class FieldContext:
 
     def np_table(self, name: str) -> np.ndarray:
         """Cached numpy tables: 'log' (N,) int32 and 'exp' (4N,), read by
-        ``mul_vec``/``div_vec`` alone; 'trace' (N,) uint8; 'dual' (N,), the
-        dual coordinates |a|, and its inverse 'dual_inv' (N,), both in
+        ``mul_vec``/``div_vec`` alone; 'trace' (N,) uint8; 'exp', 'dual'
+        (the dual coordinates |a|) and its inverse 'dual_inv' (N,), in
         ``element_dtype(m)``; the N x N 'mul' and 'div' (div[:, 0] = 0),
         refused above DENSE_TABLE_MAX_M, read only by the benchmark and
-        their own tests.  'exp', 'mul' and 'div' are uint16 for m <= 8
-        and uint32 above."""
+        their own tests.  'mul' and 'div' stay uint16 for m <= 8 and
+        uint32 above, since the benchmark reads their itemsize; they are
+        deleted with their benchmark readers (ROADMAP item 12)."""
         if name in self._np_cache:
             return self._np_cache[name]
         n = self.order
@@ -433,9 +434,9 @@ class FieldContext:
         if name == "log":
             t = np.array(self._log, dtype=np.int32)
         elif name == "exp":
-            t = np.array(self._exp, dtype=dtype)
+            t = np.array(self._exp, dtype=element_dtype(self.m))
         elif name == "mul":
-            t = self.mul_vec(np.arange(n)[:, None], np.arange(n))
+            t = self.mul_vec(np.arange(n)[:, None], np.arange(n)).astype(dtype)
         elif name == "div":
             t = np.zeros((n, n), dtype=dtype)
             t[:, 1:] = self.div_vec(np.arange(n)[:, None], np.arange(1, n))

@@ -449,7 +449,11 @@ def singular_check_R(r: np.ndarray, m: int) -> SingularReport:
 
 def closed_form_failures(ctx: FieldContext, tm: TransitionMatrix) -> List[str]:
     """Tokens of the closed forms an orbit chain fails, the chain read off its
-    first state: Q1 for non-edges; Q0's blocks, W2 and sigma_max(R) for edges."""
+    first state: Q1 for non-edges; Q0's blocks, W2 and sigma_max(R) for edges.
+    Refuses a chain whose first state is not an orbit invariant."""
+    if not isinstance(tm.states[0], OrbitInvariant):
+        raise ValueError(f"state {state_name(tm.states[0])} is no orbit invariant; "
+                         "lump the full chain first")
     if tm.states[0].kind == EdgeKind.NON_EDGE:
         return [] if q1_closed_form(ctx) == tm else ["closed-form"]
     struct = q0_structure_check(tm)
@@ -590,12 +594,16 @@ def lump_chain(ctx: FieldContext, full: TransitionMatrix) -> TransitionMatrix:
 
     Every state of one orbit must send identical total mass to each
     orbit — that is what makes the projection a Markov chain at all —
-    and the identity of those row sums is checked exactly.
+    and the identity of those row sums is checked exactly.  The class is
+    read off the first pair, and a pair of the other class is refused.
     """
     invariants = [orbit_invariant(ctx, pair) for pair in full.states]
     chain = "edges" if invariants[0].kind != EdgeKind.NON_EDGE else "nonedges"
     states = chain_states(ctx, chain)
     col_of = {s: j for j, s in enumerate(states)}
+    for pair, inv in zip(full.states, invariants):
+        if inv not in col_of:
+            raise ValueError(f"state {state_name(pair)} is not in the {chain} chain")
     member_cols = np.array([col_of[inv] for inv in invariants])
     lumped = np.zeros((len(full.states), len(states)), dtype=np.int64)
     for j in range(len(states)):

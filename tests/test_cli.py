@@ -1,5 +1,7 @@
 """Command-line surface: exit codes, formats, reproducibility."""
 
+import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -10,9 +12,10 @@ import sys
 import numpy as np
 import pytest
 
-from kerdock3 import cli, markov
+from kerdock3 import cli, markov, unitary
 from kerdock3.cli import DEFAULT_EPSILON, DEFAULT_M, build_parser, main
-from kerdock3.graph import parse_census
+from kerdock3.gf2m import FieldContext
+from kerdock3.graph import EdgeKind, parse_census
 from kerdock3.markov import (FULL_CHAIN_MAX_M, Q0StructureReport, SingularReport,
                              TransitionMatrix, parse_csv_probs)
 
@@ -398,10 +401,119 @@ def test_verify_failure_is_a_fail_line_and_a_json_list_with_exit_1(tmp_path, mon
 
 def test_verify_caps_m(capsys):
     assert main(["verify", "--m", str(FULL_CHAIN_MAX_M + 1)]) == 2
-    assert "FULL_CHAIN_MAX_M" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "FULL_CHAIN_MAX_M" in err
+    assert err.startswith(f"error: verify requires m <= {FULL_CHAIN_MAX_M} ")
 
 
 def test_census_mismatch_would_fail_rc(tmp_path):
     # closed-form-only reports (beyond the enumeration cap) count as failure
     rc, _ = run(tmp_path, "graph-census", "--m", "7")
     assert rc == 1
+
+
+def test_each_subcommand_is_declared_once_with_its_handler():
+    """build_parser names each handler in its command(...) call; no
+    second table maps subcommands to handlers."""
+    parser = build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(subs.choices) == ["chain", "convergence", "field-info", "graph-census",
+                                    "sample", "spectra", "verify"]
+    for name, sub in subs.choices.items():
+        assert sub.get_default("run") is getattr(cli, "_cmd_" + name.replace("-", "_"))
+    with open(cli.__file__) as fh:
+        assert "_COMMANDS" not in fh.read()
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_verify_builds_each_orbit_chain_once(m, tmp_path, monkeypatch):
+    calls = []
+    original = cli.q_empirical
+    monkeypatch.setattr(cli, "q_empirical",
+                        lambda ctx, chain: calls.append(chain) or original(ctx, chain))
+    rc, text = run(tmp_path, "verify", "--m", str(m), "--count", "20000",
+                   "--steps", "8", "--seed", "1")
+    assert rc == 0, text
+    assert calls == ["edges", "nonedges"]
+
+
+def _replaced_tm(tm):
+    """The same chain over a doubled denominator: equal as probabilities,
+    unequal as an exact TransitionMatrix."""
+    return TransitionMatrix(tm.states, 2 * tm.numerators, 2 * tm.denominator)
+
+
+def _second_probe_off(orig):
+    """pair_statistics_stream whose second probe reads a TV of 0.5."""
+    def stream(*args, **kwargs):
+        rep = orig(*args, **kwargs)
+        off = dataclasses.replace(rep.probes[1], tv_to_uniform=0.5)
+        return dataclasses.replace(rep, probes=[rep.probes[0], off])
+    return stream
+
+
+# check, (owner, attribute, fake built from the original), detail; each fake
+# is patched in only while its check runs, so no other check fails
+VERIFY_FAILURES = [
+    ("field-dual-bases", FieldContext, "dual_decode",
+     lambda orig: lambda self, c: orig(self, c) ^ (c == self.dual_coords(2)),
+     "dual round-trip fails at 0x2"),
+    ("field-dual-bases", FieldContext, "trace_product",
+     lambda orig: lambda self, x, y: orig(self, x, y) ^ ((x, y) == (1, 3)),
+     "duality identity fails at (0x1, 0x3)"),
+    ("census-closed-form", cli, "census",
+     lambda orig: lambda ctx: dataclasses.replace(orig(ctx), exhaustive=False),
+     "census mismatch"),
+    ("chain-stationary-exact", cli, "stationary_check",
+     lambda orig: lambda tm: tm.states[0].kind != EdgeKind.NON_EDGE,
+     "nonedges stationary check failed"),
+    ("full-chain-lumping", cli, "lump_chain",
+     lambda orig: lambda ctx, full: _replaced_tm(orig(ctx, full)),
+     "edges lumping mismatch"),
+    ("unitary-generators", unitary, "partial_hadamard_unitary",
+     lambda orig: lambda m, t: np.eye(1 << m) if t == 1 else orig(m, t),
+     "conjugation mismatch at index (1, 0): residual 1.000e+00"),
+    ("unitary-psl", unitary, "psl_unitary",
+     lambda orig: lambda ctx, g: np.eye(ctx.order),
+     "psl (1, 1, 0, 1): conjugation mismatch at index (1, 0): residual 2.000e+00"),
+    ("unitary-samples", unitary, "sample_unitary",
+     lambda orig: lambda ctx, s: np.eye(ctx.order),
+     "conjugation mismatch at index (1, 0): residual 1.000e+00"),
+    ("pair-statistics", cli, "pair_statistics_stream", _second_probe_off,
+     "tv 0.5000 exceeds margin for anticommuting_pairs"),
+    ("kerdock-frame-potential", unitary, "frame_potential",
+     lambda orig: lambda ens, k: 0.0, "F2 = 0.0, want 2"),
+    ("kerdock-frame-potential", unitary, "frame_potential",
+     lambda orig: lambda ens, k: {2: 2.0, 3: 7.5}[k],
+     "F3 = 7.5 disagrees with closed form"),
+]
+
+
+@pytest.mark.parametrize("check,owner,attr,fake,detail", VERIFY_FAILURES,
+                         ids=["dual-round-trip", "duality-identity", "census",
+                              "stationary", "lumping", "generators", "psl", "samples",
+                              "pair-statistics", "F2", "F3"])
+def test_every_verify_failure_detail(check, owner, attr, fake, detail, tmp_path,
+                                     monkeypatch):
+    """Each failure detail of each check, forced: one FAIL line among PASS
+    lines, the same detail in the closing JSON list, and exit 1.  The
+    ConjugationFailure details are the exception's own text."""
+    original = cli._verify_checks
+
+    def forced(fn):
+        def thunk():
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(owner, attr, fake(getattr(owner, attr)))
+                return fn()
+        return thunk
+
+    monkeypatch.setattr(cli, "_verify_checks", lambda args: [
+        (name, forced(fn) if name == check else fn) for name, fn in original(args)])
+    rc, text = run(tmp_path, "verify", "--m", "2", "--count", "20000",
+                   "--steps", "8", "--seed", "1")
+    assert rc == 1
+    *lines, last = text.splitlines()
+    assert [line for line in lines if not line.startswith("PASS ")] == \
+        [f"FAIL {check}: {detail}"]
+    assert len(lines) == 10
+    assert json.loads(last) == {"failures": [{"check": check, "detail": detail}]}

@@ -132,6 +132,7 @@ def test_np_tables_match_scalar():
     ctx = FieldContext(4)
     n = ctx.order
     mul, div = ctx.np_table("mul"), ctx.np_table("div")
+    assert mul.dtype == div.dtype == np.uint16  # the benchmark reads their itemsize
     tr, dual = ctx.np_table("trace"), ctx.np_table("dual")
     for a in range(n):
         assert tr[a] == ctx.trace(a) and dual[a] == ctx.dual_coords(a)
@@ -139,6 +140,21 @@ def test_np_tables_match_scalar():
             assert mul[a, b] == ctx.mul(a, b)
             if b:
                 assert div[a, b] == ctx.div(a, b)
+
+
+@pytest.mark.parametrize("m", [2, 4, 9])
+def test_pow_of_zero_and_of_alpha(m):
+    """0^0 = 1, 0^k = 0 for k > 0, 0^-1 refused; alpha^k = alpha_power(k)
+    for negative exponents and exponents past the group order too."""
+    ctx = FieldContext(m)
+    n = ctx.order
+    assert ctx.pow(0, 0) == 1 and ctx.pow(0, 1) == ctx.pow(0, n) == 0
+    for k in (-1, -n):
+        with pytest.raises(ValueError, match="0 has no negative power"):
+            ctx.pow(0, k)
+    alpha = ctx.alpha_power(1)
+    for k in range(-2 * n, 2 * n):
+        assert ctx.pow(alpha, k) == ctx.alpha_power(k)
 
 
 def test_invalid_polynomials_rejected():
@@ -227,6 +243,7 @@ def test_log_exp_contract(case):
     n = ctx.order
     log, exp = ctx.np_table("log"), ctx.np_table("exp")
     assert log.dtype == np.int32 and log[0] == 2 * (n - 1) + 1
+    assert exp.dtype == element_dtype(ctx.m)
     assert len(exp) == 4 * n and not exp[2 * (n - 1) + 1:].any()
     prod, quot = exp[log[x] + log[y]], exp[log[x] - log[y] + n - 1]
     for i, (xi, yi) in enumerate(zip(x.tolist(), y.tolist())):

@@ -86,6 +86,9 @@ def test_m3_invariant_value_sets():
 def test_srg_parameters_and_check():
     assert srg_parameters(2) == (15, 6, 1, 3)
     assert srg_parameters(3) == (63, 30, 13, 15)
+    for m in (1, 0, -1):
+        with pytest.raises(ValueError, match="m must be at least 2"):
+            srg_parameters(m)
     for m in (2, 3, 5):
         assert srg_check(FieldContext(m)) == srg_parameters(m)
 
@@ -239,12 +242,15 @@ def test_orbit_representative_refuses_values_outside_the_field(inv):
     (OrbitInvariant(EdgeKind.TYPE2, 0x2), "TYPE2 determinant must be nonzero with trace 0"),
     (OrbitInvariant(3, 0x1), "orbit kind 3 is no EdgeKind"),
     (OrbitInvariant("TYPE1", 0x2), "orbit kind 'TYPE1' is no EdgeKind"),
+    (OrbitInvariant(EdgeKind.TYPE1, 0x0), "type-1 ratio must avoid 0 and 1"),
+    (OrbitInvariant(EdgeKind.TYPE1, 0x1), "type-1 ratio must avoid 0 and 1"),
 ], ids=["non-edge-trace-0", "non-edge-0", "type2-0", "type2-trace-1", "kind-3",
-        "kind-name"])
+        "kind-name", "type1-ratio-0", "type1-ratio-1"])
 def test_orbit_representative_refuses_values_outside_their_kind(inv, message):
     """At m = 2 (Tr 1 = 0, Tr 2 = 1) a determinant whose trace is not its
-    kind's, a zero determinant and a kind that is no EdgeKind are refused
-    (kind 3 used to return a pair)."""
+    kind's, a zero determinant, a kind that is no EdgeKind and a type-1
+    ratio 0 or 1 (a zero or repeated vertex) are refused (kind 3 used to
+    return a pair)."""
     with pytest.raises(ValueError, match=message):
         orbit_representative(FieldContext(2), inv)
 

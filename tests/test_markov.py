@@ -16,7 +16,7 @@ from kerdock3.gf2m import FieldContext
 from kerdock3.graph import (CHAINS, EdgeKind, PauliPair, orbit_invariant,
                             orbit_representative, orbit_states, state_name)
 from kerdock3.kerdock import pair_action, sample_psl
-from kerdock3.markov import (EMPIRICAL_MAX_M, TransitionMatrix,
+from kerdock3.markov import (EMPIRICAL_MAX_M, FULL_CHAIN_MAX_M, TransitionMatrix,
                              closed_form_failures, extract_r, full_chain, lambda_q0_bound, lambda_q1_closed,
                              lump_chain, mixing_time_bound,
                              mixing_time_report, parse_csv_probs,
@@ -307,6 +307,34 @@ def test_lump_chain_refuses_a_chain_that_is_not_lumpable():
         lump_chain(ctx, TransitionMatrix(full.states, numerators, full.denominator))
 
 
+def test_lump_chain_refuses_a_pair_of_the_other_class():
+    """A full edge chain whose last pair is a non-edge pair is refused, and
+    the refusal names that pair."""
+    ctx = FieldContext(2)
+    full = full_chain(ctx, "edges")
+    stray = full_chain(ctx, "nonedges").states[0]
+    mixed = TransitionMatrix(full.states[:-1] + [stray], full.numerators, full.denominator)
+    with pytest.raises(ValueError, match=re.escape(
+            f"state {state_name(stray)} is not in the edges chain")):
+        lump_chain(ctx, mixed)
+
+
+@pytest.mark.parametrize("chain", CHAINS)
+def test_closed_form_failures_refuse_a_full_pair_chain(chain):
+    """Pair states carry no orbit kind; the chain must be lumped first."""
+    ctx = FieldContext(2)
+    full = full_chain(ctx, chain)
+    with pytest.raises(ValueError, match=re.escape(
+            f"state {state_name(full.states[0])} is no orbit invariant")):
+        closed_form_failures(ctx, full)
+
+
+def test_full_chain_refused_above_its_cap():
+    """At m = 4 the edge chain would hold 32130^2 int64 numerators (8 GiB)."""
+    with pytest.raises(ValueError, match=f"full chain capped at m = {FULL_CHAIN_MAX_M}"):
+        full_chain(FieldContext(FULL_CHAIN_MAX_M + 1), "edges")
+
+
 @pytest.mark.parametrize("chain", CHAINS)
 def test_full_chain_json_round_trip(chain):
     """Pair states read back through graph.state_from_obj."""
@@ -413,6 +441,20 @@ def test_transition_matrix_validation():
     with pytest.raises(ValueError):
         TransitionMatrix(states=["a"], numerators=np.array([[-1]]),
                          denominator=-1)
+    # two states need 2 x 2 numerators, whatever the rows sum to
+    for numerators in ([[2, 0]], [[2]], [[1, 1, 0], [1, 0, 1]]):
+        with pytest.raises(ValueError, match="numerator matrix shape does not match states"):
+            TransitionMatrix(states=["a", "b"], numerators=numerators, denominator=2)
+
+
+def test_q0_structure_check_refuses_states_out_of_block_order():
+    """The m = 3 edge chain with its states reversed (type-2 block first)."""
+    tm = q_empirical(FieldContext(3), "edges")
+    order = np.arange(len(tm.states))[::-1]
+    reversed_tm = TransitionMatrix([tm.states[i] for i in order],
+                                   tm.numerators[np.ix_(order, order)], tm.denominator)
+    assert "states are not ordered type-1 block then type-2 block" in \
+        q0_structure_check(reversed_tm).failures
 
 
 def test_empirical_cap():
