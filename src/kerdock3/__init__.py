@@ -34,11 +34,10 @@ from .graph import (CensusReport, EdgeKind, OrbitInvariant, PauliPair, census,
                     srg_parameters)
 from .markov import (TransitionMatrix, closed_form_failures, extract_r,
                      full_chain, lambda_q0_bound, lambda_q1_closed, lump_chain,
-                     mixing_time_bound, mixing_time_report,
-                     q0_structure_check, q1_closed_form, q_empirical,
-                     singular_check_R, spectral_report, stationary_check,
-                     transvection_counts, tv_curve, tv_curve_exact,
-                     w2_eigenvector_check)
+                     mixing_time_bound, mixing_time_report, q0_closed_form,
+                     q1_closed_form, q_empirical, spectral_report,
+                     stationary_check, transvection_counts, tv_curve,
+                     tv_curve_exact)
 from .sampler import (DesignSample, PairStatistics, SamplerConfig, compose,
                       mc_sigma, pair_statistics, pair_statistics_stream,
                       read_jsonl, sample, sample_at, sample_stream,

@@ -129,6 +129,11 @@ def _output(args):
     return open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
 
 
+def _chains(args):
+    """The chains ``--chain`` names: CHAINS for "both", else the one named."""
+    return CHAINS if args.chain == "both" else (args.chain,)
+
+
 def _emit(args, text: str) -> None:
     with _output(args) as fh:
         fh.write(text)
@@ -176,8 +181,7 @@ def _cmd_chain(args) -> int:
     ctx = _ctx(args)
     failures: List[str] = []
     chunks: List[str] = []
-    chains = CHAINS if args.chain == "both" else (args.chain,)
-    for chain in chains:
+    for chain in _chains(args):
         tm = q_empirical(ctx, chain)
         if args.format == "json":
             chunks.append(tm.to_json())
@@ -204,10 +208,9 @@ def _cmd_chain(args) -> int:
 
 def _cmd_spectra(args) -> int:
     ctx = _ctx(args)
-    chains = CHAINS if args.chain == "both" else (args.chain,)
     mix = mixing_time_report(ctx.m, args.epsilon)  # refuses epsilon before any chain
     out = []
-    for chain in chains:
+    for chain in _chains(args):
         rep = spectral_report(q_empirical(ctx, chain))
         if args.format == "json":
             out.append(rep.to_json())

@@ -101,7 +101,9 @@ def _mul_w_rows(ctx: FieldContext, x: int) -> Tuple[int, ...]:
 
 
 def kerdock_matrix(ctx: FieldContext, z: int) -> np.ndarray:
-    """P_z = A_z^2 W; symmetric, and P_x + P_z is nonsingular for x != z."""
+    """P_z = A_z^2 W; symmetric, and P_x + P_z is nonsingular for x != z.
+    Refuses a z outside [0, N)."""
+    (z,) = ctx.field_entries("subgroup label", (z,), z)
     return f2_rows_to_numpy(_mul_w_rows(ctx, ctx.mul(z, z)), ctx.m)
 
 
@@ -124,13 +126,16 @@ def subgroup_members(ctx: FieldContext, label: SubgroupLabel) -> List[PauliIndex
 
 
 def mobius_action(ctx: FieldContext, g: PslElement, z: SubgroupLabel) -> SubgroupLabel:
-    """f(z) = (beta + delta z) / (alpha + gamma z) on GF(2^m) u {INFINITY}."""
+    """f(z) = (beta + delta z) / (alpha + gamma z) on GF(2^m) u {INFINITY};
+    refuses an entry of g, or a finite z, outside [0, N)."""
+    alpha, beta, gamma, delta = ctx.field_entries("PSL element", g)
     if z is INFINITY:
-        if g.gamma == 0:
+        if gamma == 0:
             return INFINITY
-        return ctx.div(g.delta, g.gamma)
-    num = g.beta ^ ctx.mul(g.delta, z)
-    den = g.alpha ^ ctx.mul(g.gamma, z)
+        return ctx.div(delta, gamma)
+    (z,) = ctx.field_entries("subgroup label", (z,), z)
+    num = beta ^ ctx.mul(delta, z)
+    den = alpha ^ ctx.mul(gamma, z)
     if den == 0:
         return INFINITY
     return ctx.div(num, den)
@@ -140,12 +145,12 @@ def mobius_action(ctx: FieldContext, g: PslElement, z: SubgroupLabel) -> Subgrou
 
 
 def pair_action(ctx: FieldContext, g: PslElement, p: PairLike) -> PauliIndex:
-    """Right multiplication of the row (a b) by g over the field."""
-    a, b = p
-    return PauliIndex(
-        ctx.mul(a, g.alpha) ^ ctx.mul(b, g.gamma),
-        ctx.mul(a, g.beta) ^ ctx.mul(b, g.delta),
-    )
+    """Right multiplication of the row (a b) by g over the field; refuses
+    an entry of p or g outside [0, N)."""
+    a, b = ctx.field_entries("Pauli index", p)
+    alpha, beta, gamma, delta = ctx.field_entries("PSL element", g)
+    return PauliIndex(ctx.mul(a, alpha) ^ ctx.mul(b, gamma),
+                      ctx.mul(a, beta) ^ ctx.mul(b, delta))
 
 
 def psl_to_symplectic(ctx: FieldContext, g: PslElement) -> SymplecticMatrix:

@@ -12,11 +12,17 @@ orbit invariants; the projected transition matrices are
     Q0 = [ (N^2-4) I_{M1}        N R^T             ]
          [ R                     (N^2-4) I + 6N J  ] / (4(N^2-1))
 
-with M1 = N-2 type-1 states first, M2 = (N-2)/2 type-2 states after,
-R row sums 6N and column sums 3N.  All matrices are held as integer
-numerators over the single denominator 4(N^2-1); every claimed identity
-is checked in exact integer arithmetic, with floating point entering
-only through the eigensolver.
+with M1 = N-2 type-1 states first, M2 = (N-2)/2 type-2 states after, and
+
+    R[d, x] = 4 (Tr(dx) + Tr(d/x) + Tr(d/(1+x)))
+
+for the determinant d of a type-2 row and the ratio x of a type-1
+column.  Every type-2 determinant has trace 0, so each of the three
+trace bits is 1 on N/2 of the N-2 ratios and R's rows sum to 6N; its
+columns sum to 3N.  All matrices are held as integer numerators over
+the single denominator 4(N^2-1); each chain is checked by one exact
+equality with its closed form, with floating point entering only
+through the eigensolver.
 
 ``q_empirical`` counts each row of an orbit chain through the
 determinant identity.  For a pair (v, w) with D = det(v, w) and a
@@ -35,8 +41,8 @@ images Z_h fixes.  ``full_chain`` and ``lump_chain`` (m <= 3), which
 apply every transvection to every pair, and the brute-force test over
 scalar ``apply_transvection`` remain the independent routes to the same
 matrices.
-``closed_form_failures`` is the one list of closed forms an orbit chain
-must satisfy.  Chain names, states, pair masks and state JSON are ``graph``'s:
+``closed_form_failures`` is the one check of an orbit chain against its
+closed form.  Chain names, states, pair masks and state JSON are ``graph``'s:
 ``CHAINS``, ``chain_states``, ``chain_mask`` and ``state_obj``/``state_from_obj``.
 """
 
@@ -46,6 +52,7 @@ import csv
 import io
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -64,20 +71,16 @@ __all__ = [
     "TransitionMatrix",
     "parse_csv_probs",
     "SpectralReport",
-    "SingularReport",
-    "Q0StructureReport",
     "q1_closed_form",
+    "q0_closed_form",
     "transvection_counts",
     "q_empirical",
     "extract_r",
-    "q0_structure_check",
     "stationary_weights",
     "stationary_check",
-    "w2_eigenvector_check",
     "lambda_q1_closed",
     "lambda_q0_bound",
     "spectral_report",
-    "singular_check_R",
     "closed_form_failures",
     "mixing_time_bound",
     "mixing_time_report",
@@ -152,11 +155,6 @@ class TransitionMatrix:
         return out.getvalue()
 
 
-def _field_order(tm: TransitionMatrix) -> int:
-    """N, read off the denominator 4(N^2-1)."""
-    return math.isqrt(tm.denominator // 4 + 1)
-
-
 def parse_csv_probs(text: str) -> Tuple[List[str], np.ndarray]:
     """Inverse of TransitionMatrix.to_csv up to the floating view."""
     rows = list(csv.reader(io.StringIO(text)))
@@ -171,15 +169,36 @@ def _q1_block(n: int, k: int) -> np.ndarray:
     return (n * n - 4) * np.eye(k, dtype=np.int64) + 6 * n
 
 
+def _closed_form_cap(ctx: FieldContext, name: str) -> None:
+    if ctx.m > EMPIRICAL_MAX_M:
+        raise ValueError(f"the closed-form {name} is capped at m = {EMPIRICAL_MAX_M}, "
+                         f"as the orbit chains it is checked against are")
+
+
 def q1_closed_form(ctx: FieldContext) -> TransitionMatrix:
     """Non-edge orbit chain: [(N^2-4) I + 6N J] / (4(N^2-1)); its (N/2)^2
     numerators are refused above EMPIRICAL_MAX_M, as q_empirical's are."""
-    if ctx.m > EMPIRICAL_MAX_M:
-        raise ValueError(f"the closed-form Q1 is capped at m = {EMPIRICAL_MAX_M}, "
-                         f"as the orbit chains it is checked against are")
+    _closed_form_cap(ctx, "Q1")
     n = ctx.order
     return TransitionMatrix(states=orbit_states(ctx, EdgeKind.NON_EDGE),
                             numerators=_q1_block(n, n // 2),
+                            denominator=4 * (n * n - 1))
+
+
+def q0_closed_form(ctx: FieldContext) -> TransitionMatrix:
+    """Edge orbit chain: the blocks of the module docstring, with R built as
+    one (M2, M1) grid of trace bits, in ``chain_states`` order; refused
+    above EMPIRICAL_MAX_M, as q1_closed_form is."""
+    _closed_form_cap(ctx, "Q0")
+    n = ctx.order
+    states = chain_states(ctx, "edges")
+    x = np.array([s.value for s in states if s.kind == EdgeKind.TYPE1])
+    d = np.array([s.value for s in states if s.kind == EdgeKind.TYPE2])[:, None]
+    tr = ctx.np_table("trace").astype(np.int64)
+    r = 4 * (tr[ctx.mul_vec(d, x)] + tr[ctx.div_vec(d, x)] + tr[ctx.div_vec(d, 1 ^ x)])
+    numerators = np.block([[(n * n - 4) * np.eye(n - 2, dtype=np.int64), n * r.T],
+                           [r, _q1_block(n, len(d))]])
+    return TransitionMatrix(states=states, numerators=numerators,
                             denominator=4 * (n * n - 1))
 
 
@@ -291,7 +310,7 @@ def q_empirical(ctx: FieldContext, chain: str) -> TransitionMatrix:
                             denominator=4 * (ctx.order ** 2 - 1))
 
 
-# --- Q0 structure ---
+# --- the R block ---
 
 
 def extract_r(tm: TransitionMatrix) -> np.ndarray:
@@ -300,49 +319,7 @@ def extract_r(tm: TransitionMatrix) -> np.ndarray:
     return tm.numerators[m1:, :m1].copy()
 
 
-@dataclass
-class Q0StructureReport:
-    m: int
-    row_sums: np.ndarray
-    col_sums: np.ndarray
-    failures: List[str]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def q0_structure_check(tm: TransitionMatrix) -> Q0StructureReport:
-    """Verify the block anatomy of an empirical edge chain."""
-    kinds = [s.kind for s in tm.states]
-    m1 = kinds.count(EdgeKind.TYPE1)
-    m2 = kinds.count(EdgeKind.TYPE2)
-    n = _field_order(tm)
-    failures: List[str] = []
-    if kinds != [EdgeKind.TYPE1] * m1 + [EdgeKind.TYPE2] * m2:
-        failures.append("states are not ordered type-1 block then type-2 block")
-    if (m1, 2 * m2) != (n - 2, n - 2) or tm.denominator != 4 * (n * n - 1):
-        failures.append(f"state counts ({m1}, {m2}) do not fit any field size")
-    q = tm.numerators
-    r = q[m1:, :m1]
-    upper_left = q[:m1, :m1]
-    if not np.array_equal(upper_left, (n * n - 4) * np.eye(m1, dtype=np.int64)):
-        failures.append(f"upper-left block is not (N^2-4) I: {upper_left.tolist()}")
-    if not np.array_equal(q[m1:, m1:], _q1_block(n, m2)):
-        failures.append(f"lower-right block is not (N^2-4) I + 6N J: {q[m1:, m1:].tolist()}")
-    if not np.array_equal(q[:m1, m1:], n * r.T):
-        failures.append("upper-right block is not N R^T")
-    row_sums = r.sum(axis=1)
-    col_sums = r.sum(axis=0)
-    if not (row_sums == 6 * n).all():
-        failures.append(f"R row sums are not 6N: {row_sums.tolist()}")
-    if not (col_sums == 3 * n).all():
-        failures.append(f"R column sums are not 3N: {col_sums.tolist()}")
-    return Q0StructureReport(m=n.bit_length() - 1, row_sums=row_sums,
-                             col_sums=col_sums, failures=failures)
-
-
-# --- exact stationary / eigenvector identities ---
+# --- exact stationary identity ---
 
 
 def stationary_weights(tm: TransitionMatrix) -> np.ndarray:
@@ -351,7 +328,7 @@ def stationary_weights(tm: TransitionMatrix) -> np.ndarray:
     Non-edge chain: all ones.  Edge chain: 1 per type-1 state, N per
     type-2 state (type-2 orbits are N times larger).
     """
-    n = _field_order(tm)
+    n = math.isqrt(tm.denominator // 4 + 1)  # N, read off the denominator 4(N^2-1)
     return np.array([1 if getattr(s, "kind", None) != EdgeKind.TYPE2 else n
                      for s in tm.states], dtype=np.int64)
 
@@ -360,15 +337,6 @@ def stationary_check(tm: TransitionMatrix) -> bool:
     """w Q = w exactly in integers for the stationary weight vector."""
     w = stationary_weights(tm)
     return bool(np.array_equal(w @ tm.numerators, tm.denominator * w))
-
-
-def w2_eigenvector_check(tm: TransitionMatrix) -> bool:
-    """[1,..,1,-2,..,-2] Q0 = ((N^2-6N-4)/(4(N^2-1))) [1,..,1,-2,..,-2] exactly."""
-    kinds = [s.kind for s in tm.states]
-    n = _field_order(tm)
-    w2 = np.array([1] * kinds.count(EdgeKind.TYPE1) + [-2] * kinds.count(EdgeKind.TYPE2),
-                  dtype=np.int64)
-    return bool(np.array_equal(w2 @ tm.numerators, (n * n - 6 * n - 4) * w2))
 
 
 # --- spectra ---
@@ -427,40 +395,15 @@ def spectral_report(tm: TransitionMatrix) -> SpectralReport:
                           stationary=pi)
 
 
-@dataclass
-class SingularReport:
-    sigma_max: float
-    bound: float
-    equality: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.sigma_max <= self.bound + 1e-9
-
-
-def singular_check_R(r: np.ndarray, m: int) -> SingularReport:
-    """sigma_max(R) <= 3 sqrt(2) N, with equality flagged when attained."""
-    n = 1 << m
-    sigma = float(np.linalg.svd(r.astype(float), compute_uv=False)[0])
-    bound = 3 * math.sqrt(2) * n
-    return SingularReport(sigma_max=sigma, bound=bound,
-                          equality=abs(sigma - bound) <= 1e-9)
-
-
 def closed_form_failures(ctx: FieldContext, tm: TransitionMatrix) -> List[str]:
-    """Tokens of the closed forms an orbit chain fails, the chain read off its
-    first state: Q1 for non-edges; Q0's blocks, W2 and sigma_max(R) for edges.
+    """["closed-form"] if an orbit chain is not its closed form (Q1 for
+    non-edges, Q0 for edges, the chain read off its first state), else [].
     Refuses a chain whose first state is not an orbit invariant."""
     if not isinstance(tm.states[0], OrbitInvariant):
         raise ValueError(f"state {state_name(tm.states[0])} is no orbit invariant; "
                          "lump the full chain first")
-    if tm.states[0].kind == EdgeKind.NON_EDGE:
-        return [] if q1_closed_form(ctx) == tm else ["closed-form"]
-    struct = q0_structure_check(tm)
-    holds = {"structure:" + ";".join(struct.failures): struct.ok,
-             "w2-eigenvector": w2_eigenvector_check(tm),
-             "singular-bound": singular_check_R(extract_r(tm), ctx.m).ok}
-    return [token for token, ok in holds.items() if not ok]
+    closed = q1_closed_form if tm.states[0].kind == EdgeKind.NON_EDGE else q0_closed_form
+    return [] if closed(ctx) == tm else ["closed-form"]
 
 
 # --- mixing time ---
@@ -533,9 +476,14 @@ def tv_curve_exact(tm: TransitionMatrix, start_index: int, t_max: int) -> List[F
 
     Float propagation bottoms out near 1e-15 long before the true curve
     does (at m=3 the true TV is ~1e-24 by step 38), so per-step decay
-    ratios are only meaningful in exact arithmetic.
+    ratios are only meaningful in exact arithmetic.  Refuses a
+    ``start_index`` that is not an int in [0, k).
     """
     k = len(tm.states)
+    try:
+        start_index = operator.index(start_index)
+    except TypeError:
+        raise ValueError(f"start_index {start_index!r} is not an int in [0, {k})") from None
     if not 0 <= start_index < k:
         raise ValueError(f"start_index {start_index} out of range [0, {k})")
     if t_max < 0:

@@ -3,8 +3,8 @@
 import argparse
 import dataclasses
 import hashlib
+import inspect
 import json
-import math
 import os
 import subprocess
 import sys
@@ -16,8 +16,7 @@ from kerdock3 import cli, markov, unitary
 from kerdock3.cli import DEFAULT_EPSILON, DEFAULT_M, build_parser, main
 from kerdock3.gf2m import FieldContext
 from kerdock3.graph import EdgeKind, parse_census
-from kerdock3.markov import (FULL_CHAIN_MAX_M, Q0StructureReport, SingularReport,
-                             TransitionMatrix, parse_csv_probs)
+from kerdock3.markov import FULL_CHAIN_MAX_M, TransitionMatrix, parse_csv_probs
 
 
 def run(tmp_path, *argv):
@@ -140,11 +139,7 @@ def test_chain_failed_check_exits_1_in_every_format(fmt, tmp_path, monkeypatch, 
 # token ``kerdock3 chain`` then reports
 FORCED = {
     "q1_closed_form": (lambda ctx: None, "nonedges:closed-form"),
-    "q0_structure_check": (lambda tm: Q0StructureReport(2, None, None, ["a", "b"]),
-                           "edges:structure:a;b"),
-    "w2_eigenvector_check": (lambda tm: False, "edges:w2-eigenvector"),
-    "singular_check_R": (lambda r, m: SingularReport(math.inf, 0.0, False),
-                         "edges:singular-bound"),
+    "q0_closed_form": (lambda ctx: None, "edges:closed-form"),
 }
 
 
@@ -171,8 +166,8 @@ def test_chain_failure_tokens_keep_their_order(tmp_path, monkeypatch, capsys):
     rc, _ = run(tmp_path, "chain", "--m", "2", "--format", "json")
     assert rc == 1
     assert json.loads(capsys.readouterr().err)["failures"] == [
-        "edges:stationary", "edges:structure:a;b", "edges:w2-eigenvector",
-        "edges:singular-bound", "nonedges:stationary", "nonedges:closed-form"]
+        "edges:stationary", "edges:closed-form", "nonedges:stationary",
+        "nonedges:closed-form"]
 
 
 def test_spectra_text_and_json(tmp_path):
@@ -388,15 +383,15 @@ def test_verify_walks_the_count_it_is_given(tmp_path, monkeypatch):
 
 
 def test_verify_failure_is_a_fail_line_and_a_json_list_with_exit_1(tmp_path, monkeypatch):
-    monkeypatch.setattr(markov, "w2_eigenvector_check", lambda tm: False)
+    monkeypatch.setattr(markov, "q0_closed_form", lambda ctx: None)
     rc, text = run(tmp_path, "verify", "--m", "2", "--count", "20000",
                    "--steps", "8", "--seed", "1")
     assert rc == 1
     *lines, last = text.splitlines()
-    assert lines[2] == "FAIL chain-closed-forms: edges:w2-eigenvector"
+    assert lines[2] == "FAIL chain-closed-forms: edges:closed-form"
     assert all(line.startswith("PASS ") for line in lines[:2] + lines[3:])
     assert json.loads(last) == {"failures": [
-        {"check": "chain-closed-forms", "detail": "edges:w2-eigenvector"}]}
+        {"check": "chain-closed-forms", "detail": "edges:closed-form"}]}
 
 
 def test_verify_caps_m(capsys):
@@ -423,6 +418,24 @@ def test_each_subcommand_is_declared_once_with_its_handler():
         assert sub.get_default("run") is getattr(cli, "_cmd_" + name.replace("-", "_"))
     with open(cli.__file__) as fh:
         assert "_COMMANDS" not in fh.read()
+
+
+@pytest.mark.parametrize("command", ["chain", "spectra"])
+def test_chain_option_is_read_once(command, tmp_path, monkeypatch):
+    """``--chain`` is read in one place, cli._chains: "both" reports CHAINS
+    in order, and a chain name that chain alone."""
+    with open(cli.__file__) as fh:
+        assert fh.read().count("args.chain") == inspect.getsource(cli._chains).count("args.chain")
+    calls = []
+    original = cli.q_empirical
+    monkeypatch.setattr(cli, "q_empirical",
+                        lambda ctx, chain: calls.append(chain) or original(ctx, chain))
+    for value, expected in (("both", ["edges", "nonedges"]), ("edges", ["edges"]),
+                            ("nonedges", ["nonedges"])):
+        calls.clear()
+        rc, _ = run(tmp_path, command, "--m", "2", "--chain", value)
+        assert rc == 0
+        assert calls == expected
 
 
 @pytest.mark.parametrize("m", [2, 3])

@@ -269,3 +269,28 @@ def test_psl_entries_outside_the_field_are_refused(g):
     for build in (psl_to_symplectic, psl_factors):
         with pytest.raises(ValueError, match="has an entry outside"):
             build(ctx, g)
+
+
+@pytest.mark.parametrize("call, shown", [
+    pytest.param(lambda ctx: kerdock_matrix(ctx, -1), "subgroup label -1", id="kerdock-z=-1"),
+    pytest.param(lambda ctx: kerdock_matrix(ctx, 99), "subgroup label 99", id="kerdock-z=99"),
+    pytest.param(lambda ctx: mobius_action(ctx, psl_identity(ctx), -1), "subgroup label -1",
+                 id="mobius-z=-1"),
+    pytest.param(lambda ctx: mobius_action(ctx, psl_identity(ctx), 99), "subgroup label 99",
+                 id="mobius-z=99"),
+    pytest.param(lambda ctx: mobius_action(ctx, PslElement(1, 0, -1, 1), INFINITY),
+                 "PSL element (1, 0, -1, 1)", id="mobius-g-at-infinity"),
+    pytest.param(lambda ctx: pair_action(ctx, psl_identity(ctx), (-1, 0)),
+                 "Pauli index (-1, 0)", id="pair-p=(-1,0)"),
+    pytest.param(lambda ctx: pair_action(ctx, psl_identity(ctx), (0, 99)),
+                 "Pauli index (0, 99)", id="pair-p=(0,99)"),
+    pytest.param(lambda ctx: pair_action(ctx, PslElement(1, 0, 0, 99), (1, 0)),
+                 "PSL element (1, 0, 0, 99)", id="pair-g"),
+])
+def test_scalar_maps_refuse_entries_outside_the_field(call, shown):
+    """At m = 3 a negative entry used to wrap through negative list
+    indexing (kerdock_matrix(ctx, -1) was kerdock_matrix(ctx, 7), and
+    mobius_action and pair_action returned 7), and 99 ended in a bare
+    IndexError."""
+    with pytest.raises(ValueError, match=re.escape(f"{shown} has an entry outside [0, 8)")):
+        call(FieldContext(3))

@@ -20,11 +20,10 @@ from kerdock3.markov import (EMPIRICAL_MAX_M, FULL_CHAIN_MAX_M, TransitionMatrix
                              closed_form_failures, extract_r, full_chain, lambda_q0_bound, lambda_q1_closed,
                              lump_chain, mixing_time_bound,
                              mixing_time_report, parse_csv_probs,
-                             q0_structure_check, q1_closed_form, q_empirical,
-                             singular_check_R, spectral_report,
+                             q0_closed_form, q1_closed_form, q_empirical,
+                             spectral_report,
                              stationary_check, stationary_weights,
-                             transvection_counts, tv_curve, tv_curve_exact,
-                             w2_eigenvector_check)
+                             transvection_counts, tv_curve, tv_curve_exact)
 from kerdock3.pauli import apply_transvection, vertex_split
 from kerdock3.sampler import SamplerConfig, steps_for_epsilon
 
@@ -40,27 +39,42 @@ def test_nonedge_chain_equals_closed_form(m):
     assert np.array_equal(emp.numerators, closed.numerators)
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("m", range(2, EMPIRICAL_MAX_M + 1))
 def test_edge_chain_block_structure(m):
+    """The enumerated edge chain is q0_closed_form, Q0's block matrix; R's
+    entries are 4 times a count of three trace bits, its rows sum to 6N
+    and its columns to 3N."""
     ctx = FieldContext(m)
     tm = q_empirical(ctx, "edges")
-    report = q0_structure_check(tm)
-    assert report.ok, report.failures
-    assert report.m == m
-    n = 1 << m
-    assert (report.row_sums == 6 * n).all()
-    assert (report.col_sums == 3 * n).all()
+    assert tm == q0_closed_form(ctx)
+    n, m1 = 1 << m, (1 << m) - 2
+    assert [s.kind for s in tm.states] == [EdgeKind.TYPE1] * m1 + [EdgeKind.TYPE2] * (m1 // 2)
+    r = extract_r(tm)
+    assert np.array_equal(tm.numerators[:m1, :m1], (n * n - 4) * np.eye(m1, dtype=np.int64))
+    assert np.array_equal(tm.numerators[:m1, m1:], n * r.T)
+    assert np.array_equal(tm.numerators[m1:, m1:],
+                          (n * n - 4) * np.eye(m1 // 2, dtype=np.int64) + 6 * n)
+    assert set(np.unique(r).tolist()) <= {0, 4, 8, 12}
+    assert (r.sum(axis=1) == 6 * n).all()
+    assert (r.sum(axis=0) == 3 * n).all()
 
 
 def test_edge_chain_checks_refuse_states_of_another_field():
-    """m = 3 edge states over the m = 4 denominator fit no field size."""
+    """m = 3 edge states over the m = 4 denominator are Q0 in neither field."""
     states = q_empirical(FieldContext(3), "edges").states
     den = 4 * (16 * 16 - 1)
     tm = TransitionMatrix(states=states, numerators=den * np.eye(len(states)),
                           denominator=den)
-    report = q0_structure_check(tm)
-    assert "state counts (6, 3) do not fit any field size" in report.failures
-    assert not w2_eigenvector_check(tm)
+    for m in (3, 4):
+        assert closed_form_failures(FieldContext(m), tm) == ["closed-form"]
+
+
+@pytest.mark.parametrize("m, poly", [(4, 0x19), (8, 0x12B)])
+def test_q0_closed_form_under_other_polynomials(m, poly):
+    """The states and R follow the field's polynomial; the equality holds."""
+    ctx = FieldContext(m, poly)
+    assert ctx.poly != FieldContext(m).poly
+    assert q0_closed_form(ctx) == q_empirical(ctx, "edges")
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -71,32 +85,28 @@ def test_enumerated_chains_fail_no_closed_form(m):
 
 
 def test_closed_form_failures_name_every_failed_form_in_order():
-    """An m = 2 edge chain whose type-2 state jumps to one type-1 state
-    fails all three Q0 forms: sigma_max(R) = 60 > 12 sqrt(2).  A lazy
-    non-edge chain fails Q1.  The chain is read off the first state."""
+    """Each chain has one form: an m = 2 edge chain whose type-2 state
+    jumps to one type-1 state fails Q0, and a lazy non-edge chain fails
+    Q1.  The chain is read off the first state."""
     ctx = FieldContext(2)
     edges = TransitionMatrix(states=q_empirical(ctx, "edges").states,
                              numerators=[[60, 0, 0], [0, 60, 0], [60, 0, 0]],
                              denominator=60)
-    failures = closed_form_failures(ctx, edges)
-    assert [f.split(":")[0] for f in failures] == \
-        ["structure", "w2-eigenvector", "singular-bound"]
-    assert failures[0] == "structure:" + ";".join(q0_structure_check(edges).failures)
+    assert closed_form_failures(ctx, edges) == ["closed-form"]
     lazy = TransitionMatrix(states=q1_closed_form(ctx).states,
                             numerators=60 * np.eye(2, dtype=np.int64), denominator=60)
     assert closed_form_failures(ctx, lazy) == ["closed-form"]
 
 
 def test_chain_checks_and_state_json_have_one_owner():
-    """cli.py names none of the four closed-form checks: ``kerdock3 chain``
-    and ``verify`` reach them through closed_form_failures alone, so both
-    check the same forms.  markov.py parses no chain state: from_json
+    """cli.py names neither closed form: ``kerdock3 chain`` and ``verify``
+    reach them through closed_form_failures alone, so both check the
+    same forms.  markov.py parses no chain state: from_json
     reads each through graph.state_from_obj, beside the state_obj that
     writes it."""
     src = Path(markov.__file__).parent
     cli_text = (src / "cli.py").read_text()
-    checks = ("q1_closed_form", "q0_structure_check", "w2_eigenvector_check",
-              "singular_check_R")
+    checks = ("q1_closed_form", "q0_closed_form")
     assert [name for name in checks if name in cli_text] == []
     assert "closed_form_failures(" in cli_text
     markov_text = (src / "markov.py").read_text()
@@ -194,15 +204,19 @@ def test_counts_refuse_a_representative_of_another_chain():
             transvection_counts(ctx, "edges", representatives=reps)
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("m", range(2, EMPIRICAL_MAX_M + 1))
 def test_stationary_and_w2_exact(m):
+    """Both enumerated chains fix their stationary weights, and
+    W2 = [1, .., 1, -2, .., -2] is a left eigenvector of q0_closed_form
+    with numerator N^2 - 6N - 4."""
     ctx = FieldContext(m)
     for chain in ("edges", "nonedges"):
         tm = q_empirical(ctx, chain)
         assert stationary_check(tm)
-    tm = q_empirical(ctx, "edges")
-    assert w2_eigenvector_check(tm)
+    tm = q0_closed_form(ctx)
     n = 1 << m
+    w2 = np.array([1 if s.kind == EdgeKind.TYPE1 else -2 for s in tm.states])
+    assert np.array_equal(w2 @ tm.numerators, (n * n - 6 * n - 4) * w2)
     w = stationary_weights(tm)
     assert w.tolist() == [1] * (n - 2) + [n] * ((n - 2) // 2)
 
@@ -239,17 +253,14 @@ def test_q0_lambda_min_positive(m):
     assert rep.lambda_min > 0
 
 
-@pytest.mark.parametrize("m", [3, 4, 5])
+@pytest.mark.parametrize("m", range(2, EMPIRICAL_MAX_M + 1))
 def test_sigma_max_r_bound(m):
-    ctx = FieldContext(m)
-    r = extract_r(q_empirical(ctx, "edges"))
-    rep = singular_check_R(r, m)
-    assert rep.ok
-    assert rep.sigma_max <= rep.bound + 1e-9
-    assert rep.bound == pytest.approx(3 * math.sqrt(2) * (1 << m))
+    """sigma_max(R) attains 3 sqrt(2) N, the bound behind lambda_q0_bound."""
+    r = extract_r(q0_closed_form(FieldContext(m)))
     # constant row sums 6N and column sums 3N make the uniform vectors
     # exact singular vectors, so sigma_max = sqrt(6N * 3N) at every m
-    assert rep.equality
+    sigma = float(np.linalg.svd(r.astype(float), compute_uv=False)[0])
+    assert abs(sigma - 3 * math.sqrt(2) * (1 << m)) <= 1e-9
 
 
 def test_mixing_time_bounds_frozen():
@@ -447,14 +458,15 @@ def test_transition_matrix_validation():
             TransitionMatrix(states=["a", "b"], numerators=numerators, denominator=2)
 
 
-def test_q0_structure_check_refuses_states_out_of_block_order():
-    """The m = 3 edge chain with its states reversed (type-2 block first)."""
-    tm = q_empirical(FieldContext(3), "edges")
+def test_closed_form_failures_refuse_states_out_of_block_order():
+    """The m = 3 edge chain with its states reversed (type-2 block first)
+    is the same chain relabelled, yet not Q0 in ``chain_states`` order."""
+    ctx = FieldContext(3)
+    tm = q_empirical(ctx, "edges")
     order = np.arange(len(tm.states))[::-1]
     reversed_tm = TransitionMatrix([tm.states[i] for i in order],
                                    tm.numerators[np.ix_(order, order)], tm.denominator)
-    assert "states are not ordered type-1 block then type-2 block" in \
-        q0_structure_check(reversed_tm).failures
+    assert closed_form_failures(ctx, reversed_tm) == ["closed-form"]
 
 
 def test_empirical_cap():
@@ -473,6 +485,23 @@ def test_q1_closed_form_cap(m):
     try:
         with pytest.raises(ValueError, match=f"capped at m = {EMPIRICAL_MAX_M}"):
             q1_closed_form(ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("m", [9, 16])
+def test_q0_closed_form_cap(m):
+    """Refused above EMPIRICAL_MAX_M, with q1_closed_form's wording,
+    before anything is allocated."""
+    ctx = FieldContext(m)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(
+                f"the closed-form Q0 is capped at m = {EMPIRICAL_MAX_M}, "
+                "as the orbit chains it is checked against are")):
+            q0_closed_form(ctx)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -501,6 +530,16 @@ def test_spectral_report_json():
     obj = json.loads(rep.to_json())
     assert obj["lambda2"] == pytest.approx(rep.lambda2)
     assert len(obj["eigenvalues_real"]) == 3
+
+
+@pytest.mark.parametrize("start", [1.5, 0.0, "0", None])
+def test_tv_curve_exact_refuses_a_start_that_is_no_int(start):
+    """1.5 passed the range check and gave the curve of an all-zero start,
+    1/2 at every step."""
+    tm = q1_closed_form(FieldContext(3))
+    with pytest.raises(ValueError, match=re.escape(f"start_index {start!r} is not an int")):
+        tv_curve_exact(tm, start, 2)
+    assert tv_curve_exact(tm, np.int64(1), 2) == tv_curve_exact(tm, 1, 2)
 
 
 def test_exact_curve_values_are_fractions():
