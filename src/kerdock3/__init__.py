@@ -22,12 +22,12 @@ Layers (each importable on its own):
 
 from .gf2m import FieldContext, PRIMITIVE_POLYS
 from .pauli import (PauliIndex, SymplecticMatrix, Transvection,
-                    apply_symplectic, apply_transvection, commutes,
-                    omega_matrix, symplectic_inner, transvection_matrix)
+                    apply_symplectic, apply_transvection, omega_matrix,
+                    symplectic_inner, transvection_matrix)
 from .kerdock import (INFINITY, PslElement, classify_subgroup, kerdock_matrix,
                       mobius_action, pair_action, psl_elements, psl_factors,
-                      psl_identity, psl_inverse, psl_order, psl_product,
-                      psl_to_symplectic, sample_psl, subgroup_members)
+                      psl_product, psl_to_symplectic, sample_psl,
+                      subgroup_members)
 from .graph import (CensusReport, EdgeKind, OrbitInvariant, PauliPair, census,
                     classify_pair, closed_form_counts, orbit_invariant,
                     orbit_representative, orbit_states, srg_check,

@@ -32,7 +32,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import unitary as un
-from .gf2m import FieldContext
+from .gf2m import FieldContext, checked_int
 from .graph import CHAINS, EdgeKind, PauliPair, census, classify_pair, state_name
 from .kerdock import psl_elements, psl_to_symplectic
 from .markov import (FULL_CHAIN_MAX_M, closed_form_failures, extract_r,
@@ -230,8 +230,7 @@ def _cmd_spectra(args) -> int:
 def _cmd_convergence(args) -> int:
     ctx = _ctx(args)
     t_max = args.t_max if args.t_max is not None else mixing_time_bound(ctx.m, args.epsilon)
-    if t_max < 0:
-        raise ValueError(f"t_max must be non-negative, got {t_max}")
+    checked_int("t_max", t_max, 0)  # before any chain is built
     lines = ["chain,start,t,tv"]
     for chain in CHAINS:
         tm = q_empirical(ctx, chain)

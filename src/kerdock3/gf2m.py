@@ -46,6 +46,7 @@ __all__ = [
     "MAX_M",
     "DENSE_TABLE_MAX_M",
     "FieldContext",
+    "checked_int",
     "element_dtype",
     "parity",
     "clmul",
@@ -193,6 +194,23 @@ def f2_numpy_to_rows(mat: np.ndarray) -> Tuple[int, ...]:
     return tuple(int(sum(int(v) << j for j, v in enumerate(row))) for row in np.asarray(mat) % 2)
 
 
+# --- input checks ---
+
+
+def checked_int(name: str, value, low: int, high: Optional[int] = None) -> int:
+    """``value`` as a Python int through ``operator.index``, the one owner of
+    integer-argument checks: refuses a bool, a non-integer and an int outside
+    [low, high] as "<name> = <value!r> must be an int >= <low>" (or "... in [<low>, <high>]")."""
+    try:
+        x = None if isinstance(value, bool) else index(value)
+    except TypeError:
+        x = None
+    if x is None or x < low or (high is not None and x > high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} = {value!r} must be an int {bound}")
+    return x
+
+
 # --- field context ---
 
 
@@ -202,7 +220,7 @@ class FieldContext:
     Parameters
     ----------
     m : int
-        Extension degree, 2 <= m <= 16.
+        Extension degree, an int with 2 <= m <= 16.
     poly : int, optional
         Primitive polynomial as a bit-vector int of degree m.  Defaults to
         the table entry for m.  A negative int is refused; reducible or
@@ -211,8 +229,7 @@ class FieldContext:
     """
 
     def __init__(self, m: int, poly: Optional[int] = None) -> None:
-        if not MIN_M <= m <= MAX_M:
-            raise ValueError(f"m={m} out of supported range [{MIN_M}, {MAX_M}]")
+        m = checked_int("m", m, MIN_M, MAX_M)
         if poly is None:
             poly = PRIMITIVE_POLYS[m]
         if poly < 0:

@@ -50,7 +50,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from ._workers import ordered_map
-from .gf2m import FieldContext
+from .gf2m import MIN_M, FieldContext, checked_int
 from .pauli import PauliIndex, vertex_split
 
 __all__ = [
@@ -217,10 +217,8 @@ def _block_determinants(ctx: FieldContext, a, b) -> np.ndarray:
 
 
 def srg_parameters(m: int) -> Tuple[int, int, int, int]:
-    """(n, t, lambda, mu) = (N^2-1, N^2/2-2, N^2/4-3, N^2/4-1)."""
-    if m < 2:
-        raise ValueError("m must be at least 2")
-    nsq = 1 << (2 * m)
+    """(n, t, lambda, mu) = (N^2-1, N^2/2-2, N^2/4-3, N^2/4-1), for an int m >= 2."""
+    nsq = 1 << 2 * checked_int("m", m, MIN_M)
     return (nsq - 1, nsq // 2 - 2, nsq // 4 - 3, nsq // 4 - 1)
 
 
@@ -248,7 +246,7 @@ def srg_check(ctx: FieldContext) -> Tuple[int, int, int, int]:
     """Strong-regularity parameters measured on the explicit adjacency matrix.
 
     Raises if the graph is not strongly regular (non-constant degree or
-    common-neighbour counts).
+    common-neighbour counts).  A route for the strongly-regular-graph claim.
     """
     adj = chain_mask(ctx, "edges")[1:, 1:]
     degrees = adj.sum(axis=1)
@@ -420,7 +418,7 @@ class CensusReport:
 
 
 def parse_census(text: str) -> CensusReport:
-    """Inverse of CensusReport.to_text()."""
+    """Inverse of CensusReport.to_text(): a route that reads the census text back."""
     fields: Dict[str, str] = {}
     for line in text.splitlines():
         line = line.strip()

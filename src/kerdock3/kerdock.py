@@ -21,6 +21,10 @@ a genuine homomorphism for the right action, satisfying
 
 Together with the Pauli group, the image of theta is an exact unitary
 2-design; the sampler upgrades it to an approximate 3-design.
+
+Named routes, exported with no library caller, on which tests check the
+claims above: ``kerdock_matrix``, ``classify_subgroup``,
+``subgroup_members``, ``mobius_action`` and ``psl_product``.
 """
 
 from __future__ import annotations
@@ -43,10 +47,7 @@ __all__ = [
     "psl_to_symplectic",
     "psl_factors",
     "pair_action",
-    "psl_identity",
     "psl_product",
-    "psl_inverse",
-    "psl_order",
     "psl_elements",
     "sample_psl",
     "sample_psl_vec",
@@ -81,15 +82,13 @@ class PslElement(NamedTuple):
     delta: int
 
 
-def psl_identity(ctx: FieldContext) -> PslElement:
-    return PslElement(1, 0, 0, 1)
-
-
-def _check_det(ctx: FieldContext, g: PslElement) -> None:
-    alpha, beta, gamma, delta = ctx.field_entries("PSL element", g)
+def _check_det(ctx: FieldContext, g: PslElement) -> Tuple[int, int, int, int]:
+    """g's entries as ``field_entries`` reads them; refuses det(g) != 1."""
+    alpha, beta, gamma, delta = entries = ctx.field_entries("PSL element", g)
     det = ctx.mul(alpha, delta) ^ ctx.mul(beta, gamma)
     if det != 1:
         raise ValueError(f"determinant {det} != 1, not an SL(2) element: {g}")
+    return entries
 
 
 # --- Kerdock matrices and subgroup classification ---
@@ -102,14 +101,15 @@ def _mul_w_rows(ctx: FieldContext, x: int) -> Tuple[int, ...]:
 
 def kerdock_matrix(ctx: FieldContext, z: int) -> np.ndarray:
     """P_z = A_z^2 W; symmetric, and P_x + P_z is nonsingular for x != z.
-    Refuses a z outside [0, N)."""
+    Refuses a z outside [0, N).  A route for the extremal Kerdock set."""
     (z,) = ctx.field_entries("subgroup label", (z,), z)
     return f2_rows_to_numpy(_mul_w_rows(ctx, ctx.mul(z, z)), ctx.m)
 
 
 def classify_subgroup(ctx: FieldContext, p: PairLike) -> SubgroupLabel:
     """Slope b/a of the subgroup containing p, INFINITY if a = 0; refuses
-    p = (0, 0), in every subgroup, and an entry outside [0, N)."""
+    p = (0, 0), in every subgroup, and an entry outside [0, N).  A route for
+    the partition into N + 1 subgroups."""
     a, b = ctx.nonzero_pair("Pauli index", p)
     if a == 0:
         return INFINITY
@@ -118,7 +118,8 @@ def classify_subgroup(ctx: FieldContext, p: PairLike) -> SubgroupLabel:
 
 def subgroup_members(ctx: FieldContext, label: SubgroupLabel) -> List[PauliIndex]:
     """The N - 1 nonzero Pauli indices of one maximal commutative subgroup;
-    refuses a label that is neither INFINITY nor a field element."""
+    refuses a label that is neither INFINITY nor a field element.  A route
+    for the partition into N + 1 subgroups."""
     if label is INFINITY:
         return [PauliIndex(0, b) for b in ctx.nonzero()]
     (z,) = ctx.field_entries("subgroup label", (label,), label)
@@ -127,8 +128,9 @@ def subgroup_members(ctx: FieldContext, label: SubgroupLabel) -> List[PauliIndex
 
 def mobius_action(ctx: FieldContext, g: PslElement, z: SubgroupLabel) -> SubgroupLabel:
     """f(z) = (beta + delta z) / (alpha + gamma z) on GF(2^m) u {INFINITY};
-    refuses an entry of g, or a finite z, outside [0, N)."""
-    alpha, beta, gamma, delta = ctx.field_entries("PSL element", g)
+    refuses a g outside SL(2) and a finite z outside [0, N).  A route for
+    the covariance of theta."""
+    alpha, beta, gamma, delta = _check_det(ctx, g)
     if z is INFINITY:
         if gamma == 0:
             return INFINITY
@@ -146,9 +148,9 @@ def mobius_action(ctx: FieldContext, g: PslElement, z: SubgroupLabel) -> Subgrou
 
 def pair_action(ctx: FieldContext, g: PslElement, p: PairLike) -> PauliIndex:
     """Right multiplication of the row (a b) by g over the field; refuses
-    an entry of p or g outside [0, N)."""
+    an entry of p outside [0, N) and a g that is not in SL(2)."""
     a, b = ctx.field_entries("Pauli index", p)
-    alpha, beta, gamma, delta = ctx.field_entries("PSL element", g)
+    alpha, beta, gamma, delta = _check_det(ctx, g)
     return PauliIndex(ctx.mul(a, alpha) ^ ctx.mul(b, gamma),
                       ctx.mul(a, beta) ^ ctx.mul(b, delta))
 
@@ -161,9 +163,8 @@ def psl_to_symplectic(ctx: FieldContext, g: PslElement) -> SymplecticMatrix:
     element beta_j.  theta is a right-action homomorphism and its image
     together with the Paulis is the Kerdock 2-design.
     """
-    _check_det(ctx, g)
+    alpha, beta, gamma, delta = _check_det(ctx, g)
     m, mul, dual = ctx.m, ctx.mul, ctx.dual_coords
-    alpha, beta, gamma, delta = g
     rows = []
     for i in range(m):  # (x, 0) g = (x alpha, x beta), packed
         x = 1 << i
@@ -184,19 +185,19 @@ def psl_factors(ctx: FieldContext, g: PslElement):
     with packed-row matrix parameters, consumable by the symplectic generator
     constructors and by the unitary synthesis (in reversed order there).
     """
-    _check_det(ctx, g)
-    if g.gamma == 0:
+    alpha, beta, gamma, delta = _check_det(ctx, g)
+    if gamma == 0:
         return [
-            ("basis", ctx.mul_matrix_rows(g.alpha)),
-            ("phase", _mul_w_rows(ctx, ctx.mul(g.beta, g.delta))),
+            ("basis", ctx.mul_matrix_rows(alpha)),
+            ("phase", _mul_w_rows(ctx, ctx.mul(beta, delta))),
         ]
-    inv_gamma = ctx.inv(g.gamma)
+    inv_gamma = ctx.inv(gamma)
     return [
-        ("phase", _mul_w_rows(ctx, ctx.mul(g.alpha, inv_gamma))),
+        ("phase", _mul_w_rows(ctx, ctx.mul(alpha, inv_gamma))),
         ("basis", ctx.mul_matrix_rows(inv_gamma)),
         ("hadamard",),
         ("basis", ctx.w_inv_rows),
-        ("phase", _mul_w_rows(ctx, ctx.mul(g.delta, inv_gamma))),
+        ("phase", _mul_w_rows(ctx, ctx.mul(delta, inv_gamma))),
     ]
 
 
@@ -204,18 +205,10 @@ def psl_factors(ctx: FieldContext, g: PslElement):
 
 
 def psl_product(ctx: FieldContext, g1: PslElement, g2: PslElement) -> PslElement:
-    """g1 g2: each row of g1 right-multiplied by g2."""
+    """g1 g2: each row of g1 right-multiplied by g2; refuses a factor outside
+    SL(2).  A route for "theta is a homomorphism"."""
+    g1 = _check_det(ctx, g1)
     return PslElement(*pair_action(ctx, g2, g1[:2]), *pair_action(ctx, g2, g1[2:]))
-
-
-def psl_inverse(ctx: FieldContext, g: PslElement) -> PslElement:
-    # det = 1 and char 2: (alpha beta; gamma delta)^-1 = (delta beta; gamma alpha)
-    return PslElement(g.delta, g.beta, g.gamma, g.alpha)
-
-
-def psl_order(ctx: FieldContext) -> int:
-    n = ctx.order
-    return (n + 1) * n * (n - 1)
 
 
 def _psl_fill(ctx: FieldContext, k: int, j: int) -> PslElement:

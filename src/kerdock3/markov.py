@@ -52,14 +52,13 @@ import csv
 import io
 import json
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .gf2m import MAX_M, MIN_M, FieldContext, element_dtype
+from .gf2m import MAX_M, MIN_M, FieldContext, checked_int, element_dtype
 from .graph import (ORBIT_KEY_SPACE, EdgeKind, OrbitInvariant, PauliPair,
                     chain_mask, chain_states, determinant_keys,
                     orbit_invariant, orbit_invariant_vec, orbit_key,
@@ -156,7 +155,8 @@ class TransitionMatrix:
 
 
 def parse_csv_probs(text: str) -> Tuple[List[str], np.ndarray]:
-    """Inverse of TransitionMatrix.to_csv up to the floating view."""
+    """Inverse of TransitionMatrix.to_csv up to the floating view: a route
+    that reads the chain CSV back."""
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], np.array([[float(x) for x in row] for row in rows[1:]])
 
@@ -416,8 +416,7 @@ def mixing_time_bound(m: int, eps: float) -> int:
     start through the minimum stationary mass 2/(N^2-4) at accuracy
     eps/N^3.  Refuses an m that no ``FieldContext`` accepts.
     """
-    if not MIN_M <= m <= MAX_M:
-        raise ValueError(f"m={m} out of supported range [{MIN_M}, {MAX_M}]")
+    m = checked_int("m", m, MIN_M, MAX_M)
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
     n = 1 << m
@@ -460,8 +459,7 @@ def tv_curve(tm: TransitionMatrix, start, t_max: int) -> np.ndarray:
     if starts.ndim > 2 or rows.shape[1] != len(tm.states) or not np.isfinite(rows).all() \
             or rows.min() < 0 or (np.abs(rows.sum(axis=1) - 1.0) > 1e-12).any():
         raise ValueError("start must be probability vectors over the states")
-    if t_max < 0:
-        raise ValueError(f"t_max must be non-negative, got {t_max}")
+    t_max = checked_int("t_max", t_max, 0)
     pi = spectral_report(tm).stationary
     out = np.empty((len(rows), t_max + 1))
     for curve, s in zip(out, rows):
@@ -480,14 +478,8 @@ def tv_curve_exact(tm: TransitionMatrix, start_index: int, t_max: int) -> List[F
     ``start_index`` that is not an int in [0, k).
     """
     k = len(tm.states)
-    try:
-        start_index = operator.index(start_index)
-    except TypeError:
-        raise ValueError(f"start_index {start_index!r} is not an int in [0, {k})") from None
-    if not 0 <= start_index < k:
-        raise ValueError(f"start_index {start_index} out of range [0, {k})")
-    if t_max < 0:
-        raise ValueError(f"t_max must be non-negative, got {t_max}")
+    start_index = checked_int("start_index", start_index, 0, k - 1)
+    t_max = checked_int("t_max", t_max, 0)
     num = tm.numerators.tolist()
     den = tm.denominator
     w = stationary_weights(tm)

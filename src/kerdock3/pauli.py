@@ -38,6 +38,9 @@ Every other product, ``F @ Z_h`` included, is the full one.
 ``transvection_apply_vec`` is the same update on arrays of halves:
 ``<x, h> = parity((a & |h2|) ^ (|b| & h1))``, with no table read;
 ``walk_pairs`` makes one call of it per step.
+
+Named route, exported with no library caller: ``apply_transvection``, the
+brute-force Z_h action that tests check the packed and array walks against.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ import numpy as np
 
 from .gf2m import (
     FieldContext,
+    checked_int,
     element_dtype,
     f2_mat_inv,
     f2_mat_mul,
@@ -66,7 +70,6 @@ __all__ = [
     "pack_index",
     "unpack_index",
     "symplectic_inner",
-    "commutes",
     "apply_symplectic",
     "omega_matrix",
     "basis_change_matrix",
@@ -75,7 +78,6 @@ __all__ = [
     "transvection_matrix",
     "transvection_product",
     "apply_transvection",
-    "conjugate_transvection",
     "transvection_apply_vec",
     "walk_pairs",
 ]
@@ -221,10 +223,6 @@ def symplectic_inner(ctx: FieldContext, p: PairLike, q: PairLike) -> int:
     return ctx.trace(ctx.mul(a, d) ^ ctx.mul(b, c))
 
 
-def commutes(ctx: FieldContext, p: PairLike, q: PairLike) -> bool:
-    return symplectic_inner(ctx, p, q) == 0
-
-
 def apply_symplectic(ctx: FieldContext, f: SymplecticMatrix, p: PairLike) -> PauliIndex:
     """Right action of a symplectic matrix on a Pauli index."""
     return unpack_index(ctx, f.apply(pack_index(ctx, p)))
@@ -253,9 +251,8 @@ def phase_matrix(m: int, p: Tuple[int, ...]) -> SymplecticMatrix:
 
 
 def partial_hadamard_matrix(m: int, t: int) -> SymplecticMatrix:
-    """Generator of H_{2^t} (x) I on the first t coordinates; t = m gives omega."""
-    if not 0 <= t <= m:
-        raise ValueError(f"t={t} out of range [0, {m}]")
+    """Generator of H_{2^t} (x) I on the first t coordinates, int t in [0, m]; t = m is omega."""
+    t = checked_int("t", t, 0, m)
     rows = [1 << (m + i) if i < t else 1 << i for i in range(m)]
     rows += [1 << i if i < t else 1 << (m + i) for i in range(m)]
     return SymplecticMatrix(m, rows)
@@ -336,17 +333,11 @@ def transvection_product(f: SymplecticMatrix,
 
 def apply_transvection(ctx: FieldContext, h: PairLike, p: PairLike) -> PauliIndex:
     """(a, b) + Tr(a h2 + b h1) (h1, h2): field form of the Z_h action;
-    refuses an entry outside [0, N), through ``symplectic_inner``."""
+    refuses an entry outside [0, N), through ``symplectic_inner``.  A route
+    for ``transvection_matrix``, ``walk_pairs`` and ``markov.q_empirical``."""
     if symplectic_inner(ctx, p, h):
         return PauliIndex(p[0] ^ h[0], p[1] ^ h[1])
     return PauliIndex(*p)
-
-
-def conjugate_transvection(
-    ctx: FieldContext, f: SymplecticMatrix, h: PairLike
-) -> Transvection:
-    """The transvection with F^-1 Z_h F = Z_{hF}."""
-    return Transvection(*apply_symplectic(ctx, f, h))
 
 
 def transvection_apply_vec(ctx, h1, h2, a, b):

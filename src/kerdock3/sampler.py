@@ -29,7 +29,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ._workers import ordered_map
-from .gf2m import FieldContext
+from .gf2m import FieldContext, checked_int
 from .graph import (CENSUS_MAX_M, EdgeKind, OrbitInvariant, PauliPair, chain_mask,
                     classify_pair, closed_form_counts, orbit_counts,
                     orbit_invariant_vec, pair_code, pair_split, state_name, state_obj)
@@ -75,12 +75,10 @@ class SamplerConfig:
             raise ValueError("set exactly one of epsilon and steps")
         if self.epsilon is not None and not 0 < self.epsilon < 1:
             raise ValueError("epsilon must be in (0, 1)")
-        if self.steps is not None and self.steps < 0:
-            raise ValueError("steps must be non-negative")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError("seed must fit in 64 bits")
-        if self.count < 0:
-            raise ValueError("count must be non-negative")
+        if self.steps is not None:
+            checked_int("steps", self.steps, 0)
+        checked_int("seed", self.seed, 0, 2 ** 64 - 1)
+        checked_int("count", self.count, 0)
 
     def resolved_steps(self) -> int:
         if self.steps is not None:
@@ -348,7 +346,8 @@ def _normalize_probes(ctx: FieldContext, probes: Sequence[Probe]) -> List[Probe]
 
 def pair_statistics(ctx: FieldContext, samples: Sequence[DesignSample],
                     probes: Sequence[Probe]) -> PairStatistics:
-    """Exact (per-sample) statistics for explicit sample lists."""
+    """Exact (per-sample) statistics for explicit sample lists: the list
+    route beside ``pair_statistics_stream``."""
     probes = _normalize_probes(ctx, probes)
     if not samples:
         raise ValueError("pair statistics need at least one sample")
@@ -447,19 +446,17 @@ def pair_statistics_stream(config: SamplerConfig, probes: Sequence[Probe],
     """
     ctx = _config_ctx(config, ctx)
     probes = _normalize_probes(ctx, probes)
-    if config.count < 1:
-        raise ValueError(f"pair statistics need count >= 1, got {config.count}")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
+    count = checked_int("count", config.count, 1)
+    batch_size = checked_int("batch_size", batch_size, 1)
     steps = config.resolved_steps()
 
     def batch(lo: int) -> List[np.ndarray]:
         return _stats_batch(ctx, config, probes, lo // batch_size,
-                            min(batch_size, config.count - lo), steps)
+                            min(batch_size, count - lo), steps)
 
-    parts = ordered_map(batch, range(0, config.count, batch_size), threads)
+    parts = ordered_map(batch, range(0, count, batch_size), threads)
     counts = next(parts)  # the running sum starts from the first batch
     for part in parts:
         for total, hist in zip(counts, part):
             total += hist
-    return _statistics_from_counts(ctx, probes, counts, config.count, steps)
+    return _statistics_from_counts(ctx, probes, counts, count, steps)

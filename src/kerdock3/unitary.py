@@ -37,12 +37,11 @@ number of standard Young tableaux pairs with at most ``dim`` rows.
 from __future__ import annotations
 
 import math
-import operator
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .gf2m import FieldContext, f2_mat_mul
+from .gf2m import FieldContext, checked_int, f2_mat_mul
 from .graph import CHAINS
 from .kerdock import PslElement, psl_elements, psl_factors
 from .markov import q_empirical, stationary_weights
@@ -276,12 +275,7 @@ def frame_potential_estimate(unitaries: Sequence[np.ndarray], k: int) -> Tuple[f
     sigma^2 = 4 Var(h) / S.  Refuses a ``k`` that is not an int >= 1 and
     an empty ensemble with ValueError.
     """
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise ValueError(f"k = {k!r} must be an int >= 1") from None
-    if k < 1:
-        raise ValueError(f"k = {k} must be an int >= 1")
+    k = checked_int("k", k, 1)
     vecs = [np.asarray(u, dtype=np.complex128).ravel() for u in unitaries]
     if not vecs:
         raise ValueError("unitaries is empty; the frame potential needs at least one")
@@ -355,8 +349,7 @@ def collision_frame_potential_3(ctx: FieldContext, t: int) -> float:
 
     with g_t the t-step lumped distribution out of the start orbit.
     """
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
+    t = checked_int("t", t, 0)
     total = 4.0
     for chain in CHAINS:
         tm = q_empirical(ctx, chain)
@@ -380,8 +373,7 @@ def estimator_margin(m: int, t: int, samples: int, sigma_hat: float,
     ctx = ctx or FieldContext(m)
     if ctx.m != m:
         raise ValueError(f"field context has m={ctx.m}, the margin is for m={m}")
-    if samples < 1:
-        raise ValueError(f"samples={samples} must be at least 1")
+    samples = checked_int("samples", samples, 1)
     n = 1 << m
     return (float(n) ** 6 - 6.0) / samples \
         + max(0.0, delta_frame_potential_3(ctx, t)) + 4.0 * sigma_hat

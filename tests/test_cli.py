@@ -288,7 +288,7 @@ def test_invalid_arguments_exit_2(capsys):
         assert captured.err == "error: eps must be in (0, 1)\n"
     assert main(["convergence", "--m", "2", "--t-max", "-1"]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "t_max must be non-negative" in captured.err
+    assert captured.out == "" and "t_max = -1 must be an int >= 0" in captured.err
 
 
 
@@ -306,7 +306,7 @@ def test_bad_chain_arguments_are_refused_before_any_chain(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("error: eps must be in (0, 1)\n") == 3
-    assert "error: t_max must be non-negative, got -1\n" in captured.err
+    assert "error: t_max = -1 must be an int >= 0\n" in captured.err
     assert main(["spectra", "--m", "2"]) == 0
     assert len(calls) == 2
     out = capsys.readouterr().out

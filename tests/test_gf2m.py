@@ -14,6 +14,12 @@ from hypothesis import strategies as st
 from kerdock3.gf2m import (DENSE_TABLE_MAX_M, MAX_M, MIN_M, FieldContext,
                            PRIMITIVE_POLYS, clmul, element_dtype, f2_mat_inv,
                            f2_mat_mul, f2_rows_to_numpy, parity, polymod)
+from kerdock3.graph import srg_parameters
+from kerdock3.markov import mixing_time_bound, q1_closed_form, tv_curve, tv_curve_exact
+from kerdock3.pauli import partial_hadamard_matrix
+from kerdock3.sampler import SamplerConfig, pair_statistics_stream
+from kerdock3.unitary import (collision_frame_potential_3, estimator_margin,
+                              frame_potential_estimate, single_qubit_clifford_group)
 
 # m=3, p(x) = x^3 + x + 1: frozen reference matrices for the degree-3 field
 A_ALPHA_M3 = [[0, 1, 0], [0, 0, 1], [1, 1, 0]]
@@ -378,3 +384,60 @@ def test_field_range_check_lives_in_the_field_entry_owners_alone():
                  if not (name == "gf2m.py" and n in allowed)]
     assert not offenders, offenders
     assert len(found) == 3  # one check in each owner
+
+
+@lru_cache(maxsize=None)
+def _chain():
+    return q1_closed_form(FieldContext(2))
+
+
+def _stats(count=3, batch_size=2):
+    config = SamplerConfig(m=2, seed=0, count=count, steps=2)
+    return pair_statistics_stream(config, [((1, 0), (0, 1))], batch_size=batch_size).to_json()
+
+
+# every routed integer argument: (entry point of that one argument, its
+# name, its range [low, high], high None for no bound, and a valid value)
+INT_ARGUMENTS = {
+    "FieldContext": (FieldContext, "m", MIN_M, MAX_M, 3),
+    "mixing_time_bound": (lambda v: mixing_time_bound(v, 0.01), "m", MIN_M, MAX_M, 3),
+    "srg_parameters": (srg_parameters, "m", MIN_M, None, 3),
+    "config-seed": (lambda v: SamplerConfig(m=2, seed=v, count=1, steps=1),
+                    "seed", 0, 2 ** 64 - 1, 5),
+    "config-count": (lambda v: SamplerConfig(m=2, seed=0, count=v, steps=1), "count", 0, None, 5),
+    "config-steps": (lambda v: SamplerConfig(m=2, seed=0, count=1, steps=v), "steps", 0, None, 5),
+    "stream-count": (_stats, "count", 1, None, 3),
+    "stream-batch_size": (lambda v: _stats(batch_size=v), "batch_size", 1, None, 2),
+    # the non-edge chain at m = 2 has 2 states
+    "tv_curve": (lambda v: tv_curve(_chain(), np.eye(2), v), "t_max", 0, None, 3),
+    "tv_curve_exact-start": (lambda v: tv_curve_exact(_chain(), v, 2), "start_index", 0, 1, 1),
+    "tv_curve_exact-t_max": (lambda v: tv_curve_exact(_chain(), 0, v), "t_max", 0, None, 3),
+    "f3": (lambda v: collision_frame_potential_3(FieldContext(2), v), "t", 0, None, 2),
+    "margin": (lambda v: estimator_margin(2, 3, v, 0.0), "samples", 1, None, 100),
+    "gram": (lambda v: frame_potential_estimate(single_qubit_clifford_group(), v),
+             "k", 1, None, 2),
+    "partial_hadamard": (lambda v: partial_hadamard_matrix(2, v), "t", 0, 2, 1),
+}
+
+
+@pytest.mark.parametrize("entry, value", [
+    pytest.param(entry, value, id=f"{entry}-{value!r}")
+    for entry, (_, _, low, high, _) in INT_ARGUMENTS.items()
+    for value in (1.5, True, low - 1, "3") + (() if high is None else (high + 1,))])
+def test_integer_arguments_are_read_by_one_owner(entry, value):
+    """Each integer argument goes through ``checked_int``: a float, a bool, a
+    string or an int out of range is a ValueError naming the argument.
+    Before, seed 1.5 drew seed 1's stream, t = 1.5 gave the t = 2
+    generator, the curves and F_3 walked True as 1, the margin took 2.5
+    samples, FieldContext(3.0) was a bare TypeError and 2.5 a KeyError."""
+    call, name, _, _, _ = INT_ARGUMENTS[entry]
+    with pytest.raises(ValueError, match=re.escape(f"{name} = {value!r} must be an int ")):
+        call(value)
+
+
+@pytest.mark.parametrize("entry", INT_ARGUMENTS)
+def test_integer_arguments_read_numpy_integers(entry):
+    call, _, _, _, valid = INT_ARGUMENTS[entry]
+    want = call(valid)
+    for value in (np.int64(valid), np.uint64(valid)):
+        np.testing.assert_equal(call(value), want)

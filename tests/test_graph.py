@@ -87,7 +87,7 @@ def test_srg_parameters_and_check():
     assert srg_parameters(2) == (15, 6, 1, 3)
     assert srg_parameters(3) == (63, 30, 13, 15)
     for m in (1, 0, -1):
-        with pytest.raises(ValueError, match="m must be at least 2"):
+        with pytest.raises(ValueError, match=f"m = {m} must be an int >= 2"):
             srg_parameters(m)
     for m in (2, 3, 5):
         assert srg_check(FieldContext(m)) == srg_parameters(m)

@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from kerdock3.gf2m import FieldContext, f2_mat_mul
 from kerdock3.kerdock import (INFINITY, PslElement, _psl_fill, classify_subgroup,
                               kerdock_matrix, mobius_action, pair_action, psl_elements,
-                              psl_factors, psl_identity, psl_inverse,
-                              psl_order, psl_product, psl_to_symplectic,
+                              psl_factors, psl_product, psl_to_symplectic,
                               sample_psl, sample_psl_vec, subgroup_members)
 from kerdock3.pauli import (PauliIndex, SymplecticMatrix, apply_symplectic,
                             basis_change_matrix, omega_matrix, pack_index,
                             partial_hadamard_matrix, phase_matrix)
+
+
+IDENTITY = PslElement(1, 0, 0, 1)
 
 
 def _all_psl(ctx):
@@ -81,25 +83,25 @@ def test_classify_subgroup_and_members():
 def test_psl_group_axioms_m2():
     ctx = FieldContext(2)
     gs = _all_psl(ctx)
-    assert len(gs) == psl_order(ctx) == 60
+    assert len(gs) == 60
     assert len(set(gs)) == 60
-    ident = psl_identity(ctx)
+    assert IDENTITY in gs
     for g in gs:
-        assert psl_product(ctx, g, psl_inverse(ctx, g)) == ident
-        assert psl_product(ctx, psl_inverse(ctx, g), g) == ident
+        # det = 1 and char 2: (alpha beta; gamma delta)^-1 = (delta beta; gamma alpha)
+        inverse = PslElement(g.delta, g.beta, g.gamma, g.alpha)
+        assert inverse in gs
+        assert psl_product(ctx, g, inverse) == IDENTITY
+        assert psl_product(ctx, inverse, g) == IDENTITY
     # determinant one for every enumerated element
     for g in gs:
         det = ctx.mul(g.alpha, g.delta) ^ ctx.mul(g.beta, g.gamma)
         assert det == 1
 
 
-def test_psl_order_formula():
+def test_psl_elements_count_the_group_order():
     for m in (2, 3, 4):
         n = 1 << m
-        ctx = FieldContext(m)
-        assert psl_order(ctx) == (n + 1) * n * (n - 1)
-        if m <= 3:
-            assert len(_all_psl(ctx)) == psl_order(ctx)
+        assert len(_all_psl(FieldContext(m))) == (n + 1) * n * (n - 1)
 
 
 def test_theta_is_homomorphism_m2():
@@ -114,8 +116,7 @@ def test_theta_is_homomorphism_m2():
 def test_theta_examples():
     for m in (2, 3):
         ctx = FieldContext(m)
-        assert psl_to_symplectic(ctx, psl_identity(ctx)) == \
-            SymplecticMatrix.identity(m)
+        assert psl_to_symplectic(ctx, IDENTITY) == SymplecticMatrix.identity(m)
         # the swap element maps to the W-twisted block swap [[0, W], [W^-1, 0]]
         swap = PslElement(0, 1, 1, 0)
         rows = [int(r) << m for r in ctx.w_rows] + list(ctx.w_inv_rows)
@@ -274,15 +275,15 @@ def test_psl_entries_outside_the_field_are_refused(g):
 @pytest.mark.parametrize("call, shown", [
     pytest.param(lambda ctx: kerdock_matrix(ctx, -1), "subgroup label -1", id="kerdock-z=-1"),
     pytest.param(lambda ctx: kerdock_matrix(ctx, 99), "subgroup label 99", id="kerdock-z=99"),
-    pytest.param(lambda ctx: mobius_action(ctx, psl_identity(ctx), -1), "subgroup label -1",
+    pytest.param(lambda ctx: mobius_action(ctx, IDENTITY, -1), "subgroup label -1",
                  id="mobius-z=-1"),
-    pytest.param(lambda ctx: mobius_action(ctx, psl_identity(ctx), 99), "subgroup label 99",
+    pytest.param(lambda ctx: mobius_action(ctx, IDENTITY, 99), "subgroup label 99",
                  id="mobius-z=99"),
     pytest.param(lambda ctx: mobius_action(ctx, PslElement(1, 0, -1, 1), INFINITY),
                  "PSL element (1, 0, -1, 1)", id="mobius-g-at-infinity"),
-    pytest.param(lambda ctx: pair_action(ctx, psl_identity(ctx), (-1, 0)),
+    pytest.param(lambda ctx: pair_action(ctx, IDENTITY, (-1, 0)),
                  "Pauli index (-1, 0)", id="pair-p=(-1,0)"),
-    pytest.param(lambda ctx: pair_action(ctx, psl_identity(ctx), (0, 99)),
+    pytest.param(lambda ctx: pair_action(ctx, IDENTITY, (0, 99)),
                  "Pauli index (0, 99)", id="pair-p=(0,99)"),
     pytest.param(lambda ctx: pair_action(ctx, PslElement(1, 0, 0, 99), (1, 0)),
                  "PSL element (1, 0, 0, 99)", id="pair-g"),
@@ -293,4 +294,30 @@ def test_scalar_maps_refuse_entries_outside_the_field(call, shown):
     mobius_action and pair_action returned 7), and 99 ended in a bare
     IndexError."""
     with pytest.raises(ValueError, match=re.escape(f"{shown} has an entry outside [0, 8)")):
+        call(FieldContext(3))
+
+
+@pytest.mark.parametrize("call, det, shown", [
+    pytest.param(lambda ctx: mobius_action(ctx, PslElement(0, 0, 0, 0), 3), 0,
+                 "(alpha=0, beta=0, gamma=0, delta=0)", id="mobius-zero-g"),
+    pytest.param(lambda ctx: mobius_action(ctx, PslElement(1, 1, 1, 1), INFINITY), 0,
+                 "(alpha=1, beta=1, gamma=1, delta=1)", id="mobius-g-at-infinity"),
+    pytest.param(lambda ctx: pair_action(ctx, PslElement(1, 1, 1, 1), (1, 1)), 0,
+                 "(alpha=1, beta=1, gamma=1, delta=1)", id="pair-g"),
+    pytest.param(lambda ctx: psl_product(ctx, (1, 1, 1, 1), (2, 0, 0, 2)), 0,
+                 "(1, 1, 1, 1)", id="product-g1"),
+    pytest.param(lambda ctx: psl_product(ctx, IDENTITY, (2, 0, 0, 2)), 4,
+                 "(2, 0, 0, 2)", id="product-g2"),
+    pytest.param(lambda ctx: psl_to_symplectic(ctx, PslElement(2, 0, 0, 2)), 4,
+                 "(alpha=2, beta=0, gamma=0, delta=2)", id="theta"),
+    pytest.param(lambda ctx: psl_factors(ctx, PslElement(2, 0, 0, 2)), 4,
+                 "(alpha=2, beta=0, gamma=0, delta=2)", id="factors"),
+])
+def test_field_side_maps_refuse_a_g_outside_sl2(call, det, shown):
+    """At m = 3 mobius_action of the zero matrix used to return INFINITY,
+    pair_action of (1, 1; 1, 1) the zero index (0, 0), and psl_product of
+    (1, 1; 1, 1) and 2I the non-SL (2, 2; 2, 2); every map that reads g
+    refuses it through the one determinant check, as theta does."""
+    with pytest.raises(ValueError, match=re.escape(f"determinant {det} != 1, not an SL(2) "
+                                                   f"element: ") + ".*" + re.escape(shown)):
         call(FieldContext(3))

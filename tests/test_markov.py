@@ -284,7 +284,7 @@ def test_mixing_time_bound_refuses_unsupported_degrees(m):
     for call in (lambda: mixing_time_bound(m, 0.01), lambda: mixing_time_report(m, 0.01),
                  lambda: steps_for_epsilon(m, 0.01),
                  lambda: SamplerConfig(m=m, seed=0, count=1, epsilon=0.01).resolved_steps()):
-        with pytest.raises(ValueError, match=f"m={m} out of supported range"):
+        with pytest.raises(ValueError, match=re.escape(f"m = {m} must be an int in [2, 16]")):
             call()
 
 
@@ -537,7 +537,8 @@ def test_tv_curve_exact_refuses_a_start_that_is_no_int(start):
     """1.5 passed the range check and gave the curve of an all-zero start,
     1/2 at every step."""
     tm = q1_closed_form(FieldContext(3))
-    with pytest.raises(ValueError, match=re.escape(f"start_index {start!r} is not an int")):
+    message = f"start_index = {start!r} must be an int in [0, {len(tm.states) - 1}]"
+    with pytest.raises(ValueError, match=re.escape(message)):
         tv_curve_exact(tm, start, 2)
     assert tv_curve_exact(tm, np.int64(1), 2) == tv_curve_exact(tm, 1, 2)
 

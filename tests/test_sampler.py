@@ -16,7 +16,7 @@ from kerdock3.gf2m import FieldContext, f2_mat_mul
 from kerdock3 import pauli, sampler
 from kerdock3.graph import (EdgeKind, PauliPair, census, chain_mask, orbit_invariant,
                             srg_check)
-from kerdock3.kerdock import PslElement, psl_identity, psl_to_symplectic, sample_psl_vec
+from kerdock3.kerdock import PslElement, psl_to_symplectic, sample_psl_vec
 from kerdock3.markov import full_chain, q_empirical
 from kerdock3.pauli import (PauliIndex, SymplecticMatrix, apply_symplectic,
                             transvection_matrix)
@@ -104,7 +104,7 @@ def test_identity_hook():
     config = SamplerConfig(m=2, seed=5, count=1, steps=0)
     s = sample(config, _substream(5, 0), ctx)
     assert s.transvections == ()
-    assert compose(ctx, (), psl_identity(ctx)) == SymplecticMatrix.identity(2)
+    assert compose(ctx, (), PslElement(1, 0, 0, 1)) == SymplecticMatrix.identity(2)
 
 
 def test_stream_is_deterministic_and_indexed():
@@ -692,7 +692,7 @@ def test_statistics_refuse_empty_runs(monkeypatch):
     they gave NaN TV (and a ZeroDivisionError in to_json), an assertion
     about escaped probe images, or a bare range() error."""
     _refuse_batches(monkeypatch)
-    with pytest.raises(ValueError, match="count >= 1"):
+    with pytest.raises(ValueError, match="count = 0 must be an int >= 1"):
         pair_statistics_stream(SamplerConfig(m=2, seed=1, count=0, steps=2),
                                [COMMUTING_PROBE])
     with pytest.raises(ValueError, match="at least one sample"):

@@ -623,11 +623,11 @@ def _no_chain(*args):
 
 @pytest.mark.parametrize("call, match", [
     pytest.param(lambda tm: collision_frame_potential_3(FieldContext(2), -1),
-                 "t must be non-negative", id="f3-t=-1"),
+                 "t = -1 must be an int >= 0", id="f3-t=-1"),
     pytest.param(lambda tm: collision_frame_potential_3(FieldContext(2), -2),
-                 "t must be non-negative", id="f3-t=-2"),
+                 "t = -2 must be an int >= 0", id="f3-t=-2"),
     pytest.param(lambda tm: estimator_margin(2, -1, 1000, 0.0),
-                 "t must be non-negative", id="margin-t=-1"),
+                 "t = -1 must be an int >= 0", id="margin-t=-1"),
     pytest.param(lambda tm: tv_curve_exact(tm, len(tm.states), 4),
                  "start_index", id="exact-start=k"),
     pytest.param(lambda tm: tv_curve_exact(tm, -1, 4), "start_index",
@@ -637,9 +637,9 @@ def _no_chain(*args):
                  id="float-t_max=-1"),
     pytest.param(lambda tm: estimator_margin(3, 1, 1000, 0.0, FieldContext(2)),
                  "m=2, the margin is for m=3", id="margin-degrees"),
-    pytest.param(lambda tm: estimator_margin(2, 1, 0, 0.0), "samples=0 must be at least 1",
+    pytest.param(lambda tm: estimator_margin(2, 1, 0, 0.0), "samples = 0 must be an int >= 1",
                  id="margin-samples=0"),
-    pytest.param(lambda tm: estimator_margin(2, 1, -5, 0.0), "samples=-5 must be at least 1",
+    pytest.param(lambda tm: estimator_margin(2, 1, -5, 0.0), "samples = -5 must be an int >= 1",
                  id="margin-samples=-5"),
 ])
 def test_chain_propagators_refuse_bad_arguments(monkeypatch, call, match):
