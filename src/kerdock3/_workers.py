@@ -14,11 +14,19 @@ from concurrent.futures import ThreadPoolExecutor
 from itertools import islice
 from typing import Callable, Iterable, Iterator
 
+from .gf2m import checked_int
+
 __all__ = ["ordered_map"]
 
 
 def ordered_map(fn: Callable, items: Iterable, threads: int = 1) -> Iterator:
-    """``map(fn, items)`` on up to ``threads`` threads, in item order."""
+    """``map(fn, items)`` on up to ``threads`` threads, in item order; 0
+    and 1 run serially.  ``threads`` is checked here, at the call, so a
+    refused value starts no work."""
+    return _ordered_map(fn, items, checked_int("threads", threads, 0))
+
+
+def _ordered_map(fn: Callable, items: Iterable, threads: int) -> Iterator:
     if threads <= 1:
         yield from map(fn, items)
         return

@@ -223,18 +223,15 @@ class FieldContext:
         Extension degree, an int with 2 <= m <= 16.
     poly : int, optional
         Primitive polynomial as a bit-vector int of degree m.  Defaults to
-        the table entry for m.  A negative int is refused; reducible or
+        the table entry for m.  A bool, a non-integer and a negative int
+        are refused as ``checked_int`` refuses them; reducible or
         non-primitive polynomials are rejected with a witness in the error
         message.
     """
 
     def __init__(self, m: int, poly: Optional[int] = None) -> None:
         m = checked_int("m", m, MIN_M, MAX_M)
-        if poly is None:
-            poly = PRIMITIVE_POLYS[m]
-        if poly < 0:
-            raise ValueError(f"polynomial {poly:#x} is negative; it must be a "
-                             f"bit-vector int of degree {m}")
+        poly = PRIMITIVE_POLYS[m] if poly is None else checked_int("poly", poly, 0)
         if poly_degree(poly) != m:
             raise ValueError(
                 f"polynomial {poly:#x} has degree {poly_degree(poly)}, expected {m}"

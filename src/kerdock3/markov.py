@@ -229,9 +229,9 @@ def _determinant_images(ctx: FieldContext, a, b, c, d, det):
     determinant identity of the module docstring.  Returns the (R, N)
     histogram of det' per pair and the (pair, h) arrays of the images
     with det' = 0 of the pairs with det != 0."""
-    n = ctx.order
+    n, dtype = ctx.order, element_dtype(ctx.m)
     field = np.arange(n)
-    ones = np.uint16(0) - ctx.np_table("trace").astype(np.uint16)  # all-ones where Tr = 1
+    ones = dtype.type(0) - ctx.np_table("trace").astype(dtype)  # all-ones where Tr = 1
     hist = np.empty((len(a), n), dtype=np.int64)
     zero_pair, zero_h = [], []
     step = max(1, _GRID_CELLS // (n * n))
@@ -253,6 +253,14 @@ def _determinant_images(ctx: FieldContext, a, b, c, d, det):
     return hist, np.concatenate(zero_pair), np.concatenate(zero_h)
 
 
+def _state_columns(states: Sequence[OrbitInvariant]) -> np.ndarray:
+    """The column of each state's orbit key, indexed by the key; every
+    other key maps to column len(states)."""
+    col_of_key = np.full(ORBIT_KEY_SPACE, len(states), dtype=np.intp)
+    col_of_key[[orbit_key(s.kind, s.value) for s in states]] = np.arange(len(states))
+    return col_of_key
+
+
 def transvection_counts(ctx: FieldContext, chain: str,
                         representatives: Optional[Sequence[PauliPair]] = None
                         ) -> Tuple[List[OrbitInvariant], np.ndarray]:
@@ -271,9 +279,7 @@ def transvection_counts(ctx: FieldContext, chain: str,
     if representatives is None:
         representatives = [orbit_representative(ctx, s) for s in states]
     k = len(states)
-    # the state column of every orbit key; column k catches the rest
-    col_of_key = np.full(ORBIT_KEY_SPACE, k, dtype=np.intp)
-    col_of_key[[orbit_key(s.kind, s.value) for s in states]] = np.arange(k)
+    col_of_key = _state_columns(states)
     a, b, c, d = np.array(
         [ctx.field_entries("representative", (*p, *q), f"{state_name((p, q))} (row {i})")
          for i, (p, q) in enumerate(representatives)],
@@ -508,22 +514,20 @@ def full_chain(ctx: FieldContext, chain: str) -> TransitionMatrix:
     code_to_idx[pair_code(ctx.m, vs, ws)] = np.arange(k)
 
     h = np.arange(1, n * n, dtype=np.uint32)[None, :]
-    a, b = vertex_split(ctx.m, vs[:, None])
-    c, d = vertex_split(ctx.m, ws[:, None])
-
-    counts = np.zeros((k, k), dtype=np.int64)
-    rows = np.repeat(np.arange(k), n * n - 1)
-    ia, ib = walk_pairs(ctx, [h], a, b)
-    ic, id_ = walk_pairs(ctx, [h], c, d)
+    a, b = vertex_split(ctx.m, vs)
+    c, d = vertex_split(ctx.m, ws)
+    ia, ib = walk_pairs(ctx, [h], a[:, None], b[:, None])
+    ic, id_ = walk_pairs(ctx, [h], c[:, None], d[:, None])
     img_code = pair_code(ctx.m, vertex_code(ctx.m, ia, ib), vertex_code(ctx.m, ic, id_))
-    cols = code_to_idx[img_code.ravel()]
+    cols = code_to_idx[img_code]
     if (cols < 0).any():
         raise AssertionError("transvection image left the pair class")
-    np.add.at(counts, (rows, cols), 1)
+    # one count per (row, image column): flat index row * k + col
+    cols += np.arange(0, k * k, k)[:, None]
+    counts = np.bincount(cols.ravel(), minlength=k * k).reshape(k, k)
 
-    states = [PauliPair(PauliIndex(*vertex_split(ctx.m, v)),
-                        PauliIndex(*vertex_split(ctx.m, w)))
-              for v, w in zip(vs, ws)]
+    states = list(map(PauliPair, map(PauliIndex, a.tolist(), b.tolist()),
+                      map(PauliIndex, c.tolist(), d.tolist())))
     counts *= 4  # in place: at m = 3 a copy would be another 30 MB
     return TransitionMatrix(states=states, numerators=counts,
                             denominator=4 * (n * n - 1))
@@ -535,24 +539,34 @@ def lump_chain(ctx: FieldContext, full: TransitionMatrix) -> TransitionMatrix:
     Every state of one orbit must send identical total mass to each
     orbit — that is what makes the projection a Markov chain at all —
     and the identity of those row sums is checked exactly.  The class is
-    read off the first pair, and a pair of the other class is refused.
+    read off the first pair; a pair of the other class, an orbit of the
+    class with no pair, and an orbit whose rows differ are refused, the
+    first pair or orbit in order named.
     """
-    invariants = [orbit_invariant(ctx, pair) for pair in full.states]
-    chain = "edges" if invariants[0].kind != EdgeKind.NON_EDGE else "nonedges"
+    first = orbit_invariant(ctx, full.states[0])
+    chain = "edges" if first.kind != EdgeKind.NON_EDGE else "nonedges"
     states = chain_states(ctx, chain)
-    col_of = {s: j for j, s in enumerate(states)}
-    for pair, inv in zip(full.states, invariants):
-        if inv not in col_of:
-            raise ValueError(f"state {state_name(pair)} is not in the {chain} chain")
-    member_cols = np.array([col_of[inv] for inv in invariants])
-    lumped = np.zeros((len(full.states), len(states)), dtype=np.int64)
-    for j in range(len(states)):
-        lumped[:, j] = full.numerators[:, member_cols == j].sum(axis=1)
-    numerators = np.zeros((len(states), len(states)), dtype=np.int64)
-    for i, s in enumerate(states):
-        member_rows = lumped[member_cols == i]
-        if not (member_rows == member_rows[0]).all():
-            raise ValueError(f"chain is not lumpable over orbit {s}")
-        numerators[i] = member_rows[0]
-    return TransitionMatrix(states=states, numerators=numerators,
+    k = len(states)
+    a, b, c, d = np.array(full.states, dtype=element_dtype(ctx.m)).reshape(-1, 4).T
+    member_cols = _state_columns(states)[orbit_invariant_vec(ctx, a, b, c, d)]
+    outside = np.flatnonzero(member_cols == k)
+    if len(outside):
+        raise ValueError(f"state {state_name(full.states[outside[0]])} "
+                         f"is not in the {chain} chain")
+    # the first pair of each orbit, which every other pair of it must match
+    orbits, first_rows = np.unique(member_cols, return_index=True)
+    if len(orbits) < k:
+        empty = np.setdiff1d(np.arange(k), orbits)[0]
+        raise ValueError(f"the full chain has no pair in orbit {states[empty]}")
+    # each row's mass per orbit, summed over its nonzero entries only (at
+    # most N^2 - 1 a row); np.flatnonzero of the boolean mask is about
+    # three times as fast as np.nonzero of the 2-D int64 matrix
+    rows, cols = np.divmod(np.flatnonzero(full.numerators != 0), len(full.states))
+    lumped = np.zeros((len(full.states), k), dtype=np.int64)
+    np.add.at(lumped, (rows, member_cols[cols]), full.numerators[rows, cols])
+    differs = (lumped != lumped[first_rows[member_cols]]).any(axis=1)
+    if differs.any():
+        raise ValueError(f"chain is not lumpable over orbit "
+                         f"{states[member_cols[differs].min()]}")
+    return TransitionMatrix(states=states, numerators=lumped[first_rows],
                             denominator=full.denominator)

@@ -29,7 +29,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ._workers import ordered_map
-from .gf2m import FieldContext, checked_int
+from .gf2m import MAX_M, MIN_M, FieldContext, checked_int
 from .graph import (CENSUS_MAX_M, EdgeKind, OrbitInvariant, PauliPair, chain_mask,
                     classify_pair, closed_form_counts, orbit_counts,
                     orbit_invariant_vec, pair_code, pair_split, state_name, state_obj)
@@ -77,6 +77,7 @@ class SamplerConfig:
             raise ValueError("epsilon must be in (0, 1)")
         if self.steps is not None:
             checked_int("steps", self.steps, 0)
+        checked_int("m", self.m, MIN_M, MAX_M)
         checked_int("seed", self.seed, 0, 2 ** 64 - 1)
         checked_int("count", self.count, 0)
 
@@ -88,9 +89,10 @@ class SamplerConfig:
 
 def steps_for_epsilon(m: int, eps: float) -> int:
     """Walk length for a target accuracy: the mixing bound at eps/N^3,
-    with N^3 = 8^m, so that ``mixing_time_bound`` refuses a negative m.
-    Refuses eps outside (0, 1), which the bound cannot see: it is given
-    eps/N^3, inside (0, 1) for every eps up to N^3."""
+    with N^3 = 8^m.  Refuses an m that no ``FieldContext`` accepts before
+    it reaches 8^m, and eps outside (0, 1), which the bound cannot see:
+    it is given eps/N^3, inside (0, 1) for every eps up to N^3."""
+    m = checked_int("m", m, MIN_M, MAX_M)
     if not 0 < eps < 1:
         raise ValueError(f"eps = {eps!r} must be in (0, 1)")
     return mixing_time_bound(m, eps / 8 ** m)

@@ -264,14 +264,16 @@ def test_flags_a_subcommand_does_not_read_exit_2(argv, capsys):
 def test_negative_polynomial_exits_2_without_building_tables():
     """A negative --poly passes the degree and low-bit checks, and the
     factor search never ends on it, so it is refused before any table is
-    built.  The subprocess timeout turns a hang into a failure."""
+    built, in ``checked_int``'s wording.  The subprocess timeout turns a
+    hang into a failure."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     for m, poly in (("2", "-5"), ("4", "-13")):
         proc = subprocess.run([sys.executable, "-m", "kerdock3.cli", "field-info",
                                "--m", m, "--poly", poly],
                               capture_output=True, text=True, timeout=30, env=env)
         assert proc.returncode == 2, proc.stderr
-        assert "negative" in proc.stderr and proc.stdout == ""
+        assert f"poly = {int(poly, 16)} must be an int >= 0" in proc.stderr
+        assert proc.stdout == ""
 
 
 def test_invalid_arguments_exit_2(capsys):

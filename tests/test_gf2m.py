@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kerdock3._workers import ordered_map
 from kerdock3.gf2m import (DENSE_TABLE_MAX_M, MAX_M, MIN_M, FieldContext,
                            PRIMITIVE_POLYS, clmul, element_dtype, f2_mat_inv,
                            f2_mat_mul, f2_rows_to_numpy, parity, polymod)
 from kerdock3.graph import srg_parameters
 from kerdock3.markov import mixing_time_bound, q1_closed_form, tv_curve, tv_curve_exact
 from kerdock3.pauli import partial_hadamard_matrix
-from kerdock3.sampler import SamplerConfig, pair_statistics_stream
+from kerdock3.sampler import SamplerConfig, pair_statistics_stream, steps_for_epsilon
 from kerdock3.unitary import (collision_frame_potential_3, estimator_margin,
                               frame_potential_estimate, single_qubit_clifford_group)
 
@@ -400,6 +401,9 @@ def _stats(count=3, batch_size=2):
 # name, its range [low, high], high None for no bound, and a valid value)
 INT_ARGUMENTS = {
     "FieldContext": (FieldContext, "m", MIN_M, MAX_M, 3),
+    "FieldContext-poly": (lambda v: FieldContext(3, poly=v), "poly", 0, None, 0xB),
+    "steps_for_epsilon": (lambda v: steps_for_epsilon(v, 0.01), "m", MIN_M, MAX_M, 3),
+    "config-m": (lambda v: SamplerConfig(m=v, seed=0, count=1, steps=1), "m", MIN_M, MAX_M, 2),
     "mixing_time_bound": (lambda v: mixing_time_bound(v, 0.01), "m", MIN_M, MAX_M, 3),
     "srg_parameters": (srg_parameters, "m", MIN_M, None, 3),
     "config-seed": (lambda v: SamplerConfig(m=2, seed=v, count=1, steps=1),
@@ -417,6 +421,7 @@ INT_ARGUMENTS = {
     "gram": (lambda v: frame_potential_estimate(single_qubit_clifford_group(), v),
              "k", 1, None, 2),
     "partial_hadamard": (lambda v: partial_hadamard_matrix(2, v), "t", 0, 2, 1),
+    "ordered_map": (lambda v: list(ordered_map(abs, [-1, 2], v)), "threads", 0, None, 2),
 }
 
 
@@ -429,7 +434,10 @@ def test_integer_arguments_are_read_by_one_owner(entry, value):
     string or an int out of range is a ValueError naming the argument.
     Before, seed 1.5 drew seed 1's stream, t = 1.5 gave the t = 2
     generator, the curves and F_3 walked True as 1, the margin took 2.5
-    samples, FieldContext(3.0) was a bare TypeError and 2.5 a KeyError."""
+    samples, FieldContext(3.0) was a bare TypeError and 2.5 a KeyError;
+    poly = 11.0 an AttributeError and poly = True the polynomial 1; m = "3"
+    a bare TypeError in steps_for_epsilon and accepted by SamplerConfig;
+    threads = 1.5 an islice error."""
     call, name, _, _, _ = INT_ARGUMENTS[entry]
     with pytest.raises(ValueError, match=re.escape(f"{name} = {value!r} must be an int ")):
         call(value)
