@@ -40,7 +40,7 @@ from .markov import (TransitionMatrix, closed_form_failures, extract_r,
                      tv_curve_exact)
 from .sampler import (DesignSample, PairStatistics, SamplerConfig, compose,
                       mc_sigma, pair_statistics, pair_statistics_stream,
-                      read_jsonl, sample, sample_at, sample_stream,
+                      read_jsonl, sample_at, sample_stream,
                       steps_for_epsilon, write_jsonl)
 from .unitary import (collision_frame_potential_3, conjugation_check,
                       delta_frame_potential_3, estimator_margin,

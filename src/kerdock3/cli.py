@@ -370,6 +370,7 @@ def _cmd_verify(args) -> int:
     if args.m > FULL_CHAIN_MAX_M:
         raise ValueError(f"verify requires m <= {FULL_CHAIN_MAX_M} "
                          f"(markov.FULL_CHAIN_MAX_M, the full-chain-lumping cap)")
+    checked_int("count", args.count, 1)  # the last check's walks, refused before the first
     failures = []
     lines = []
     for name, fn in _verify_checks(args):

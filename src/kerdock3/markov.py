@@ -52,6 +52,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -415,6 +416,14 @@ def closed_form_failures(ctx: FieldContext, tm: TransitionMatrix) -> List[str]:
 # --- mixing time ---
 
 
+def _checked_eps(eps) -> float:
+    """``eps`` if it is a real number in (0, 1), the one owner of accuracy
+    checks; refuses anything else as "eps = <eps!r> must be in (0, 1)"."""
+    if not isinstance(eps, numbers.Real) or not 0 < eps < 1:
+        raise ValueError(f"eps = {eps!r} must be in (0, 1)")
+    return eps
+
+
 def mixing_time_bound(m: int, eps: float) -> int:
     """ceil((1/Delta) ln(N^3 (N^2-4) / (2 eps))) with the analytic Delta.
 
@@ -423,8 +432,7 @@ def mixing_time_bound(m: int, eps: float) -> int:
     eps/N^3.  Refuses an m that no ``FieldContext`` accepts.
     """
     m = checked_int("m", m, MIN_M, MAX_M)
-    if not 0 < eps < 1:
-        raise ValueError("eps must be in (0, 1)")
+    eps = _checked_eps(eps)
     n = 1 << m
     delta = 1.0 - lambda_q0_bound(m)
     return math.ceil(math.log(n ** 3 * (n * n - 4) / (2 * eps)) / delta)

@@ -21,7 +21,7 @@ reproducible and thread-count independent.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
 from operator import index
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -34,7 +34,7 @@ from .graph import (CENSUS_MAX_M, EdgeKind, OrbitInvariant, PauliPair, chain_mas
                     classify_pair, closed_form_counts, orbit_counts,
                     orbit_invariant_vec, pair_code, pair_split, state_name, state_obj)
 from .kerdock import PslElement, _check_det, psl_to_symplectic, sample_psl, sample_psl_vec
-from .markov import mixing_time_bound
+from .markov import _checked_eps, mixing_time_bound
 from .pauli import (PauliIndex, SymplecticMatrix, Transvection,
                     apply_symplectic, transvection_matrix, transvection_product,
                     vertex_code, vertex_split, walk_pairs)
@@ -44,7 +44,6 @@ __all__ = [
     "DesignSample",
     "steps_for_epsilon",
     "compose",
-    "sample",
     "sample_at",
     "sample_stream",
     "write_jsonl",
@@ -62,40 +61,37 @@ Probe = Union[PauliIndex, PauliPair]
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Exactly one of epsilon / steps fixes the walk length."""
+    """Exactly one of epsilon / steps fixes the walk length, resolved once
+    when the config is made (``dataclasses.replace`` makes a new one)."""
 
     m: int
     seed: int
     count: int
     epsilon: Optional[float] = None
     steps: Optional[int] = None
+    _steps: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if (self.epsilon is None) == (self.steps is None):
             raise ValueError("set exactly one of epsilon and steps")
-        if self.epsilon is not None and not 0 < self.epsilon < 1:
-            raise ValueError("epsilon must be in (0, 1)")
-        if self.steps is not None:
-            checked_int("steps", self.steps, 0)
+        steps = (checked_int("steps", self.steps, 0) if self.epsilon is None
+                 else steps_for_epsilon(self.m, self.epsilon))
         checked_int("m", self.m, MIN_M, MAX_M)
         checked_int("seed", self.seed, 0, 2 ** 64 - 1)
         checked_int("count", self.count, 0)
+        object.__setattr__(self, "_steps", steps)
 
     def resolved_steps(self) -> int:
-        if self.steps is not None:
-            return self.steps
-        return steps_for_epsilon(self.m, self.epsilon)
+        return self._steps
 
 
 def steps_for_epsilon(m: int, eps: float) -> int:
     """Walk length for a target accuracy: the mixing bound at eps/N^3,
     with N^3 = 8^m.  Refuses an m that no ``FieldContext`` accepts before
-    it reaches 8^m, and eps outside (0, 1), which the bound cannot see:
-    it is given eps/N^3, inside (0, 1) for every eps up to N^3."""
+    it reaches 8^m, and an eps that is no number in (0, 1), which the bound
+    cannot see: eps/N^3 is inside (0, 1) for every eps up to N^3."""
     m = checked_int("m", m, MIN_M, MAX_M)
-    if not 0 < eps < 1:
-        raise ValueError(f"eps = {eps!r} must be in (0, 1)")
-    return mixing_time_bound(m, eps / 8 ** m)
+    return mixing_time_bound(m, _checked_eps(eps) / 8 ** m)
 
 
 # Transvection of an (h1, h2) pair, built without the NamedTuple's
@@ -124,11 +120,13 @@ class DesignSample:
     @classmethod
     def from_json_line(cls, line: str, m: int) -> Tuple[int, "DesignSample"]:
         """(index, sample) of one line, in the default field of degree m (the
-        field ``sample`` writes in); refuses, naming the field, a missing field,
-        an ``index`` other than an int >= 0, an entry other than a hex string,
-        a transvection other than a pair, a ``composed`` row over 2m bits, an
-        entry outside [0, N), a zero transvection, a ``psl`` or ``pauli`` list
-        of the wrong length and a ``psl`` of determinant other than 1."""
+        field ``sample_at`` writes in); refuses an m that no ``FieldContext``
+        accepts and, naming the field, a missing field, an ``index`` other
+        than an int >= 0, an entry other than a hex string, a transvection
+        other than a pair, a ``composed`` row over 2m bits, an entry outside
+        [0, N), a zero transvection, a ``psl`` or ``pauli`` list of the wrong
+        length and a ``psl`` of determinant other than 1."""
+        m = checked_int("m", m, MIN_M, MAX_M)
         obj = json.loads(line)
         if missing := _RECORD_FIELDS.difference(obj):
             raise ValueError(f"record has no {', '.join(sorted(missing))}")
@@ -185,15 +183,6 @@ def _draw(ctx: FieldContext, steps: int, rng: np.random.Generator
     return transvections, psl, PauliIndex(*vertex_split(ctx.m, rng.integers(0, n * n)))
 
 
-def sample(config: SamplerConfig, rng: np.random.Generator,
-           ctx: Optional[FieldContext] = None) -> DesignSample:
-    """One design sample from the given stream."""
-    ctx = _config_ctx(config, ctx)
-    transvections, psl, pauli = _draw(ctx, config.resolved_steps(), rng)
-    return DesignSample(transvections=transvections, psl=psl, pauli=pauli,
-                        composed=compose(ctx, transvections, psl))
-
-
 def _config_ctx(config: SamplerConfig, ctx: Optional[FieldContext]) -> FieldContext:
     """``ctx``, or the default field of degree ``config.m``; refuses another degree."""
     if ctx is None:
@@ -206,7 +195,7 @@ def _config_ctx(config: SamplerConfig, ctx: Optional[FieldContext]) -> FieldCont
 @lru_cache(maxsize=None)
 def _default_field(m: int) -> FieldContext:
     """The default field of degree m, built once per process: the field of
-    ``sample``/``sample_at`` without a ``ctx``, of ``sample_stream`` and of
+    ``sample_at`` without a ``ctx``, of ``sample_stream`` and of
     every line ``from_json_line`` reads."""
     return FieldContext(m)
 
@@ -243,7 +232,11 @@ def _substream(seed: int, index: int) -> np.random.Generator:
 def sample_at(config: SamplerConfig, index: int,
               ctx: Optional[FieldContext] = None) -> DesignSample:
     """Sample ``index`` of the stream, from the Philox substream (seed, index)."""
-    return sample(config, _substream(config.seed, index), ctx)
+    ctx = _config_ctx(config, ctx)
+    transvections, psl, pauli = _draw(ctx, config.resolved_steps(),
+                                      _substream(config.seed, index))
+    return DesignSample(transvections=transvections, psl=psl, pauli=pauli,
+                        composed=compose(ctx, transvections, psl))
 
 
 def sample_stream(config: SamplerConfig, threads: int = 1) -> Iterator[DesignSample]:
@@ -261,6 +254,7 @@ def write_jsonl(samples: Iterator[DesignSample], fh) -> int:
 
 
 def read_jsonl(fh, m: int) -> List[Tuple[int, DesignSample]]:
+    m = checked_int("m", m, MIN_M, MAX_M)
     return [DesignSample.from_json_line(line, m) for line in fh if line.strip()]
 
 

@@ -14,17 +14,18 @@ Conjugation by the generator unitaries moves index pairs by exactly the
 corresponding binary-symplectic generator matrices; ``conjugation_check``
 verifies that relation entrywise, tracking the +-1, +-i phase freedom.
 
-Generator unitaries are built on first use and kept as read-only arrays,
-so ``sample_unitary`` and ``psl_unitary`` multiply stored factors instead
-of rebuilding them at every step.  The N^2 Pauli monomials D(a, b) and the
-N^2 - 1 transvection unitaries are keyed by (m, poly), the Hadamard H^(x m)
-by m, and the basis and phase factors of ``psl_factors`` by (m, packed
-rows): field-independent, at most about 2N + 1 entries per m.  The caches
-hold up to about 2 N^4 complex entries per field, 33 MB at m = 5 and
-0.5 GB at m = 6, so every dense constructor refuses m > DENSE_MAX_M with a
-ValueError before it allocates anything.  A generator refuses what its
-symplectic twin in ``pauli`` refuses, ``pack_index`` for D(a, b), by
-building the twin when it is built itself; cache hits check nothing.
+The generator constructors each carry a ``functools.cache`` and return
+read-only arrays, so ``sample_unitary`` and ``psl_unitary`` multiply stored
+factors instead of rebuilding them at every step.  The N^2 Pauli monomials
+D(a, b) and the N^2 - 1 transvection unitaries are keyed by (ctx, pair),
+equal fields sharing entries, the Hadamard H^(x m) by m, and the basis and
+phase factors of ``psl_factors`` by (m, packed rows): at most about 2N + 1
+entries per m.  The caches hold up to about 2 N^4 complex entries per
+field, 33 MB at m = 5 and 0.5 GB at m = 6, so every dense constructor
+refuses m > DENSE_MAX_M with a ValueError before it allocates anything.  A
+generator refuses what its symplectic twin in ``pauli`` refuses,
+``pack_index`` for D(a, b), by building the twin when it is built itself;
+nothing refused is cached, and cache hits check nothing.
 
 Frame potentials are computed by Gram products on flattened unitaries,
 in blocks of max(1, 2^17 // S) rows for S unitaries: each block's
@@ -36,6 +37,7 @@ number of standard Young tableaux pairs with at most ``dim`` rows.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -77,12 +79,6 @@ __all__ = [
 # dense synthesis is refused above this m (see the module docstring)
 DENSE_MAX_M = 5
 
-# read-only generator unitaries: ("pauli" | "transvection", m, poly, x, y),
-# ("basis" | "phase", m, rows) and ("hadamard", m) -> array.  Shared by the
-# whole process, which is safe because each entry is a pure function of its
-# key and cannot be written.
-_UNITARY_CACHE: Dict[tuple, np.ndarray] = {}
-
 
 def _check_dense(m: int) -> None:
     if m > DENSE_MAX_M:
@@ -90,31 +86,28 @@ def _check_dense(m: int) -> None:
                          f"{DENSE_MAX_M}; got m = {m}")
 
 
-def _cached(key: tuple, build: Callable[..., np.ndarray], *args) -> np.ndarray:
-    """The generator stored under ``key``, built as ``build(*args)`` on first use."""
-    u = _UNITARY_CACHE.get(key)
-    if u is None:
-        _check_dense(key[1])
+def _read_only_cache(build: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
+    """``functools.cache`` on a generator constructor, storing its arrays
+    read-only: each is a pure function of the arguments, shared process-wide."""
+    def read_only(*args) -> np.ndarray:
         u = build(*args)
         u.flags.writeable = False
-        _UNITARY_CACHE[key] = u
-    return u
+        return u
+    return functools.cache(functools.wraps(build)(read_only))
 
 
-def _build_pauli(ctx: FieldContext, a: int, b: int) -> np.ndarray:
-    db = pack_index(ctx, (a, b)) >> ctx.m  # |b|, the high half; refuses a bad (a, b)
+@_read_only_cache
+def pauli_unitary(ctx: FieldContext, p: Tuple[int, int]) -> np.ndarray:
+    """The real monomial D(a, b); a permutation with +-1 signs (read-only)."""
+    _check_dense(ctx.m)
+    a, b = p
+    db = pack_index(ctx, p) >> ctx.m  # |b|, the high half; refuses a bad (a, b)
     n = ctx.order
     v = np.arange(n)
     signs = 1.0 - 2.0 * (np.bitwise_count(v & db) & 1)
     mat = np.zeros((n, n), dtype=np.complex128)
     mat[v ^ a, v] = signs
     return mat
-
-
-def pauli_unitary(ctx: FieldContext, p: Tuple[int, int]) -> np.ndarray:
-    """The real monomial D(a, b); a permutation with +-1 signs (read-only)."""
-    a, b = p
-    return _cached(("pauli", ctx.m, ctx.poly, a, b), _build_pauli, ctx, a, b)
 
 
 def hermitian_pauli(ctx: FieldContext, p: Tuple[int, int]) -> np.ndarray:
@@ -124,32 +117,26 @@ def hermitian_pauli(ctx: FieldContext, p: Tuple[int, int]) -> np.ndarray:
     return (1j ** ctx.trace(ctx.mul(a, b))) * d
 
 
-def _build_transvection(ctx: FieldContext, h: Tuple[int, int]) -> np.ndarray:
+@_read_only_cache
+def transvection_unitary(ctx: FieldContext, h: Tuple[int, int]) -> np.ndarray:
+    """(I + i E(h)) / sqrt(2); realizes the transvection Z_h (read-only)."""
+    _check_dense(ctx.m)
     transvection_matrix(ctx, h)  # refuses what Z_h refuses
     e = hermitian_pauli(ctx, h)
     return (np.eye(e.shape[0]) + 1j * e) / math.sqrt(2.0)
 
 
-def transvection_unitary(ctx: FieldContext, h: Tuple[int, int]) -> np.ndarray:
-    """(I + i E(h)) / sqrt(2); realizes the transvection Z_h (read-only)."""
-    h1, h2 = h
-    return _cached(("transvection", ctx.m, ctx.poly, h1, h2),
-                   _build_transvection, ctx, h)
-
-
 _H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
 
-def _build_hadamard(m: int) -> np.ndarray:
+@_read_only_cache
+def hadamard_unitary(m: int) -> np.ndarray:
+    """H tensored m times (read-only)."""
+    _check_dense(m)
     out = np.array([[1.0]])
     for _ in range(m):
         out = np.kron(out, _H2)
     return out.astype(np.complex128)
-
-
-def hadamard_unitary(m: int) -> np.ndarray:
-    """H tensored m times (read-only)."""
-    return _cached(("hadamard", m), _build_hadamard, m)
 
 
 def partial_hadamard_unitary(m: int, t: int) -> np.ndarray:
@@ -159,7 +146,10 @@ def partial_hadamard_unitary(m: int, t: int) -> np.ndarray:
     return np.kron(np.eye(1 << (m - t)), hadamard_unitary(t)).astype(np.complex128)
 
 
-def _build_basis(m: int, q: Tuple[int, ...]) -> np.ndarray:
+@_read_only_cache
+def basis_unitary(m: int, q: Tuple[int, ...]) -> np.ndarray:
+    """Permutation e_v -> e_{vQ} for invertible Q as m packed rows (read-only)."""
+    _check_dense(m)
     basis_change_matrix(m, q)  # refuses Q unless it is invertible m x m
     n = 1 << m
     mat = np.zeros((n, n), dtype=np.complex128)
@@ -167,22 +157,15 @@ def _build_basis(m: int, q: Tuple[int, ...]) -> np.ndarray:
     return mat
 
 
-def basis_unitary(m: int, q: Tuple[int, ...]) -> np.ndarray:
-    """Permutation e_v -> e_{vQ} for invertible Q as m packed rows (read-only)."""
-    return _cached(("basis", m, q), _build_basis, m, q)
-
-
-def _build_phase(m: int, p: Tuple[int, ...]) -> np.ndarray:
+@_read_only_cache
+def phase_unitary(m: int, p: Tuple[int, ...]) -> np.ndarray:
+    """diag(i^(v P v^T mod 4)) for symmetric P as m packed rows (read-only)."""
+    _check_dense(m)
     phase_matrix(m, p)  # refuses P unless it is symmetric m x m
     v = np.arange(1 << m)
     # v P v^T over the integers: sum_i v_i popcount(v & P_i)
     quad = sum(((v >> i) & 1) * np.bitwise_count(v & r) for i, r in enumerate(p)) % 4
     return np.diag(1j ** quad)
-
-
-def phase_unitary(m: int, p: Tuple[int, ...]) -> np.ndarray:
-    """diag(i^(v P v^T mod 4)) for symmetric P as m packed rows (read-only)."""
-    return _cached(("phase", m, p), _build_phase, m, p)
 
 
 _GENERATORS = {
@@ -210,17 +193,12 @@ def sample_unitary(ctx: FieldContext, s: DesignSample) -> np.ndarray:
     """E(pauli) . U(psl) . U(h_t) ... U(h_1): conjugation acts h_1 first,
     matching the sample's ``composed`` symplectic matrix.
 
-    Each step is one ``ndarray.dot`` (one zgemm, as ``@``) and one cache
-    lookup under the key of ``transvection_unitary``, which runs only to
-    build a missing generator.
+    Each step is one ``ndarray.dot`` (one zgemm, as ``@``) of a stored
+    ``transvection_unitary``.
     """
     out = psl_unitary(ctx, s.psl)
-    m, poly = ctx.m, ctx.poly
     for h in reversed(s.transvections):
-        u = _UNITARY_CACHE.get(("transvection", m, poly, *h))
-        if u is None:
-            u = transvection_unitary(ctx, h)
-        out = out.dot(u)
+        out = out.dot(transvection_unitary(ctx, h))
     return hermitian_pauli(ctx, s.pauli).dot(out)
 
 
@@ -234,11 +212,14 @@ class ConjugationFailure(Exception):
                          f"residual {error:.3e}")
 
 
-def conjugation_check(ctx: FieldContext, u: np.ndarray, f: SymplecticMatrix,
-                      tol: float = 1e-8) -> None:
+# entrywise tolerance of conjugation_check
+_TOL = 1e-8
+
+
+def conjugation_check(ctx: FieldContext, u: np.ndarray, f: SymplecticMatrix) -> None:
     """Assert U D(x) U+ = phase * D(x . F) for every nonzero index x.
 
-    The phase must be a fourth root of unity within ``tol``; raises
+    The phase must be a fourth root of unity within ``_TOL``; raises
     ConjugationFailure at the first offending index, in vertex-code order.
     """
     uh = u.conj().T
@@ -249,8 +230,8 @@ def conjugation_check(ctx: FieldContext, u: np.ndarray, f: SymplecticMatrix,
         k = np.argmax(np.abs(want))
         phase = got.flat[k] / want.flat[k]
         err = float(np.abs(got - phase * want).max())
-        if err > tol or abs(abs(phase) - 1.0) > tol or \
-                abs(phase ** 4 - 1.0) > 8 * tol:
+        if err > _TOL or abs(abs(phase) - 1.0) > _TOL or \
+                abs(phase ** 4 - 1.0) > 8 * _TOL:
             raise ConjugationFailure(x, max(err, abs(phase ** 4 - 1.0)))
 
 

@@ -287,7 +287,7 @@ def test_invalid_arguments_exit_2(capsys):
         assert main(["spectra", "--m", "2", "--epsilon", eps]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: eps must be in (0, 1)\n"
+        assert captured.err == f"error: eps = {float(eps)!r} must be in (0, 1)\n"
     assert main(["convergence", "--m", "2", "--t-max", "-1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "t_max = -1 must be an int >= 0" in captured.err
@@ -307,7 +307,8 @@ def test_bad_chain_arguments_are_refused_before_any_chain(monkeypatch, capsys):
     assert calls == []
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.count("error: eps must be in (0, 1)\n") == 3
+    for eps in ("0", "-1", "1"):
+        assert captured.err.count(f"error: eps = {float(eps)!r} must be in (0, 1)\n") == 1
     assert "error: t_max = -1 must be an int >= 0\n" in captured.err
     assert main(["spectra", "--m", "2"]) == 0
     assert len(calls) == 2
@@ -401,6 +402,25 @@ def test_verify_caps_m(capsys):
     err = capsys.readouterr().err
     assert "FULL_CHAIN_MAX_M" in err
     assert err.startswith(f"error: verify requires m <= {FULL_CHAIN_MAX_M} ")
+
+
+def test_verify_refuses_a_count_below_1_before_any_check(monkeypatch, capsys):
+    """--count below 1 exits 2 before any check thunk runs (it used to run
+    eight checks first, and the pair-statistics check refused it)."""
+    ran = []
+    original = cli._verify_checks
+
+    def recording(args):
+        return [(name, lambda name=name, fn=fn: ran.append(name) or fn())
+                for name, fn in original(args)]
+
+    monkeypatch.setattr(cli, "_verify_checks", recording)
+    for count in ("0", "-1"):
+        assert main(["verify", "--m", "2", "--count", count]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: count = {count} must be an int >= 1\n"
+    assert ran == []
 
 
 def test_census_mismatch_would_fail_rc(tmp_path):

@@ -1,5 +1,6 @@
 """Design sampler: deterministic streams, JSONL, Monte-Carlo statistics."""
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -17,14 +18,14 @@ from kerdock3 import pauli, sampler
 from kerdock3.graph import (EdgeKind, PauliPair, census, chain_mask, orbit_invariant,
                             srg_check)
 from kerdock3.kerdock import PslElement, psl_to_symplectic, sample_psl_vec
-from kerdock3.markov import full_chain, q_empirical
+from kerdock3.markov import full_chain, mixing_time_bound, q_empirical
 from kerdock3.pauli import (PauliIndex, SymplecticMatrix, apply_symplectic,
                             transvection_matrix)
 from kerdock3.sampler import (DesignSample, PairStatistics, SamplerConfig,
                               _draw, _normalize_probes, _stats_batch,
                               _substream, class_size, compose, mc_sigma,
                               pair_statistics,
-                              pair_statistics_stream, read_jsonl, sample,
+                              pair_statistics_stream, read_jsonl,
                               sample_at, sample_stream, steps_for_epsilon,
                               write_jsonl)
 
@@ -62,12 +63,33 @@ def test_resolved_steps_frozen_values():
     assert SamplerConfig(m=2, seed=0, count=1, steps=7).resolved_steps() == 7
 
 
-@pytest.mark.parametrize("eps", [0.0, 1.0, 1.5, 30.0, -0.01, float("nan")])
+@pytest.mark.parametrize("eps", [0.0, 1.0, 1.5, 30.0, -0.01, float("nan"), "0.5", None, 1j])
 def test_steps_for_epsilon_refuses_eps_outside_the_unit_interval(eps):
     """eps outside (0, 1) is refused by name (eps = 1.5 used to give 42
-    steps and eps = 30 gave 29, since the bound only sees eps/N^3)."""
-    with pytest.raises(ValueError, match=re.escape(f"eps = {eps!r} must be in (0, 1)")):
-        steps_for_epsilon(2, eps)
+    steps and eps = 30 gave 29, since the bound only sees eps/N^3), alike
+    by the mixing bound, steps_for_epsilon and SamplerConfig, and so is an
+    eps that is no number (a string, None or a complex was a bare TypeError)."""
+    calls = [lambda: steps_for_epsilon(2, eps), lambda: mixing_time_bound(2, eps)]
+    if eps is not None:  # SamplerConfig reads epsilon=None as "not set"
+        calls.append(lambda: SamplerConfig(m=2, seed=0, count=1, epsilon=eps))
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(f"eps = {eps!r} must be in (0, 1)")):
+            call()
+
+
+def test_walk_length_is_resolved_once_per_config(monkeypatch):
+    """A config fixes its walk length when it is made: a 50-sample stream
+    calls steps_for_epsilon once, not once per sample, and replace makes a
+    new config that resolves it again."""
+    calls = []
+    original = sampler.steps_for_epsilon
+    monkeypatch.setattr(sampler, "steps_for_epsilon",
+                        lambda m, eps: calls.append(eps) or original(m, eps))
+    config = SamplerConfig(m=2, seed=3, count=50, epsilon=0.05)
+    assert {len(s.transvections) for s in sample_stream(config)} == {56}
+    assert calls == [0.05]
+    assert dataclasses.replace(config, epsilon=0.01).resolved_steps() == 63
+    assert calls == [0.05, 0.01]
 
 
 def test_compose_equals_sequential_product():
@@ -102,7 +124,7 @@ def test_identity_hook():
     PSL element composes to the identity."""
     ctx = FieldContext(2)
     config = SamplerConfig(m=2, seed=5, count=1, steps=0)
-    s = sample(config, _substream(5, 0), ctx)
+    s = sample_at(config, 0, ctx)  # the substream (5, 0)
     assert s.transvections == ()
     assert compose(ctx, (), PslElement(1, 0, 0, 1)) == SymplecticMatrix.identity(2)
 
@@ -186,6 +208,17 @@ def test_json_line_refuses_a_row_wider_than_2m(rows, shown):
     with pytest.raises(ValueError, match="composed row 0"):
         read_jsonl(io.StringIO(line + "\n" + json.dumps(obj) + "\n"), 2)
 
+
+def test_jsonl_readers_refuse_an_m_that_is_no_field_degree():
+    """m goes through checked_int: "3" used to fail as a row count "2m =
+    33", 3.0 as a bare TypeError and True was read as m = 1."""
+    line = sample_at(SamplerConfig(m=3, seed=0, count=1, steps=2), 0).to_json_line(0)
+    for m in ("3", 3.0, True):
+        message = re.escape(f"m = {m!r} must be an int in [2, 16]")
+        with pytest.raises(ValueError, match=message):
+            read_jsonl(io.StringIO(line + "\n"), m)
+        with pytest.raises(ValueError, match=message):
+            DesignSample.from_json_line(line, m)
 
 
 @pytest.mark.parametrize("field, entry, message", [
@@ -631,7 +664,7 @@ def test_field_context_must_match_config_degree():
     with pytest.raises(ValueError, match="m=2"):
         pair_statistics_stream(config, [COMMUTING_PROBE], ctx=FieldContext(2))
     with pytest.raises(ValueError, match="m=4"):
-        sample(config, _substream(0, 0), ctx=FieldContext(4))
+        sample_at(config, 0, ctx=FieldContext(4))
     with pytest.raises(ValueError):
         sample_at(config, 0, FieldContext(2))
 

@@ -31,6 +31,16 @@ from kerdock3.unitary import (DENSE_MAX_M, ConjugationFailure, basis_unitary,
                               sample_unitary, single_qubit_clifford_group,
                               transvection_unitary)
 
+# the dense generator constructors, each with its own functools.cache
+GENERATORS = (pauli_unitary, transvection_unitary, hadamard_unitary,
+              basis_unitary, phase_unitary)
+
+
+def cache_sizes():
+    """The number of entries each generator constructor holds."""
+    return [build.cache_info().currsize for build in GENERATORS]
+
+
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 
@@ -247,14 +257,15 @@ def test_phase_generators_refuse_bad_rows(build, p):
 def test_dense_paulis_and_transvections_refuse_entries_outside_the_field(kind, build, p):
     """At m = 2, (0, 0) as a transvection and an entry outside [0, 4) are
     refused with the message of the symplectic twin, transvection_matrix
-    or pack_index, and nothing is cached under their keys ((-1, 0) used to
+    or pack_index, and no generator cache gains an entry ((-1, 0) used to
     be built as a copy of (3, 0), (0, 0) as (1 + i)/sqrt(2) I)."""
     ctx = FieldContext(2)
     message = (f"transvection {p} must be" if kind == "transvection"
                else f"Pauli index {p} has an entry outside")
+    sizes = cache_sizes()
     with pytest.raises(ValueError, match=re.escape(message)):
         build(ctx, p)
-    assert (kind, 2, ctx.poly, *p) not in unitary._UNITARY_CACHE
+    assert cache_sizes() == sizes
 
 
 def test_psl_unitaries_all_m2():
@@ -326,27 +337,30 @@ def test_sample_unitary_golden_bytes(m, seed, count, steps, digest):
     assert h.hexdigest() == digest
 
 
-def test_sample_unitary_reads_the_transvection_cache(monkeypatch):
-    """sample_unitary looks each step up under transvection_unitary's key:
-    from an empty cache it calls transvection_unitary once per distinct
-    step, and on the same sample again not at all, with equal bytes."""
+def test_sample_unitary_reads_the_transvection_cache():
+    """sample_unitary reads each step through transvection_unitary's cache:
+    from a cleared cache it misses once per distinct step and hits on each
+    repeat, and on the same sample again it misses never, with equal bytes."""
     ctx = FieldContext(2)
     s = sample_at(SamplerConfig(m=2, seed=9, count=1, steps=12), 0, ctx)
-    monkeypatch.setattr(unitary, "_UNITARY_CACHE", {})
-    calls = []
-
-    def counting(ctx, h, build=unitary.transvection_unitary):
-        calls.append(h)
-        return build(ctx, h)
-
-    monkeypatch.setattr(unitary, "transvection_unitary", counting)
+    transvection_unitary.cache_clear()
     first = sample_unitary(ctx, s)
-    assert len(set(s.transvections)) < len(s.transvections)  # a repeat is a hit
-    assert sorted(calls) == sorted(set(s.transvections))
-    calls.clear()
+    distinct = len(set(s.transvections))
+    assert distinct < len(s.transvections)  # a repeat is a hit
+    info = transvection_unitary.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (
+        distinct, len(s.transvections) - distinct, distinct)
     again = sample_unitary(ctx, s)
-    assert calls == []
+    assert transvection_unitary.cache_info().misses == distinct
     assert again.tobytes() == first.tobytes()
+
+
+def test_generators_are_cached_on_their_constructors():
+    """No module-level table holds the generators: each constructor owns
+    an unbounded functools.cache."""
+    assert not hasattr(unitary, "_UNITARY_CACHE")
+    for build in GENERATORS:
+        assert build.cache_info().maxsize is None
 
 
 def test_cached_generators_are_read_only():
@@ -364,37 +378,36 @@ def test_cached_generators_are_read_only():
         assert u.flags.writeable
 
 
-def test_psl_unitary_builds_each_factor_once(monkeypatch):
+def test_psl_unitary_builds_each_factor_once():
     """The 60 PSL unitaries at m = 2 build each distinct basis, phase and
-    Hadamard factor exactly once, at most 2N + 1 of them."""
+    Hadamard factor exactly once, at most 2N + 1 of them: as many misses
+    as distinct factors, and none more when every unitary is built again."""
     ctx = FieldContext(2)
-    monkeypatch.setattr(unitary, "_UNITARY_CACHE", {})
-    built = []
-    for name in ("_build_basis", "_build_phase", "_build_hadamard"):
-        def counting(m, *rows, build=getattr(unitary, name), kind=name[7:]):
-            built.append((kind, *rows))
-            return build(m, *rows)
-        monkeypatch.setattr(unitary, name, counting)
+    factors = (basis_unitary, phase_unitary, hadamard_unitary)
+    for build in factors:
+        build.cache_clear()
+
+    def built():
+        return sum(build.cache_info().misses for build in factors)
+
     elements = list(psl_elements(ctx))
     us = [psl_unitary(ctx, g) for g in elements]
     distinct = {f for g in elements for f in psl_factors(ctx, g)}
-    assert sorted(built) == sorted(distinct)
-    assert len(built) <= 2 * ctx.order + 1
+    assert built() == len(distinct) <= 2 * ctx.order + 1
     for g, u in zip(elements, us):
         assert np.array_equal(u, psl_unitary(ctx, g))
-    assert len(built) == len(distinct)
+    assert built() == len(distinct)
 
 
 def test_equal_field_contexts_share_one_cache_entry():
-    cache = unitary._UNITARY_CACHE
-    before = len(cache)
+    before = sum(cache_sizes())
     u = pauli_unitary(FieldContext(3), (5, 6))
-    built = len(cache)
+    built = sum(cache_sizes())
     assert built - before <= 1
     assert pauli_unitary(FieldContext(3), (5, 6)) is u
     t = transvection_unitary(FieldContext(3), (2, 7))
     assert transvection_unitary(FieldContext(3, poly=0xB), (2, 7)) is t
-    assert len(cache) - built <= 2  # the transvection and its Pauli monomial
+    assert sum(cache_sizes()) - built <= 2  # the transvection and its Pauli monomial
     # another polynomial is another field, with its own entries
     other = pauli_unitary(FieldContext(3, poly=0xD), (5, 6))
     assert other is not u
@@ -415,6 +428,7 @@ def test_dense_synthesis_refused_above_cap(m):
              lambda: basis_unitary(m, tuple(1 << i for i in range(m))),
              lambda: phase_unitary(m, (0,) * m),
              lambda: kerdock_unitaries(ctx)]
+    sizes = cache_sizes()
     tracemalloc.start()
     try:
         for call in calls:
@@ -424,7 +438,7 @@ def test_dense_synthesis_refused_above_cap(m):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    assert not any(key[1] == m for key in unitary._UNITARY_CACHE)
+    assert cache_sizes() == sizes
 
 
 def test_conjugation_check_raises_on_mismatch():
